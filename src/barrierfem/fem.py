@@ -23,7 +23,6 @@ negative-power and logarithm integrands are thereby approximated by a
 finite sum with fixed positive weights.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
@@ -38,91 +37,142 @@ from .quadrature import REFERENCE_MEASURE, facet_rule, quadrature_for
 QUADRATURE_DEGREE = 5
 
 
+def _pair_tables(k):
+    """Local index pairs of a k-vertex simplex.
+
+    Returns (iu, ju, sym, rows, cols): the upper-triangle pairs, the map
+    from each entry of the row-major k*k local matrix to its
+    upper-triangle column, and the row/column index of each entry.
+    """
+    iu, ju = np.triu_indices(k)
+    sym = np.empty((k, k), dtype=np.intp)
+    sym[iu, ju] = sym[ju, iu] = np.arange(len(iu))
+    rows, cols = np.divmod(np.arange(k * k), k)
+    return iu, ju, sym.ravel(), rows, cols
+
+
 class _Workspace:
-    """Per-mesh geometry and quadrature tables reused across assemblies."""
+    """Per-mesh geometry, quadrature tables and the CSR sparsity pattern.
+
+    Holds no reference to the mesh itself, so a mesh and its workspace
+    are freed together once the mesh is no longer used.
+
+    The pattern is that of the Dirichlet-reduced operator: free-free
+    cell pairs, Robin facet pairs and the diagonal of every fixed
+    vertex.  Each entry of every local cell (then facet) matrix has a
+    slot in the CSR data array, or the dummy slot `nnz` when the
+    reduction drops it, so numeric assembly is one bincount.
+    """
 
     def __init__(self, mesh):
-        self.mesh = mesh
         d = mesh.dim
-        self.rule = quadrature_for(d, QUADRATURE_DEGREE)
-        self.lam = self.rule.points                      # (Q, d+1)
-        self.qw = self.rule.weights                      # (Q,)
+        n = mesh.num_vertices
+        self.num_vertices = n
+        self.cells = cells = mesh.cells                  # (M, d+1)
+        rule = quadrature_for(d, QUADRATURE_DEGREE)
+        self.lam = rule.points                           # (Q, d+1)
+        self.qw = rule.weights                           # (Q,)
         verts = mesh.vertices
-        cells = mesh.cells
-        self.cell_pts = verts[cells]                     # (M, d+1, d)
-        edges = self.cell_pts[:, 1:, :] - self.cell_pts[:, :1, :]
+        cell_pts = verts[cells]                          # (M, d+1, d)
+        edges = cell_pts[:, 1:, :] - cell_pts[:, :1, :]
         inv_t = np.transpose(np.linalg.inv(edges), (0, 2, 1))
         grads = np.empty((len(cells), d + 1, d))
         grads[:, 1:, :] = inv_t
         grads[:, 0, :] = -inv_t.sum(axis=1)
         self.grads = grads                               # (M, d+1, d)
-        # bitwise-symmetric products: entry (i,j) and (j,i) are computed
-        # with identical floating-point operations, so assembled matrices
-        # satisfy A == A.T exactly
-        self.grad_gram = np.einsum("mid,mjd->mij", grads, grads)
-        self.phi2 = self.lam[:, :, None] * self.lam[:, None, :]   # (Q, d+1, d+1)
+        # local matrices are computed on the upper triangle only and
+        # scattered to (i, j) and (j, i) alike, so A == A.T exactly
+        iu, ju, self.sym, rr, cc = _pair_tables(d + 1)
+        self.grad_gram = np.einsum("mkd,mkd->mk", grads[:, iu], grads[:, ju])
+        self.phi2 = self.lam[:, iu] * self.lam[:, ju]    # (Q, K)
         self.scale = mesh.cell_volumes / REFERENCE_MEASURE[d]
-        self.xq = np.einsum("qk,mkd->mqd", self.lam, self.cell_pts)
-        self.xq_flat = self.xq.reshape(-1, d)
-        rows = np.repeat(cells, d + 1, axis=1).ravel()
-        cols = np.tile(cells, (1, d + 1)).ravel()
-        self.mat_rows = rows
-        self.mat_cols = cols
+        self.wq = self.scale[:, None] * self.qw          # (M, Q)
+        self.xq_flat = np.einsum("qk,mkd->mqd", self.lam, cell_pts).reshape(-1, d)
 
         markers, fidx = mesh.facet_arrays
-        robin = (
-            np.array([m == Marker.ROBIN for m in markers], dtype=bool)
-            if len(fidx)
-            else np.zeros(0, dtype=bool)
-        )
-        self.robin_idx = fidx[robin] if len(fidx) else fidx
+        robin = np.array([m == Marker.ROBIN for m in markers], dtype=bool)
+        self.robin_idx = fidx[robin]
+        rows, cols = [cells[:, rr].ravel()], [cells[:, cc].ravel()]
         if len(self.robin_idx):
             frule = facet_rule(d, QUADRATURE_DEGREE)
             self.flam = frule.points                     # (Qf, d)
-            self.fqw = frule.weights
-            self.fphi2 = self.flam[:, :, None] * self.flam[:, None, :]
-            meas = mesh.facet_measures[robin]
-            self.fscale = meas / REFERENCE_MEASURE[d - 1]
+            fiu, fju, self.fsym, frr, fcc = _pair_tables(d)
+            self.fphi2 = self.flam[:, fiu] * self.flam[:, fju]
+            fscale = mesh.facet_measures[robin] / REFERENCE_MEASURE[d - 1]
+            self.fwq = fscale[:, None] * frule.weights   # (B, Qf)
             fpts = verts[self.robin_idx]                 # (B, d, dim)
-            self.fxq = np.einsum("qk,fkd->fqd", self.flam, fpts)
-            self.fxq_flat = self.fxq.reshape(-1, d)
-            self.frows = np.repeat(self.robin_idx, d, axis=1).ravel()
-            self.fcols = np.tile(self.robin_idx, (1, d)).ravel()
+            self.fxq_flat = np.einsum("qk,fkd->fqd", self.flam, fpts).reshape(-1, d)
+            rows.append(self.robin_idx[:, frr].ravel())
+            cols.append(self.robin_idx[:, fcc].ravel())
 
         dv = mesh.dirichlet_vertices()
-        self.dirichlet_mask = np.zeros(mesh.num_vertices, dtype=bool)
+        self.dirichlet_mask = np.zeros(n, dtype=bool)
         self.dirichlet_mask[dv] = True
+        self._build_pattern(np.concatenate(rows), np.concatenate(cols), dv)
         self.spec_fields = WeakKeyDictionary()
+
+    def _build_pattern(self, rows, cols, fixed):
+        n = self.num_vertices
+        mask = self.dirichlet_mask
+        free = ~(mask[rows] | mask[cols])
+        keys = np.concatenate([rows[free] * n + cols[free], fixed * n + fixed])
+        unique, slot = np.unique(keys, return_inverse=True)
+        self.nnz = len(unique)
+        self.indptr = np.searchsorted(unique, np.arange(n + 1) * n).astype(np.int32)
+        self.indices = (unique % n).astype(np.int32)
+        n_free = int(free.sum())
+        self.slots = np.full(len(rows), self.nnz, dtype=np.int32)
+        self.slots[free] = slot[:n_free]
+        self.cell_slots = self.slots[: self.cells.size * self.cells.shape[1]]
+        self.fixed_slots = slot[n_free:]
+
+    def scatter(self, local, facet_vals=None):
+        """CSR data of the pattern from upper-triangle local matrices.
+
+        `local` is (M, K) for the cells; `facet_vals` the expanded Robin
+        facet entries (see fields_for).  Entries are summed in cell order,
+        then facet order, so the (i, j) and (j, i) slots see identical
+        additions.
+        """
+        vals = local[:, self.sym].ravel()
+        slots = self.cell_slots
+        if facet_vals is not None:
+            vals = np.concatenate([vals, facet_vals])
+            slots = self.slots
+        return np.bincount(slots, weights=vals, minlength=self.nnz + 1)[:-1]
 
     def fields_for(self, spec):
         """Evaluate the u-independent coefficient fields once per spec."""
         cached = self.spec_fields.get(spec)
         if cached is not None:
             return cached
+        shape = self.wq.shape
         diff = np.asarray(spec.diffusion(self.xq_flat), dtype=float)
         if np.any(diff <= 0):
             raise CoefficientViolation("diffusion must be > 0 at quadrature points")
         coeffs = [
-            (p, np.asarray(c(self.xq_flat), dtype=float).reshape(self.xq.shape[:2]))
+            (p, np.asarray(c(self.xq_flat), dtype=float).reshape(shape))
             for p, c in spec.power_terms
         ]
         source = (
-            np.asarray(spec.source(self.xq_flat), dtype=float).reshape(self.xq.shape[:2])
+            np.asarray(spec.source(self.xq_flat), dtype=float).reshape(shape)
             if spec.source is not None
             else None
         )
         fields = {
-            "diffusion": diff.reshape(self.xq.shape[:2]),
+            "diffusion_w": self.scale * (diff.reshape(shape) @ self.qw),
             "coeffs": coeffs,
             "source": source,
         }
         if len(self.robin_idx):
-            fields["robin_coeff"] = np.asarray(
-                spec.robin_coeff(self.fxq_flat), dtype=float
-            ).reshape(self.fxq.shape[:2])
+            fshape = self.fwq.shape
+            cf = np.asarray(spec.robin_coeff(self.fxq_flat), dtype=float).reshape(fshape)
+            fields["robin_coeff"] = cf
             fields["robin_data"] = np.asarray(
                 spec.robin_data(self.fxq_flat), dtype=float
-            ).reshape(self.fxq.shape[:2])
+            ).reshape(fshape)
+            # the Robin matrix does not depend on u
+            fields["robin_matrix"] = ((self.fwq * cf) @ self.fphi2)[:, self.fsym].ravel()
         self.spec_fields[spec] = fields
         return fields
 
@@ -144,6 +194,7 @@ class AssembledSystem:
 
     barrier_matrix/barrier_vector are None when assembled with mu = 0;
     they do not depend on mu otherwise (mu only scales the combination).
+    The jacobian and barrier_matrix share one CSR pattern.
     """
 
     jacobian: SparseMatrix
@@ -191,113 +242,38 @@ def _power_sum(coeffs, u, derivative=0):
     return out
 
 
-def _dedupe_csr(rows, cols, vals, n):
-    """Deterministic duplicate summation (stable lexsort + reduceat).
-
-    Keeps the left-to-right accumulation order identical for the (i, j)
-    and (j, i) entry groups, which makes assembled matrices bitwise
-    symmetric.
-    """
-    order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    if len(r) == 0:
-        return SparseMatrix.from_coo(r, c, v, n)
-    new_group = np.flatnonzero((np.diff(r) != 0) | (np.diff(c) != 0)) + 1
-    starts = np.concatenate([[0], new_group])
-    return SparseMatrix.from_coo(
-        r[starts], c[starts], np.add.reduceat(v, starts), n
-    )
-
-
-def _cell_contributions(ws, fields, u, chunk, need_matrix, need_barrier):
-    """Vectors/local matrices for one slice of cells."""
-    lam, qw = ws.lam, ws.qw
-    scale = ws.scale[chunk]
-    grads = ws.grads[chunk]
-    cells = ws.mesh.cells[chunk]
-    u_cells = u[cells]                                   # (m, d+1)
-    uq = u_cells @ lam.T                                 # (m, Q)
-    gradu = np.einsum("mk,mkd->md", u_cells, grads)      # (m, d)
-    diff = fields["diffusion"][chunk]
-    coeffs = [(p, c[chunk]) for p, c in fields["coeffs"]]
-
-    diff_w = scale * (diff @ qw)                         # (m,)
-    kq = _power_sum(coeffs, uq)
-    if fields["source"] is not None:
-        kq = kq - fields["source"][chunk]
-    local_res = np.einsum("m,md,mkd->mk", diff_w, gradu, grads)
-    local_res += np.einsum("m,q,mq,qk->mk", scale, qw, kq, lam)
-
-    local_bar = None
-    if need_barrier:
-        with np.errstate(divide="ignore"):
-            local_bar = np.einsum("m,q,mq,qk->mk", scale, qw, 1.0 / uq, lam)
-
-    local_jac = local_m = None
-    if need_matrix:
-        kpq = _power_sum(coeffs, uq, derivative=1)
-        local_jac = diff_w[:, None, None] * ws.grad_gram[chunk]
-        local_jac += np.einsum("m,q,mq,qij->mij", scale, qw, kpq, ws.phi2)
-        if need_barrier:
-            with np.errstate(divide="ignore"):
-                local_m = np.einsum("m,q,mq,qij->mij", scale, qw, uq**-2, ws.phi2)
-    return cells, local_res, local_bar, local_jac, local_m
-
-
-def _assemble(spec, mesh, u, mu, need_matrix, workers=1):
+def _assemble(spec, mesh, u, mu, need_matrix):
     u = _check_state(spec, mesh, u, mu)
     ws = workspace_for(mesh)
     fields = ws.fields_for(spec)
     need_barrier = mu > 0
-    n = mesh.num_vertices
-    d = mesh.dim
+    n = ws.num_vertices
+    cells = ws.cells.ravel()
 
-    if workers > 1 and mesh.num_cells >= workers:
-        bounds = np.linspace(0, mesh.num_cells, workers + 1).astype(int)
-        chunks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda ch: _cell_contributions(
-                        ws, fields, u, ch, need_matrix, need_barrier
-                    ),
-                    chunks,
-                )
-            )
-    else:
-        parts = [
-            _cell_contributions(
-                ws, fields, u, slice(None), need_matrix, need_barrier
-            )
-        ]
+    u_cells = u[ws.cells]                                # (M, d+1)
+    uq = u_cells @ ws.lam.T                              # (M, Q)
+    gradu = np.einsum("mk,mkd->md", u_cells, ws.grads)   # (M, d)
+    kq = _power_sum(fields["coeffs"], uq)
+    if fields["source"] is not None:
+        kq = kq - fields["source"]
+    local_res = np.einsum(
+        "md,mkd->mk", fields["diffusion_w"][:, None] * gradu, ws.grads
+    )
+    local_res += (ws.wq * kq) @ ws.lam
+    residual = np.bincount(cells, weights=local_res.ravel(), minlength=n)
 
-    residual = np.zeros(n)
-    barrier_vec = np.zeros(n) if need_barrier else None
-    jac_vals = []
-    m_vals = []
-    for cells, local_res, local_bar, local_jac, local_m in parts:
-        residual += np.bincount(cells.ravel(), weights=local_res.ravel(), minlength=n)
-        if need_barrier:
-            barrier_vec += np.bincount(
-                cells.ravel(), weights=local_bar.ravel(), minlength=n
-            )
-        if need_matrix:
-            jac_vals.append(local_jac.reshape(-1))
-            if need_barrier:
-                m_vals.append(local_m.reshape(-1))
+    barrier_vec = None
+    if need_barrier:
+        with np.errstate(divide="ignore"):
+            local_bar = (ws.wq / uq) @ ws.lam
+        barrier_vec = np.bincount(cells, weights=local_bar.ravel(), minlength=n)
 
     # Robin boundary terms
-    robin_rows = robin_vals = None
     if len(ws.robin_idx):
-        u_f = u[ws.robin_idx]                            # (B, d)
-        uqf = u_f @ ws.flam.T                            # (B, Qf)
+        uqf = u[ws.robin_idx] @ ws.flam.T                # (B, Qf)
         cf, gf = fields["robin_coeff"], fields["robin_data"]
-        local = np.einsum("f,q,fq,qk->fk", ws.fscale, ws.fqw, cf * uqf - gf, ws.flam)
+        local = (ws.fwq * (cf * uqf - gf)) @ ws.flam
         residual += np.bincount(ws.robin_idx.ravel(), weights=local.ravel(), minlength=n)
-        if need_matrix:
-            robin_vals = np.einsum(
-                "f,q,fq,qij->fij", ws.fscale, ws.fqw, cf, ws.fphi2
-            ).reshape(-1)
 
     mask = ws.dirichlet_mask
     residual[mask] = 0.0
@@ -306,40 +282,31 @@ def _assemble(spec, mesh, u, mu, need_matrix, workers=1):
 
     jacobian = barrier_mat = None
     if need_matrix:
-        rows = ws.mat_rows
-        cols = ws.mat_cols
-        vals = np.concatenate(jac_vals)
-        if robin_vals is not None:
-            rows = np.concatenate([rows, ws.frows])
-            cols = np.concatenate([cols, ws.fcols])
-            vals = np.concatenate([vals, robin_vals])
-        keep = ~(mask[rows] | mask[cols])
-        fixed = np.flatnonzero(mask)
-        jacobian = _dedupe_csr(
-            np.concatenate([rows[keep], fixed]),
-            np.concatenate([cols[keep], fixed]),
-            np.concatenate([vals[keep], np.ones(len(fixed))]),
-            n,
-        )
+        kpq = _power_sum(fields["coeffs"], uq, derivative=1)
+        local_jac = fields["diffusion_w"][:, None] * ws.grad_gram
+        local_jac += (ws.wq * kpq) @ ws.phi2
+        data = ws.scatter(local_jac, fields.get("robin_matrix"))
+        data[ws.fixed_slots] = 1.0
+        jacobian = SparseMatrix.from_pattern(ws.indptr, ws.indices, data)
         if need_barrier:
-            mvals = np.concatenate(m_vals)
-            mkeep = ~(mask[ws.mat_rows] | mask[ws.mat_cols])
-            barrier_mat = _dedupe_csr(
-                ws.mat_rows[mkeep], ws.mat_cols[mkeep], mvals[mkeep], n
+            with np.errstate(divide="ignore"):
+                local_m = (ws.wq * uq**-2) @ ws.phi2
+            barrier_mat = SparseMatrix.from_pattern(
+                ws.indptr, ws.indices, ws.scatter(local_m)
             )
 
     return AssembledSystem(jacobian, barrier_mat, residual, barrier_vec, mask.copy())
 
 
-def assemble_residual(spec, mesh, u, mu=0.0, workers=1):
+def assemble_residual(spec, mesh, u, mu=0.0):
     """Residual vector G - mu*H with Dirichlet entries zeroed."""
-    system = _assemble(spec, mesh, u, mu, need_matrix=False, workers=workers)
+    system = _assemble(spec, mesh, u, mu, need_matrix=False)
     return system.residual_vector(mu)
 
 
-def assemble_jacobian(spec, mesh, u, mu=0.0, workers=1):
+def assemble_jacobian(spec, mesh, u, mu=0.0):
     """Full AssembledSystem at the state u (barrier parts only when mu > 0)."""
-    return _assemble(spec, mesh, u, mu, need_matrix=True, workers=workers)
+    return _assemble(spec, mesh, u, mu, need_matrix=True)
 
 
 def compute_energy(spec, mesh, u, mu=0.0):
@@ -348,12 +315,11 @@ def compute_energy(spec, mesh, u, mu=0.0):
     ws = workspace_for(mesh)
     fields = ws.fields_for(spec)
 
-    u_cells = u[ws.mesh.cells]
+    u_cells = u[ws.cells]
     uq = u_cells @ ws.lam.T
     gradu = np.einsum("mk,mkd->md", u_cells, ws.grads)
     grad_sq = np.einsum("md,md->m", gradu, gradu)
-    diff_w = ws.scale * (fields["diffusion"] @ ws.qw)
-    total = 0.5 * float(diff_w @ grad_sq)
+    total = 0.5 * float(fields["diffusion_w"] @ grad_sq)
 
     density = _power_sum(fields["coeffs"], uq, derivative=-1)
     if fields["source"] is not None:
@@ -361,14 +327,12 @@ def compute_energy(spec, mesh, u, mu=0.0):
     if mu > 0:
         with np.errstate(divide="ignore"):
             density = density - mu * np.log(uq)
-    total += float(np.einsum("m,q,mq->", ws.scale, ws.qw, density))
+    total += float(np.einsum("mq,mq->", ws.wq, density))
 
     if len(ws.robin_idx):
         uqf = u[ws.robin_idx] @ ws.flam.T
         cf, gf = fields["robin_coeff"], fields["robin_data"]
-        total += float(
-            np.einsum("f,q,fq->", ws.fscale, ws.fqw, 0.5 * cf * uqf**2 - gf * uqf)
-        )
+        total += float(np.einsum("fq,fq->", ws.fwq, 0.5 * cf * uqf**2 - gf * uqf))
     return total
 
 
@@ -385,6 +349,6 @@ def l2_error(mesh, u, exact):
     """L2 norm of u_h - exact over the mesh (degree-5 quadrature)."""
     u = as_coefficients(u)
     ws = workspace_for(mesh)
-    uq = u[ws.mesh.cells] @ ws.lam.T
+    uq = u[ws.cells] @ ws.lam.T
     eq = np.asarray(exact(ws.xq_flat), dtype=float).reshape(uq.shape)
-    return float(np.sqrt(np.einsum("m,q,mq->", ws.scale, ws.qw, (uq - eq) ** 2)))
+    return float(np.sqrt(np.einsum("mq,mq->", ws.wq, (uq - eq) ** 2)))

@@ -36,6 +36,21 @@ class SparseMatrix:
         return cls(sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr())
 
     @classmethod
+    def from_pattern(cls, indptr, indices, data):
+        """Wrap canonical CSR arrays (sorted, duplicate-free) as they are.
+
+        Nothing is copied or checked; matrices built on the same
+        indptr/indices arrays share them.
+        """
+        n = len(indptr) - 1
+        csr = sp.csr_matrix((n, n))
+        csr.indptr, csr.indices, csr.data = indptr, indices, data
+        csr.has_canonical_format = True
+        matrix = cls.__new__(cls)
+        matrix._csr = csr
+        return matrix
+
+    @classmethod
     def identity(cls, n):
         return cls(sp.identity(n, format="csr"))
 
@@ -93,7 +108,11 @@ def matvec(a, x):
 
 
 def add_scaled(a, s, m):
-    """The operator a + s*m as an explicit sparse sum."""
+    """The operator a + s*m; on a shared pattern only the values are combined."""
+    if a.row_offsets is m.row_offsets and a.col_indices is m.col_indices:
+        return SparseMatrix.from_pattern(
+            a.row_offsets, a.col_indices, a.values + float(s) * m.values
+        )
     return SparseMatrix(a._csr + float(s) * m._csr)
 
 

@@ -119,23 +119,32 @@ class SimplicialMesh:
         return 0.5 * np.linalg.norm(cross, axis=1)
 
     @cached_property
-    def _face_to_cells(self):
-        face_map = {}
-        for c, cell in enumerate(self.cells):
-            for drop in range(self.dim + 1):
-                face = tuple(sorted(np.delete(cell, drop)))
-                face_map.setdefault(face, []).append((c, drop))
-        return face_map
+    def _facet_owners(self):
+        """(count, first) per boundary facet: the number of cells that have
+        it as a face, and the lowest such cell index (-1 when none)."""
+        d = self.dim
+        _, idx = self.facet_arrays
+        # face r of a cell drops its local vertex r
+        keep = np.array([[j for j in range(d + 1) if j != r] for r in range(d + 1)])
+        faces = np.sort(self.cells[:, keep], axis=-1).reshape(-1, d)
+        rows = np.concatenate([faces, np.sort(idx, axis=1)])
+        # stable sort: equal rows keep cell faces, in cell order, before facets
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        starts = np.ones(len(rows), dtype=bool)
+        starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+        group = np.empty(len(rows), dtype=np.int64)
+        group[order] = np.cumsum(starts) - 1
+        counts = np.bincount(group[: len(faces)], minlength=int(starts.sum()))
+        head = order[starts]
+        first = np.where(head < len(faces), head // (d + 1), -1)
+        facet_group = group[len(faces):]
+        return counts[facet_group], first[facet_group]
 
     def facet_parent_cells(self):
         """Cell index owning each boundary facet (-1 if none or ambiguous)."""
-        _, idx = self.facet_arrays
-        parents = np.full(len(idx), -1, dtype=np.int64)
-        for k, facet in enumerate(idx):
-            owners = self._face_to_cells.get(tuple(sorted(facet)), [])
-            if len(owners) == 1:
-                parents[k] = owners[0][0]
-        return parents
+        counts, first = self._facet_owners
+        return np.where(counts == 1, first, -1)
 
     def facet_normals(self):
         """Unit outward normal of every boundary facet.
@@ -211,7 +220,8 @@ def validate(mesh):
         violations.append(f"cell {c} has nonpositive measure {measures[c]:.3e}")
 
     seen = {}
-    for k, (marker, facet) in enumerate(mesh.boundary_facets):
+    owner_counts, _ = mesh._facet_owners
+    for (marker, facet), owners in zip(mesh.boundary_facets, owner_counts.tolist()):
         key = tuple(sorted(facet))
         if key in seen:
             violations.append(
@@ -219,10 +229,9 @@ def validate(mesh):
             )
         else:
             seen[key] = marker
-        owners = mesh._face_to_cells.get(key, [])
-        if len(owners) != 1:
+        if owners != 1:
             violations.append(
-                f"facet {facet} is a face of {len(owners)} cells, expected exactly 1"
+                f"facet {facet} is a face of {owners} cells, expected exactly 1"
             )
     return violations
 

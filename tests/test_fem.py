@@ -1,7 +1,11 @@
 """Assembly: residual/Jacobian/energy consistency, constraints, MMS."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from barrierfem.errors import CoefficientViolation, DimensionMismatch, NonpositiveState
 from barrierfem.fem import (
@@ -158,6 +162,104 @@ class TestJacobian:
         assert np.all(system.barrier_vector[mask] == 0.0)
 
 
+# 1D, 2D and 3D meshes with one Dirichlet and one Robin boundary part
+MIXED_MESHES = {
+    "1d": lambda: generate_interval_mesh(0, 1, 9, left=Marker.DIRICHLET, right=Marker.ROBIN),
+    "2d": lambda: generate_annulus_mesh(1, 2, 3, 12, inner=Marker.DIRICHLET, outer=Marker.ROBIN),
+    "3d": lambda: generate_shell_mesh(1, 3, 1, inner=Marker.ROBIN, outer=Marker.DIRICHLET),
+}
+
+
+PATTERN_SPEC = ProblemSpec(
+    diffusion=lambda x: 1.0 + 0.1 * np.sum(np.atleast_2d(x) ** 2, axis=1),
+    power_terms=((1, 1.0), (-3, 0.5)),
+    robin_coeff=2.0,
+    robin_data=1.0,
+    dirichlet_data=1.0,
+)
+
+
+def _reference_matrices(spec, mesh, u):
+    """J and M from full local matrices, summed by scipy's COO -> CSR build
+    and reduced as D J D + I_fixed, D M D (D zeroes the Dirichlet part)."""
+    ws = workspace_for(mesh)
+    fields = ws.fields_for(spec)
+    cells, n, k = mesh.cells, mesh.num_vertices, mesh.dim + 1
+    uq = u[cells] @ ws.lam.T
+    phi = np.einsum("qi,qj->qij", ws.lam, ws.lam)
+    diffusion = spec.diffusion(ws.xq_flat).reshape(ws.wq.shape)
+    diff_w = np.einsum("mq,mq->m", ws.wq, diffusion)
+    jac = np.einsum("m,mid,mjd->mij", diff_w, ws.grads, ws.grads)
+    jac += np.einsum("mq,qij->mij", ws.wq * (1.0 - 1.5 * uq**-4), phi)
+    bar = np.einsum("mq,qij->mij", ws.wq / uq**2, phi)
+    rows = np.repeat(cells, k, axis=1).ravel()
+    cols = np.tile(cells, (1, k)).ravel()
+    facets = ws.robin_idx
+    fphi = np.einsum("qi,qj->qij", ws.flam, ws.flam)
+    fjac = np.einsum("fq,qij->fij", ws.fwq * fields["robin_coeff"], fphi)
+    jrows = np.concatenate([rows, np.repeat(facets, k - 1, axis=1).ravel()])
+    jcols = np.concatenate([cols, np.tile(facets, (1, k - 1)).ravel()])
+    jvals = np.concatenate([jac.ravel(), fjac.ravel()])
+    a = sp.coo_matrix((jvals, (jrows, jcols)), shape=(n, n)).tocsr().toarray()
+    m = sp.coo_matrix((bar.ravel(), (rows, cols)), shape=(n, n)).tocsr().toarray()
+    free = ~ws.dirichlet_mask
+    keep = np.outer(free, free)
+    return np.where(keep, a, 0.0) + np.diag((~free).astype(float)), np.where(keep, m, 0.0)
+
+
+class TestAssemblyPattern:
+    """The per-mesh CSR pattern and the bincount scatter shared by J and M."""
+
+    @pytest.fixture(scope="class", params=sorted(MIXED_MESHES))
+    def case(self, request):
+        mesh = MIXED_MESHES[request.param]()
+        u, _ = random_positive_state(mesh, seed=7)
+        u = apply_dirichlet(u, mesh, PATTERN_SPEC)
+        return mesh, u, assemble_jacobian(PATTERN_SPEC, mesh, u, mu=0.7)
+
+    def test_exact_symmetry(self, case):
+        _, _, system = case
+        for matrix in (system.jacobian, system.barrier_matrix, system.system_matrix(0.7)):
+            a = matrix.toarray()
+            assert np.array_equal(a, a.T)
+
+    def test_shared_pattern(self, case):
+        _, _, system = case
+        j, m, s = system.jacobian, system.barrier_matrix, system.system_matrix(0.7)
+        for other in (m, s):
+            assert other.row_offsets is j.row_offsets
+            assert other.col_indices is j.col_indices
+
+    def test_matches_coo_reference(self, case):
+        mesh, u, system = case
+        ref_j, ref_m = _reference_matrices(PATTERN_SPEC, mesh, u.coefficients)
+        for got, ref in ((system.jacobian, ref_j), (system.barrier_matrix, ref_m)):
+            err = np.abs(got.toarray() - ref).max()
+            assert err <= 1e-13 * np.abs(ref).max()
+
+    def test_dirichlet_rows_and_columns(self, case):
+        mesh, _, system = case
+        mask = system.dirichlet_mask
+        assert mask.any() and not mask.all()
+        a = system.jacobian.toarray()
+        m = system.barrier_matrix.toarray()
+        eye = np.eye(mesh.num_vertices)
+        assert np.array_equal(a[mask], eye[mask])
+        assert np.array_equal(a[:, mask], eye[:, mask])
+        assert np.all(m[mask] == 0.0) and np.all(m[:, mask] == 0.0)
+
+
+def test_workspace_freed_with_mesh():
+    mesh = generate_annulus_mesh(1, 2, 2, 8, inner=Marker.DIRICHLET, outer=Marker.ROBIN)
+    assemble_jacobian(PATTERN_SPEC, mesh, FeFunction.constant(mesh, 1.0), mu=0.5)
+    mesh_ref = weakref.ref(mesh)
+    ws_ref = weakref.ref(workspace_for(mesh))
+    del mesh
+    gc.collect()
+    assert mesh_ref() is None
+    assert ws_ref() is None
+
+
 class TestEnergy:
     def test_zero_spec_zero_state(self):
         mesh = generate_interval_mesh(0, 1, 3, left=Marker.ROBIN, right=Marker.ROBIN)
@@ -227,20 +329,6 @@ class TestGuards:
         mesh = generate_interval_mesh(0, 1, 4)
         with pytest.raises(DimensionMismatch):
             assemble_residual(ProblemSpec(), mesh, FeFunction(np.ones(3)))
-
-
-def test_worker_count_invariance(annulus_mixed, small_shell):
-    """Chunked/threaded assembly agrees with serial within 1e-12 relative."""
-    spec = builtin_example(1)
-    for mesh in (annulus_mixed, small_shell):
-        u, _ = random_positive_state(mesh, seed=6)
-        r1 = assemble_residual(spec, mesh, u, mu=0.5, workers=1)
-        r4 = assemble_residual(spec, mesh, u, mu=0.5, workers=4)
-        assert np.linalg.norm(r1 - r4) <= 1e-12 * np.linalg.norm(r1)
-        s1 = assemble_jacobian(spec, mesh, u, mu=0.5, workers=1)
-        s4 = assemble_jacobian(spec, mesh, u, mu=0.5, workers=4)
-        v1, v4 = s1.jacobian.values, s4.jacobian.values
-        assert np.linalg.norm(v1 - v4) <= 1e-12 * np.linalg.norm(v1)
 
 
 class TestManufacturedSolutions:

@@ -266,6 +266,22 @@ class TestBarrier:
         assert "mu=" in report.failure_reason
 
 
+@pytest.mark.parametrize(
+    "example, mu0, iterations, stages",
+    [(1, 1.0, 19, 9), (2, 50.0, 12, 10), (3, 1.0, 18, 9), (4, 10.0, 13, 10)],
+)
+def test_barrier_counts_on_refinement2_shell(example, mu0, iterations, stages):
+    """Newton iterations and mu stages of the suite's barrier runs on the
+    r_in = 10 refinement-2 shell stay fixed under assembly changes."""
+    marker = Marker.ROBIN if example in (1, 2) else Marker.DIRICHLET
+    mesh = generate_shell_mesh(10.0, 100.0, 2, inner=marker, outer=marker, n_layers=5)
+    report = barrier_solve(
+        builtin_example(example), mesh, FeFunction.constant(mesh, 1.0), SolverConfig(mu0=mu0)
+    )
+    assert report.converged and report.sign == Sign.POSITIVE
+    assert (report.total_newton_iterations, len(report.stages)) == (iterations, stages)
+
+
 class TestClassicalBarrier:
     def test_interior_quadratic(self):
         c = np.array([2.0, 0.5, 3.0])
