@@ -30,10 +30,6 @@ from .linalg import (
     SparseMatrix,
     add_scaled,
     cg_solve,
-    dot,
-    matvec,
-    norm2,
-    norm_inf,
 )
 from .mesh import (
     Marker,

@@ -242,13 +242,20 @@ def load_experiment(path):
 
 
 def run_method(method, spec, mesh, u0, solver_config):
-    """Dispatch one solve; failures become unconverged reports, not raises."""
+    """Dispatch one solve; failures become unconverged reports, not raises.
+
+    `method` is one of METHODS, or `barrier@mu0=<value>` for the barrier
+    method with mu0 set to <value>.
+    """
+    name, with_mu0, mu0 = method.partition("@mu0=")
+    if with_mu0:
+        solver_config = replace(solver_config, mu0=float(mu0))
     try:
         if method == "newton":
             return newton_standard(spec, mesh, u0, solver_config)
         if method == "safeguarded":
             return newton_safeguarded(spec, mesh, u0, solver_config)
-        if method == "barrier":
+        if name == "barrier":
             return barrier_solve(spec, mesh, u0, solver_config)
     except BarrierFemError as exc:
         return SolveReport(method=method, failure_reason=str(exc))
@@ -359,15 +366,6 @@ _SUITE = {
 }
 
 
-def _suite_method(label, spec, mesh, u0, base):
-    if label == "newton":
-        return newton_standard(spec, mesh, u0, base)
-    if label == "safeguarded":
-        return newton_safeguarded(spec, mesh, u0, base)
-    mu0 = float(label.split("=", 1)[1])
-    return barrier_solve(spec, mesh, u0, replace(base, mu0=mu0))
-
-
 def emit_paper_suite(output_dir):
     """One-command benchmark grid on the three built-in shells.
 
@@ -388,10 +386,7 @@ def emit_paper_suite(output_dir):
         for method_label in _SUITE[example]:
             for mesh_label, mesh in meshes:
                 u0 = FeFunction.constant(mesh, 1.0)
-                try:
-                    report = _suite_method(method_label, spec, mesh, u0, base)
-                except BarrierFemError as exc:
-                    report = SolveReport(method=method_label, failure_reason=str(exc))
+                report = run_method(method_label, spec, mesh, u0, base)
                 rows.append(_csv_row(method_label, mesh_label, report))
                 expected = _SUITE[example][method_label]
                 actual = (report.converged, report.sign.value)

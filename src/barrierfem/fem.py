@@ -31,7 +31,7 @@ import numpy as np
 from .errors import CoefficientViolation, DimensionMismatch, NonpositiveState
 from .linalg import SparseMatrix, add_scaled
 from .mesh import Marker
-from .problem import FeFunction, as_coefficients
+from .problem import FeFunction, as_coefficients, power_sum
 from .quadrature import REFERENCE_MEASURE, facet_rule, quadrature_for
 
 QUADRATURE_DEGREE = 5
@@ -228,20 +228,6 @@ def _check_state(spec, mesh, u, mu):
     return u
 
 
-def _power_sum(coeffs, u, derivative=0):
-    """sum_p c_p u^p, its u-derivative, or the antiderivative at quad points."""
-    out = np.zeros_like(u)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for p, c in coeffs:
-            if derivative == 0:
-                out += c * u**p
-            elif derivative == 1:
-                out += p * c * u ** (p - 1)
-            else:  # antiderivative
-                out += c * u ** (p + 1) / (p + 1)
-    return out
-
-
 def _assemble(spec, mesh, u, mu, need_matrix):
     u = _check_state(spec, mesh, u, mu)
     ws = workspace_for(mesh)
@@ -253,7 +239,7 @@ def _assemble(spec, mesh, u, mu, need_matrix):
     u_cells = u[ws.cells]                                # (M, d+1)
     uq = u_cells @ ws.lam.T                              # (M, Q)
     gradu = np.einsum("mk,mkd->md", u_cells, ws.grads)   # (M, d)
-    kq = _power_sum(fields["coeffs"], uq)
+    kq = power_sum(fields["coeffs"], uq)
     if fields["source"] is not None:
         kq = kq - fields["source"]
     local_res = np.einsum(
@@ -282,7 +268,7 @@ def _assemble(spec, mesh, u, mu, need_matrix):
 
     jacobian = barrier_mat = None
     if need_matrix:
-        kpq = _power_sum(fields["coeffs"], uq, derivative=1)
+        kpq = power_sum(fields["coeffs"], uq, derivative=1)
         local_jac = fields["diffusion_w"][:, None] * ws.grad_gram
         local_jac += (ws.wq * kpq) @ ws.phi2
         data = ws.scatter(local_jac, fields.get("robin_matrix"))
@@ -321,7 +307,7 @@ def compute_energy(spec, mesh, u, mu=0.0):
     grad_sq = np.einsum("md,md->m", gradu, gradu)
     total = 0.5 * float(fields["diffusion_w"] @ grad_sq)
 
-    density = _power_sum(fields["coeffs"], uq, derivative=-1)
+    density = power_sum(fields["coeffs"], uq, derivative=-1)
     if fields["source"] is not None:
         density = density - fields["source"] * uq
     if mu > 0:

@@ -96,17 +96,6 @@ class SparseMatrix:
         return f"SparseMatrix(shape={self.shape}, nnz={self._csr.nnz})"
 
 
-def matvec(a, x):
-    """Matrix-vector product for SparseMatrix or dense operands."""
-    if isinstance(a, SparseMatrix):
-        return a.matvec(x)
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if a.shape[1] != x.shape[0]:
-        raise DimensionMismatch(f"shapes {a.shape} and {x.shape}")
-    return a @ x
-
-
 def add_scaled(a, s, m):
     """The operator a + s*m; on a shared pattern only the values are combined."""
     if a.row_offsets is m.row_offsets and a.col_indices is m.col_indices:
@@ -114,23 +103,6 @@ def add_scaled(a, s, m):
             a.row_offsets, a.col_indices, a.values + float(s) * m.values
         )
     return SparseMatrix(a._csr + float(s) * m._csr)
-
-
-def dot(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shapes {x.shape} and {y.shape}")
-    return float(np.dot(x, y))
-
-
-def norm2(x):
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
-
-
-def norm_inf(x):
-    x = np.asarray(x, dtype=float)
-    return float(np.max(np.abs(x))) if x.size else 0.0
 
 
 class CgStatus(Enum):

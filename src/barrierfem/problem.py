@@ -126,32 +126,53 @@ def _check_positive(spec, u):
         raise NonpositiveState("evaluation at u <= 0 with positivity required")
 
 
-def _pointwise(spec, x, u, term_fn):
-    """Evaluate sum over power terms of term_fn(p, c_p(x), u)."""
+def power_sum(coeffs, u, derivative=0):
+    """sum_p c_p u^p (derivative 0), its u-derivative (1) or antiderivative (-1).
+
+    `coeffs` holds (p, c_p) pairs with each c_p evaluated at the points
+    of u.  The result has the broadcast shape of u and the c_p, and is
+    an array of zeros when there are no terms.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(np.broadcast_shapes(u.shape, *(np.shape(c) for _, c in coeffs)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p, c in coeffs:
+            if derivative == 0:
+                out += c * u**p
+            elif derivative == 1:
+                out += p * c * u ** (p - 1)
+            else:
+                out += c * u ** (p + 1) / (p + 1)
+    return out
+
+
+def _pointwise(spec, x, u, derivative):
+    """power_sum of the spec's power terms at points x and values u."""
     _check_positive(spec, u)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u_arr = np.asarray(u, dtype=float)
     scalar = u_arr.ndim == 0 and np.asarray(x).shape[0] == 1
-    out = np.zeros(np.broadcast(np.zeros(x.shape[0]), u_arr).shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for p, coeff in spec.power_terms:
-            out = out + term_fn(p, coeff(x), u_arr)
+        coeffs = [(p, coeff(x)) for p, coeff in spec.power_terms]
+    # one value per point, also for a scalar u and no power terms
+    out = np.zeros(np.broadcast(np.zeros(x.shape[0]), u_arr).shape)
+    out += power_sum(coeffs, u_arr, derivative)
     return float(out[0]) if scalar else out
 
 
 def nonlinearity(spec, x, u):
     """k(u) = sum_p c_p(x) u^p, the zeroth-order part of the operator."""
-    return _pointwise(spec, x, u, lambda p, c, v: c * v**p)
+    return _pointwise(spec, x, u, 0)
 
 
 def nonlinearity_derivative(spec, x, u):
     """k'(u) = sum_p p c_p(x) u^(p-1)."""
-    return _pointwise(spec, x, u, lambda p, c, v: p * c * v ** (p - 1))
+    return _pointwise(spec, x, u, 1)
 
 
 def energy_density(spec, x, u):
     """Antiderivative sum_p c_p(x) u^(p+1)/(p+1); d/du of this is k(u)."""
-    return _pointwise(spec, x, u, lambda p, c, v: c * v ** (p + 1) / (p + 1))
+    return _pointwise(spec, x, u, -1)
 
 
 def energy_density_second_derivative(spec, u, x=None):
@@ -203,7 +224,7 @@ def lichnerowicz_spec(
     )
 
 
-def builtin_example(example_id, mesh_dim=3):
+def builtin_example(example_id):
     """The four benchmark parameterizations.
 
     1: Hamiltonian constraint, a=1, R=1, tau=0.1, sigma=0.2, rho=0.1,
@@ -213,8 +234,8 @@ def builtin_example(example_id, mesh_dim=3):
     3: Yamabe-type -8 Lap u + u^5/r^3 = 0, Dirichlet u=1.
     4: Yamabe-type -8 Lap u - u/8 + u^5/r^3 = 0, Dirichlet u=1.
 
-    `mesh_dim` is accepted for interface symmetry; all coefficient
-    closures are dimension independent (r is the Euclidean norm).
+    The coefficient closures are dimension independent (r is the
+    Euclidean norm).
     """
     if example_id == 1:
         return lichnerowicz_spec(

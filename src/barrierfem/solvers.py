@@ -1,24 +1,23 @@
 """Nonlinear solution strategies for the positivity-constrained problems.
 
-Four drivers are provided:
+* newton_standard — full Newton steps, no safeguards;
+* newton_safeguarded — Newton with fraction-to-the-boundary ("99% rule")
+  step caps and Armijo backtracking on the residual merit
+  phi_mu(u) = 0.5 ||G(u) - mu H(u)||^2;
+* barrier_solve — mu-continuation on the log-barrier energy
+  J_mu(u) = J(u) - mu int ln(u), each subproblem solved by safeguarded
+  Newton warm-started from the previous minimizer, with an optional
+  final mu = 0 polish;
+* classical_barrier_minimize — the same continuation for smooth
+  objectives on the positive orthant, used to validate the optimizer
+  machinery on problems with known answers.
 
-* newton_standard      — full Newton steps, no safeguards;
-* newton_safeguarded   — Newton + fraction-to-the-boundary ("99% rule")
-                         step caps + Armijo backtracking on the residual
-                         merit phi_mu(u) = 0.5 ||G(u) - mu H(u)||^2;
-* barrier_solve        — mu-continuation on the log-barrier energy
-                         J_mu(u) = J(u) - mu int ln(u), each subproblem
-                         solved by newton_safeguarded and warm-started
-                         from the previous minimizer, with an optional
-                         final mu = 0 polish;
-* classical_barrier_minimize — the finite-dimensional log-barrier loop
-                         for smooth objectives on the positive orthant,
-                         used to validate the optimizer machinery on
-                         problems with known answers.
-
-Every accepted step stores enough data (merit values, slope, step
-sizes, minimum coefficient) to replay the Armijo, descent and
-feasibility certificates after the fact.
+All four run one Newton loop, with a full or a safeguarded step, and
+the two barrier drivers one mu schedule.  The loop sees a problem
+through an adapter: `_FemProblem` for the P1 system, `_DenseProblem`
+for a finite-dimensional barrier function.  Every accepted step stores
+enough data (merit values, slope, step sizes, minimum coefficient) to
+replay the Armijo, descent and feasibility certificates after the fact.
 """
 
 import time
@@ -165,19 +164,209 @@ def armijo_backtrack(
     )
 
 
-def _unbarriered_residual_norm(spec, mesh, u):
-    return float(np.linalg.norm(assemble_residual(spec, mesh, u, 0.0)))
+def subproblem_tolerance(mu, initial_residual_norm, eps):
+    """Residual target for one barrier stage:
+    max(eps_mu * ||f(u0)||, eps_mu) with eps_mu = max(min(0.1, mu), eps)."""
+    eps_mu = max(min(0.1, mu), eps)
+    return max(eps_mu * initial_residual_norm, eps_mu)
 
 
-def _finalize(report, spec, mesh, u, t0):
+class _FemProblem:
+    """The P1 system f = G(u) - mu H(u) with merit phi = 0.5 ||f||^2.
+
+    Newton solves [A + mu M] w = -f by truncated CG; the merit slope
+    along w is (B w).f with B = A + mu M, since grad phi = B f.
+    """
+
+    def __init__(self, spec, mesh):
+        self.spec, self.mesh = spec, mesh
+        self.free = ~workspace_for(mesh).dirichlet_mask
+
+    def linearize(self, u, mu):
+        """(f, ||f||, phi, solve) at u; solve() -> (w, cg status, w -> merit slope)."""
+        system = assemble_jacobian(self.spec, self.mesh, u, mu)
+        f = system.residual_vector(mu)
+        fn = float(np.linalg.norm(f))
+
+        def solve():
+            matrix = system.system_matrix(mu)
+            result = cg_solve(matrix, -f)
+            return result.x, result.status.value, lambda w: float(np.dot(matrix @ w, f))
+
+        return f, fn, 0.5 * fn * fn, solve
+
+    def merit(self, v, mu):
+        try:
+            r = assemble_residual(self.spec, self.mesh, v, mu)
+        except NonpositiveState:
+            return np.inf
+        return 0.5 * float(np.dot(r, r))
+
+    def final_residual(self, u):
+        """||G(u)||, the unbarriered residual; inf where G is undefined."""
+        try:
+            return float(np.linalg.norm(assemble_residual(self.spec, self.mesh, u, 0.0)))
+        except NonpositiveState:
+            return np.inf
+
+
+class _DenseProblem:
+    """Stationarity of B_mu(x) = f(x) - mu sum(ln x) on the positive orthant.
+
+    Newton solves (hess + mu diag(x^-2)) p = -(grad - mu/x) by a dense
+    factorization (-grad B_mu when it is singular); the merit is B_mu
+    itself, so its slope along p is grad B_mu . p.
+    """
+
+    def __init__(self, f, grad, hess, n):
+        self.f, self.grad, self.hess = f, grad, hess
+        self.free = np.ones(n, dtype=bool)
+
+    def linearize(self, x, mu):
+        """(g, ||g||, B_mu, solve) at x; solve() -> (p, "dense", p -> merit slope)."""
+        g = np.asarray(self.grad(x), dtype=float) - mu / x
+
+        def solve():
+            hbar = np.asarray(self.hess(x), dtype=float) + mu * np.diag(x**-2.0)
+            try:
+                p = np.linalg.solve(hbar, -g)
+            except np.linalg.LinAlgError:
+                p = -g
+            return p, "dense", lambda w: float(np.dot(g, w))
+
+        return g, float(np.linalg.norm(g)), self.merit(x, mu), solve
+
+    def merit(self, y, mu):
+        if np.any(y <= 0):
+            return np.inf
+        return float(self.f(y)) - mu * float(np.sum(np.log(y)))
+
+    def final_residual(self, x):
+        """||grad f(x)||, the unbarriered gradient."""
+        return float(np.linalg.norm(np.asarray(self.grad(x), dtype=float)))
+
+
+def _newton(problem, u, mu, config, report, safeguarded):
+    """Newton iteration on f = 0 at fixed mu, f from problem.linearize.
+
+    Converged once ||f|| <= subproblem_tolerance(mu, ||f(u0)||, eps), or
+    eps at mu = 0; at most max_inner steps.  A standard step is the full
+    Newton step.  A safeguarded step falls back to -f unless w.f < 0, is
+    capped by step_to_boundary and backtracked on problem.merit, and
+    five negligible steps in a row stop it.  Returns (u, stage, reason):
+    the last iterate, its StageRecord (None if the start state is
+    nonpositive) and "" on convergence, else why the iteration stopped.
+    """
+    stage = None
+    stagnant = 0
+    try:
+        while True:
+            f, fn, phi0, solve = problem.linearize(u, mu)
+            if stage is None:
+                tol = subproblem_tolerance(mu, fn, config.eps) if mu > 0 else config.eps
+                stage = StageRecord(mu, tol, fn, 0)
+            if not np.isfinite(fn):
+                return u, stage, "nonfinite residual"
+            report.residual_history.append(fn)
+            if fn <= stage.tolerance:
+                return u, stage, ""
+            if stage.newton_iterations >= config.max_inner:
+                return u, stage, f"no convergence in {config.max_inner} iterations at mu={mu:g}"
+            w, cg_status, slope_along = solve()
+            w_dot_f = float(np.dot(w, f))
+            alpha, alpha_bar, slope, phi_after, fallback = 1.0, np.nan, np.nan, np.nan, False
+            if safeguarded:
+                if not w_dot_f < 0:
+                    w, w_dot_f, fallback = -f, -fn * fn, True
+                slope = slope_along(w)
+                if not slope < 0:
+                    return u, stage, f"no descent direction at mu={mu:g}"
+                alpha_bar = step_to_boundary(u, w, free=problem.free)
+                start, trials = u, []
+
+                def merit(v):
+                    if v is start:  # the merit at u is known: no assembly
+                        return phi0
+                    trials.append(problem.merit(v, mu))
+                    return trials[-1]
+
+                try:
+                    alpha = armijo_backtrack(
+                        merit, slope, u, w, alpha_bar, eta=config.eta, backtrack=config.backtrack
+                    )
+                except LineSearchFailure as exc:
+                    return u, stage, f"line search failure at mu={mu:g}: {exc}"
+                phi_after = trials[-1]  # the accepted trial is the last one
+
+            u = u + alpha * w
+            report.iterations.append(IterationRecord(
+                mu, fn, phi0, phi_after, alpha_bar, alpha, slope, w_dot_f, fallback,
+                float(u[problem.free].min()), cg_status,
+            ))
+            stage.newton_iterations += 1
+            if safeguarded:
+                step = alpha * float(np.linalg.norm(w))
+                negligible = step < 1e-14 * max(1.0, float(np.linalg.norm(u)))
+                stagnant = stagnant + 1 if negligible else 0
+                if stagnant >= 5:
+                    return u, stage, f"stagnation: negligible steps at mu={mu:g}"
+    except NonpositiveState as exc:
+        return u, stage, f"nonpositive state: {exc}"
+
+
+def _continuation(problem, u, config, report, polish):
+    """Safeguarded Newton on the stages mu0, gamma*mu0, ... >= eps (at
+    most max_outer), each warm-started, then with `polish` on mu = 0.
+
+    Multiplier estimates are mu/u after the last positive stage, empty
+    after the polish.  Returns (u, reason); reason is "" when every stage
+    converged and, without the polish, the schedule reached mu < eps.
+    """
+    mu = float(config.mu0)
+    schedule = []
+    while mu >= config.eps and len(schedule) < config.max_outer:
+        schedule.append(mu)
+        mu *= config.gamma
+    for stage_mu in schedule + ([0.0] if polish else []):
+        u, stage, reason = _newton(problem, u, stage_mu, config, report, safeguarded=True)
+        if stage is not None:
+            report.mu_trajectory.append(stage_mu)
+            report.stages.append(stage)
+        if reason:
+            return u, reason
+        report.multiplier_estimates = stage_mu / u if stage_mu > 0 else np.zeros(0)
+    if mu >= config.eps and not polish:
+        return u, f"max_outer = {config.max_outer} stages ended the schedule at mu={mu:g} >= eps"
+    return u, ""
+
+
+def _finalize(report, problem, u, t0):
     report.solution = u.copy()
     report.sign = classify_sign(u)
     report.total_newton_iterations = len(report.iterations)
-    try:
-        report.final_residual = _unbarriered_residual_norm(spec, mesh, u)
-    except NonpositiveState:
-        report.final_residual = np.inf
+    report.outer_iterations = len(report.stages)
+    report.final_residual = problem.final_residual(u)
     report.wall_time = time.perf_counter() - t0
+    return report
+
+
+def _solve_fem(method, spec, mesh, u0, config):
+    """Run the PDE driver `method`: "newton", "safeguarded" or "barrier".
+    Converged means no failure reason and ||G|| <= eps at the last iterate."""
+    config = config or SolverConfig()
+    t0 = time.perf_counter()
+    u = apply_dirichlet(u0, mesh, spec).coefficients
+    problem = _FemProblem(spec, mesh)
+    if method != "newton" and np.any(u[problem.free] <= 0):
+        raise NonpositiveState("safeguarded Newton requires a strictly positive start")
+    report = SolveReport(method=method)
+    if method == "barrier":
+        u, reason = _continuation(problem, u, config, report, config.final_polish_mu_zero)
+    else:
+        u, _, reason = _newton(problem, u, 0.0, config, report, method == "safeguarded")
+    _finalize(report, problem, u, t0)
+    report.converged = not reason and report.final_residual <= config.eps
+    report.failure_reason = reason or ("" if report.converged else "unbarriered residual above eps")
     return report
 
 
@@ -188,226 +377,30 @@ def newton_standard(spec, mesh, u0, config=None):
     a NonpositiveState raised by the assembly (positivity-demanding
     problems only) is reported as a failure rather than an exception.
     """
-    config = config or SolverConfig()
-    t0 = time.perf_counter()
-    u = apply_dirichlet(u0, mesh, spec).coefficients
-    report = SolveReport(method="newton")
-    try:
-        for _ in range(config.max_inner + 1):
-            system = assemble_jacobian(spec, mesh, u, 0.0)
-            rn = float(np.linalg.norm(system.residual))
-            if not np.isfinite(rn):
-                report.failure_reason = "nonfinite residual"
-                break
-            report.residual_history.append(rn)
-            if rn <= config.eps:
-                report.converged = True
-                break
-            if len(report.iterations) >= config.max_inner:
-                report.failure_reason = f"no convergence in {config.max_inner} iterations"
-                break
-            result = cg_solve(system.jacobian, -system.residual)
-            u = u + result.x
-            report.iterations.append(
-                IterationRecord(
-                    mu=0.0,
-                    residual_norm=rn,
-                    phi_before=0.5 * rn * rn,
-                    phi_after=np.nan,
-                    alpha_bar=np.nan,
-                    alpha=1.0,
-                    grad_dot_dir=np.nan,
-                    dir_dot_residual=float(np.dot(result.x, system.residual)),
-                    fallback_used=False,
-                    min_free_coeff=float(u.min()) if u.size else np.nan,
-                    cg_status=result.status.value,
-                )
-            )
-    except NonpositiveState as exc:
-        report.failure_reason = f"nonpositive state: {exc}"
-    return _finalize(report, spec, mesh, u, t0)
+    return _solve_fem("newton", spec, mesh, u0, config)
 
 
-def _require_positive_start(mesh, u):
-    free = ~workspace_for(mesh).dirichlet_mask
-    if np.any(u[free] <= 0):
-        raise NonpositiveState("safeguarded Newton requires a strictly positive start")
-
-
-def _safeguarded_loop(spec, mesh, u, config, mu, tol, report):
-    """Shared inner loop; appends records to `report` and returns
-    (u, converged, reason)."""
-    free = ~workspace_for(mesh).dirichlet_mask
-    stagnant = 0
-    for _ in range(config.max_inner + 1):
-        system = assemble_jacobian(spec, mesh, u, mu)
-        f = system.residual_vector(mu)
-        fn = float(np.linalg.norm(f))
-        if not np.isfinite(fn):
-            return u, False, "nonfinite residual"
-        report.residual_history.append(fn)
-        if fn <= tol:
-            return u, True, ""
-        inner_done = sum(1 for r in report.iterations if r.mu == mu)
-        if inner_done >= config.max_inner:
-            return u, False, f"no convergence in {config.max_inner} iterations (mu={mu:g})"
-
-        matrix = system.system_matrix(mu)
-        result = cg_solve(matrix, -f)
-        w = result.x
-        w_dot_f = float(np.dot(w, f))
-        fallback = False
-        if not w_dot_f < 0:
-            w = -f
-            fallback = True
-            w_dot_f = -fn * fn
-        grad_dot_dir = float(np.dot(matrix @ w, f))  # merit slope, grad phi = B f
-        if not grad_dot_dir < 0:
-            return u, False, f"no descent direction at mu={mu:g}"
-
-        alpha_bar = step_to_boundary(u, w, free=free)
-        phi0 = 0.5 * fn * fn
-        current = u
-
-        def merit(v):
-            if v is current:
-                return phi0
-            try:
-                r = assemble_residual(spec, mesh, v, mu)
-            except NonpositiveState:
-                return np.inf
-            return 0.5 * float(np.dot(r, r))
-
-        try:
-            alpha = armijo_backtrack(
-                merit,
-                grad_dot_dir,
-                u,
-                w,
-                alpha_bar,
-                eta=config.eta,
-                backtrack=config.backtrack,
-            )
-        except LineSearchFailure as exc:
-            return u, False, f"line search failure at mu={mu:g}: {exc}"
-
-        u = u + alpha * w
-        phi_after = merit(u)
-        report.iterations.append(
-            IterationRecord(
-                mu=mu,
-                residual_norm=fn,
-                phi_before=phi0,
-                phi_after=phi_after,
-                alpha_bar=alpha_bar,
-                alpha=alpha,
-                grad_dot_dir=grad_dot_dir,
-                dir_dot_residual=w_dot_f,
-                fallback_used=fallback,
-                min_free_coeff=float(u[free].min()) if free.any() else np.inf,
-                cg_status=result.status.value,
-            )
-        )
-        step = alpha * float(np.linalg.norm(w))
-        if step < 1e-14 * max(1.0, float(np.linalg.norm(u))):
-            stagnant += 1
-        else:
-            stagnant = 0
-        if stagnant >= 5:
-            return u, False, f"stagnation: negligible steps at mu={mu:g}"
-    return u, False, "iteration limit"
-
-
-def newton_safeguarded(spec, mesh, u0, config=None, mu=0.0, tol=None):
+def newton_safeguarded(spec, mesh, u0, config=None):
     """Newton with the 99% positivity cap and Armijo backtracking.
 
-    Solves [A + mu M] w = -[G - mu H]; the step is capped by
-    step_to_boundary and then backtracked on phi = 0.5||G - mu H||^2.
-    Converged means ||G - mu H|| <= tol (default config.eps).
+    Solves A w = -G; the step is capped by step_to_boundary and then
+    backtracked on phi = 0.5||G||^2.  Converged means ||G|| <= eps.
     """
-    config = config or SolverConfig()
-    t0 = time.perf_counter()
-    u = apply_dirichlet(u0, mesh, spec).coefficients
-    _require_positive_start(mesh, u)
-    report = SolveReport(method="safeguarded")
-    if mu > 0:
-        report.mu_trajectory.append(mu)
-    active_tol = config.eps if tol is None else tol
-    try:
-        u, report.converged, report.failure_reason = _safeguarded_loop(
-            spec, mesh, u, config, mu, active_tol, report
-        )
-    except NonpositiveState as exc:
-        report.failure_reason = f"nonpositive state: {exc}"
-    return _finalize(report, spec, mesh, u, t0)
-
-
-def subproblem_tolerance(mu, initial_residual_norm, eps):
-    """Residual target for one barrier stage:
-    max(eps_mu * ||f(u0)||, eps_mu) with eps_mu = max(min(0.1, mu), eps)."""
-    eps_mu = max(min(0.1, mu), eps)
-    return max(eps_mu * initial_residual_norm, eps_mu)
+    return _solve_fem("safeguarded", spec, mesh, u0, config)
 
 
 def barrier_solve(spec, mesh, u0, config=None):
     """Primal barrier energy method with mu-continuation.
 
-    Runs safeguarded Newton on each barrier subproblem, shrinking mu by
-    gamma whenever the subproblem tolerance is met and warm-starting
-    from the previous solution; once mu drops below eps a final
-    subproblem with mu = 0 polishes to ||G|| <= eps (the reported,
-    unbarriered convergence test).  mu0 = 0 degenerates to safeguarded
-    Newton on the original problem.
+    Runs safeguarded Newton on each barrier subproblem
+    [A + mu M] w = -[G - mu H], shrinking mu by gamma whenever the
+    subproblem tolerance is met and warm-starting from the previous
+    solution; once mu drops below eps a final subproblem with mu = 0
+    polishes to ||G|| <= eps (the reported, unbarriered convergence
+    test).  mu0 = 0 degenerates to safeguarded Newton on the original
+    problem.
     """
-    config = config or SolverConfig()
-    t0 = time.perf_counter()
-    u = apply_dirichlet(u0, mesh, spec).coefficients
-    _require_positive_start(mesh, u)
-    report = SolveReport(method="barrier")
-    mu = float(config.mu0)
-    try:
-        while mu >= config.eps and len(report.stages) < config.max_outer:
-            f0 = float(np.linalg.norm(assemble_residual(spec, mesh, u, mu)))
-            tol = subproblem_tolerance(mu, f0, config.eps)
-            before = len(report.iterations)
-            u, ok, reason = _safeguarded_loop(spec, mesh, u, config, mu, tol, report)
-            report.mu_trajectory.append(mu)
-            report.stages.append(
-                StageRecord(mu, tol, f0, len(report.iterations) - before)
-            )
-            if not ok:
-                report.failure_reason = reason
-                report.outer_iterations = len(report.stages)
-                return _finalize(report, spec, mesh, u, t0)
-            report.multiplier_estimates = mu / u
-            mu *= config.gamma
-
-        if config.final_polish_mu_zero:
-            f0 = float(np.linalg.norm(assemble_residual(spec, mesh, u, 0.0)))
-            before = len(report.iterations)
-            u, ok, reason = _safeguarded_loop(
-                spec, mesh, u, config, 0.0, config.eps, report
-            )
-            report.mu_trajectory.append(0.0)
-            report.stages.append(
-                StageRecord(0.0, config.eps, f0, len(report.iterations) - before)
-            )
-            report.multiplier_estimates = np.zeros(0)
-            if not ok:
-                report.failure_reason = reason
-                report.outer_iterations = len(report.stages)
-                return _finalize(report, spec, mesh, u, t0)
-    except NonpositiveState as exc:
-        report.failure_reason = f"nonpositive state: {exc}"
-        report.outer_iterations = len(report.stages)
-        return _finalize(report, spec, mesh, u, t0)
-
-    report.outer_iterations = len(report.stages)
-    report = _finalize(report, spec, mesh, u, t0)
-    report.converged = report.final_residual <= config.eps
-    if not report.converged and not report.failure_reason:
-        report.failure_reason = "unbarriered residual above eps"
-    return report
+    return _solve_fem("barrier", spec, mesh, u0, config)
 
 
 def classical_barrier_minimize(f, grad, hess, x0, config=None):
@@ -416,101 +409,20 @@ def classical_barrier_minimize(f, grad, hess, x0, config=None):
     Minimizes B_mu(x) = f(x) - mu sum(ln x_i) for the geometric mu
     schedule, solving (hess + mu diag(x^-2)) p = -(grad - mu x^-1) by a
     dense factorization at each inner step, with the 99% rule and Armijo
-    backtracking on B_mu itself.  Returns (x, report); the report's
-    multiplier estimates are mu/x_i at the final positive mu.
+    backtracking on B_mu itself.  Converged means every stage met its
+    tolerance and the schedule reached mu < eps within max_outer stages.
+    Returns (x, report); the report's multiplier estimates are mu/x_i at
+    the last solved positive mu.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
     x = np.asarray(x0, dtype=float).copy()
     if np.any(x <= 0):
         raise NonpositiveState("classical barrier requires x0 > 0")
-    report = SolveReport(method="classical_barrier")
-    mu = float(config.mu0)
-    if mu <= 0:
+    if config.mu0 <= 0:
         raise ValueError("classical barrier requires mu0 > 0")
-    n = x.size
-
-    def barrier_value(y, mu):
-        if np.any(y <= 0):
-            return np.inf
-        return float(f(y)) - mu * float(np.sum(np.log(y)))
-
-    def barrier_grad(y, mu):
-        return np.asarray(grad(y), dtype=float) - mu / y
-
-    last_mu = mu
-    converged = True
-    while mu >= config.eps and len(report.stages) < config.max_outer:
-        g0n = float(np.linalg.norm(barrier_grad(x, mu)))
-        tol = subproblem_tolerance(mu, g0n, config.eps)
-        its = 0
-        stage_ok = False
-        for _ in range(config.max_inner + 1):
-            g = barrier_grad(x, mu)
-            gn = float(np.linalg.norm(g))
-            report.residual_history.append(gn)
-            if gn <= tol:
-                stage_ok = True
-                break
-            hbar = np.asarray(hess(x), dtype=float) + mu * np.diag(x**-2.0)
-            try:
-                p = np.linalg.solve(hbar, -g)
-            except np.linalg.LinAlgError:
-                p = -g
-            slope = float(np.dot(g, p))
-            fallback = False
-            if not slope < 0:
-                p = -g
-                fallback = True
-                slope = -gn * gn
-            alpha_bar = step_to_boundary(x, p)
-            phi0 = barrier_value(x, mu)
-            try:
-                alpha = armijo_backtrack(
-                    lambda y: barrier_value(y, mu),
-                    slope,
-                    x,
-                    p,
-                    alpha_bar,
-                    eta=config.eta,
-                    backtrack=config.backtrack,
-                )
-            except LineSearchFailure as exc:
-                report.failure_reason = f"line search failure at mu={mu:g}: {exc}"
-                break
-            x = x + alpha * p
-            its += 1
-            report.iterations.append(
-                IterationRecord(
-                    mu=mu,
-                    residual_norm=gn,
-                    phi_before=phi0,
-                    phi_after=barrier_value(x, mu),
-                    alpha_bar=alpha_bar,
-                    alpha=alpha,
-                    grad_dot_dir=slope,
-                    dir_dot_residual=slope,
-                    fallback_used=fallback,
-                    min_free_coeff=float(x.min()),
-                    cg_status="dense",
-                )
-            )
-        report.mu_trajectory.append(mu)
-        report.stages.append(StageRecord(mu, tol, g0n, its))
-        if not stage_ok:
-            converged = False
-            if not report.failure_reason:
-                report.failure_reason = f"subproblem at mu={mu:g} not solved"
-            break
-        last_mu = mu
-        mu *= config.gamma
-
-    report.converged = converged
-    report.outer_iterations = len(report.stages)
-    report.total_newton_iterations = len(report.iterations)
-    report.multiplier_estimates = last_mu / x
-    report.final_residual = float(np.linalg.norm(np.asarray(grad(x), dtype=float)))
-    report.sign = classify_sign(x)
-    report.solution = x.copy()
-    report.wall_time = time.perf_counter() - t0
-    return x, report
+    problem = _DenseProblem(f, grad, hess, x.size)
+    report = SolveReport(method="classical_barrier")
+    x, report.failure_reason = _continuation(problem, x, config, report, polish=False)
+    report.converged = not report.failure_reason
+    return x, _finalize(report, problem, x, t0)

@@ -11,9 +11,12 @@ from barrierfem.cli import (
     main,
     plot_integrand,
     run,
+    run_method,
 )
 from barrierfem.errors import ConfigError, InvalidRange
-from barrierfem.mesh import Marker, load_mesh
+from barrierfem.mesh import Marker, generate_interval_mesh, load_mesh
+from barrierfem.problem import FeFunction, builtin_example
+from barrierfem.solvers import SolverConfig
 
 INTERVAL_CFG = """\
 # quick 1D benchmark
@@ -128,6 +131,15 @@ class TestRun:
             for line in (p / "results.csv").read_text().splitlines()
         ]
         assert strip(tmp_path / "a") == strip(tmp_path / "b")
+
+    def test_run_method_barrier_mu0_suffix(self):
+        mesh = generate_interval_mesh(0.1, 10, 40, left=Marker.ROBIN, right=Marker.ROBIN)
+        args = (builtin_example(1), mesh, FeFunction.constant(mesh, 1.0), SolverConfig())
+        report = run_method("barrier@mu0=0.5", *args)
+        assert report.method == "barrier" and report.converged
+        assert report.mu_trajectory[0] == 0.5
+        with pytest.raises(ValueError):
+            run_method("newton@mu0=0.5", *args)
 
     def test_builtin_shells_config(self, tmp_path):
         meshes = builtin_shell_meshes(Marker.ROBIN)

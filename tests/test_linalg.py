@@ -10,10 +10,6 @@ from barrierfem.linalg import (
     SparseMatrix,
     add_scaled,
     cg_solve,
-    dot,
-    matvec,
-    norm2,
-    norm_inf,
 )
 from barrierfem.mesh import Marker, generate_annulus_mesh, generate_interval_mesh
 from barrierfem.problem import FeFunction, ProblemSpec
@@ -48,17 +44,6 @@ class TestSparseMatrix:
 
 
 class TestVectorOps:
-    def test_matvec_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(matvec(SparseMatrix.identity(3), x), x)
-
-    def test_dot_is_squared_norm(self):
-        x = np.array([3.0, 4.0])
-        assert dot(x, x) == norm2(x) ** 2
-
-    def test_norm_inf(self):
-        assert norm_inf([1.0, -7.0, 2.0]) == 7.0
-
     def test_add_scaled_zero(self):
         rng = np.random.default_rng(0)
         a = dense(rng.standard_normal((5, 5)))
@@ -72,10 +57,6 @@ class TestVectorOps:
         m = dense(np.diag([3.0, 5.0]))
         out = add_scaled(a, 0.5, m) @ np.ones(2)
         assert np.allclose(out, [2.5, 4.5], rtol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            dot(np.ones(2), np.ones(3))
 
 
 class TestCg:

@@ -8,6 +8,7 @@ from barrierfem.errors import LineSearchFailure, NonpositiveState
 from barrierfem.fem import assemble_jacobian, assemble_residual
 from barrierfem.mesh import Marker, generate_interval_mesh, generate_shell_mesh
 from barrierfem.problem import FeFunction, ProblemSpec, builtin_example
+from barrierfem import solvers
 from barrierfem.solvers import (
     Sign,
     SolverConfig,
@@ -282,6 +283,36 @@ def test_barrier_counts_on_refinement2_shell(example, mu0, iterations, stages):
     assert (report.total_newton_iterations, len(report.stages)) == (iterations, stages)
 
 
+def test_barrier_assembles_residuals_only_for_trials_and_final(interval_robin, monkeypatch):
+    """Each residual assembly of a barrier solve is a line-search trial or
+    the final unbarriered residual: the merit after a step and a stage's
+    starting residual come from assemblies the loop already made."""
+    calls, depth = {"line search": 0, "other": 0}, [0]
+    real_residual, real_armijo = solvers.assemble_residual, solvers.armijo_backtrack
+
+    def residual(*args, **kwargs):
+        calls["line search" if depth[0] else "other"] += 1
+        return real_residual(*args, **kwargs)
+
+    def armijo(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_armijo(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(solvers, "assemble_residual", residual)
+    monkeypatch.setattr(solvers, "armijo_backtrack", armijo)
+    report = barrier_solve(
+        builtin_example(2), interval_robin, FeFunction.constant(interval_robin, 1.0),
+        SolverConfig(mu0=50.0),
+    )
+    # alpha = alpha_bar * 0.5^k after k rejected trials
+    trials = sum(round(np.log2(r.alpha_bar / r.alpha)) + 1 for r in report.iterations)
+    assert trials > report.total_newton_iterations > 0  # some steps backtracked
+    assert calls == {"line search": trials, "other": 1}
+
+
 class TestClassicalBarrier:
     def test_interior_quadratic(self):
         c = np.array([2.0, 0.5, 3.0])
@@ -309,6 +340,33 @@ class TestClassicalBarrier:
         last_mu = report.stages[-1].mu
         assert np.isclose(x[0], last_mu, rtol=1e-3)
         assert all(rec.min_free_coeff > 0 for rec in report.iterations)
+
+    def test_max_outer_ending_schedule_is_not_converged(self):
+        # gamma = 0.9 needs ~150 stages to reach eps; 60 stop at mu ~ 2e-3
+        x, report = classical_barrier_minimize(
+            lambda x: float(np.sum(x)),
+            lambda x: np.ones_like(x),
+            lambda x: np.zeros((x.size, x.size)),
+            np.array([1.0]),
+            SolverConfig(mu0=1.0, gamma=0.9),
+        )
+        assert not report.converged
+        assert "max_outer" in report.failure_reason
+        assert len(report.stages) == 60
+        assert report.stages[-1].mu > 1e-3
+
+    def test_at_most_max_inner_steps_per_stage(self):
+        x, report = classical_barrier_minimize(
+            lambda x: float(np.sum(x)),
+            lambda x: np.ones_like(x),
+            lambda x: np.zeros((x.size, x.size)),
+            np.array([1.0]),
+            SolverConfig(mu0=1.0, max_inner=2),
+        )
+        assert not report.converged
+        assert "no convergence in 2 iterations" in report.failure_reason
+        assert [stage.newton_iterations for stage in report.stages] == [0, 2]
+        assert report.total_newton_iterations == 2
 
     def test_rejects_nonpositive_start(self):
         with pytest.raises(NonpositiveState):
