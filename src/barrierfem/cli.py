@@ -17,7 +17,7 @@ process exit code is 0 iff every requested solve converged.
 import argparse
 import datetime
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -226,16 +226,19 @@ def load_experiment(path):
         u0_vector = np.loadtxt(u0_file).ravel()
     u0_value = ent.take("u0.constant", 1.0, float)
 
-    solver = SolverConfig(
-        eps=ent.take("solver.eps", 1.0e-7, float),
-        mu0=ent.take("solver.mu0", 1.0, float),
-        gamma=ent.take("solver.gamma", 0.1, float),
-        eta=ent.take("solver.eta", 1.0e-4, float),
-        backtrack=ent.take("solver.backtrack", 0.5, float),
-        max_outer=ent.take("solver.max_outer", 60, int),
-        max_inner=ent.take("solver.max_inner", 100, int),
-        final_polish_mu_zero=ent.take("solver.final_polish", True, _to_bool),
-    )
+    # key solver.<name> sets the field <name>, solver.final_polish the
+    # field final_polish_mu_zero; defaults are SolverConfig's own
+    solver_fields = fields(SolverConfig)
+    keys = {f.name: "solver." + f.name.removesuffix("_mu_zero") for f in solver_fields}
+    values = {
+        f.name: ent.take(keys[f.name], f.default, _to_bool if f.type is bool else f.type)
+        for f in solver_fields
+    }
+    try:
+        solver = SolverConfig(**values)
+    except ValueError as exc:
+        key = keys[str(exc).split()[0]]
+        raise ConfigError(str(exc), line=ent.line_of(key)) from None
 
     ent.check_all_used()
     return ExperimentConfig(spec, meshes, methods, u0_value, u0_vector, solver)
@@ -493,7 +496,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BarrierFemError as exc:
+    except (BarrierFemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

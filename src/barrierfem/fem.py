@@ -201,7 +201,6 @@ class AssembledSystem:
     barrier_matrix: object
     residual: np.ndarray
     barrier_vector: object
-    dirichlet_mask: np.ndarray
 
     def system_matrix(self, mu):
         if mu == 0.0 or self.barrier_matrix is None:
@@ -281,7 +280,7 @@ def _assemble(spec, mesh, u, mu, need_matrix):
                 ws.indptr, ws.indices, ws.scatter(local_m)
             )
 
-    return AssembledSystem(jacobian, barrier_mat, residual, barrier_vec, mask.copy())
+    return AssembledSystem(jacobian, barrier_mat, residual, barrier_vec)
 
 
 def assemble_residual(spec, mesh, u, mu=0.0):

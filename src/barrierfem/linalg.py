@@ -14,21 +14,12 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatch
 
+#: CG stops once ||A x - b|| <= CG_REL_TOL * ||b||
+CG_REL_TOL = 1e-10
 
-class SparseMatrix:
-    """Square CSR matrix (thin wrapper over scipy.sparse).
 
-    Stored in canonical form: duplicate entries summed, column indices
-    strictly increasing within each row.
-    """
-
-    def __init__(self, csr):
-        csr = sp.csr_matrix(csr)
-        if csr.shape[0] != csr.shape[1]:
-            raise DimensionMismatch(f"matrix must be square, got {csr.shape}")
-        csr.sum_duplicates()
-        csr.sort_indices()
-        self._csr = csr
+class SparseMatrix(sp.csr_matrix):
+    """scipy's CSR matrix, built from summed triplets or on a shared pattern."""
 
     @classmethod
     def from_coo(cls, rows, cols, values, n):
@@ -40,69 +31,21 @@ class SparseMatrix:
         """Wrap canonical CSR arrays (sorted, duplicate-free) as they are.
 
         Nothing is copied or checked; matrices built on the same
-        indptr/indices arrays share them.
+        indptr/indices arrays share them.  (scipy's (data, indices,
+        indptr) constructor would store a view of indices instead.)
         """
         n = len(indptr) - 1
-        csr = sp.csr_matrix((n, n))
-        csr.indptr, csr.indices, csr.data = indptr, indices, data
-        csr.has_canonical_format = True
-        matrix = cls.__new__(cls)
-        matrix._csr = csr
+        matrix = cls((n, n))
+        matrix.indptr, matrix.indices, matrix.data = indptr, indices, data
+        matrix.has_canonical_format = True
         return matrix
-
-    @classmethod
-    def identity(cls, n):
-        return cls(sp.identity(n, format="csr"))
-
-    @property
-    def shape(self):
-        return self._csr.shape
-
-    @property
-    def row_offsets(self):
-        return self._csr.indptr
-
-    @property
-    def col_indices(self):
-        return self._csr.indices
-
-    @property
-    def values(self):
-        return self._csr.data
-
-    def diagonal(self):
-        return self._csr.diagonal()
-
-    def toarray(self):
-        return self._csr.toarray()
-
-    def transpose(self):
-        return SparseMatrix(self._csr.T.tocsr())
-
-    def matvec(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.shape[1],):
-            raise DimensionMismatch(
-                f"matrix {self.shape} cannot multiply vector of shape {x.shape}"
-            )
-        return self._csr @ x
-
-    def __matmul__(self, x):
-        if isinstance(x, SparseMatrix):
-            return SparseMatrix(self._csr @ x._csr)
-        return self.matvec(x)
-
-    def __repr__(self):
-        return f"SparseMatrix(shape={self.shape}, nnz={self._csr.nnz})"
 
 
 def add_scaled(a, s, m):
-    """The operator a + s*m; on a shared pattern only the values are combined."""
-    if a.row_offsets is m.row_offsets and a.col_indices is m.col_indices:
-        return SparseMatrix.from_pattern(
-            a.row_offsets, a.col_indices, a.values + float(s) * m.values
-        )
-    return SparseMatrix(a._csr + float(s) * m._csr)
+    """The operator a + s*m of two matrices on one shared pattern."""
+    if a.indptr is not m.indptr or a.indices is not m.indices:
+        raise DimensionMismatch("add_scaled needs two matrices on one shared CSR pattern")
+    return SparseMatrix.from_pattern(a.indptr, a.indices, a.data + float(s) * m.data)
 
 
 class CgStatus(Enum):
@@ -116,20 +59,14 @@ class CgResult:
     x: np.ndarray
     status: CgStatus
     iterations: int
-    residual_norm: float
 
 
-def cg_solve(a_op, b, rel_tol=1e-10, max_iters=None, precond="jacobi"):
-    """Preconditioned CG for symmetric systems.
+def cg_solve(a, b):
+    """Jacobi-preconditioned CG for a symmetric sparse matrix a.
 
-    Parameters
-    ----------
-    a_op : SparseMatrix or object with a matvec(x) method
-    b : right-hand side vector
-    rel_tol : convergence on ||A x - b|| <= rel_tol * ||b||
-    max_iters : default 10 * N
-    precond : "jacobi" or None; Jacobi silently falls back to the
-        identity when the diagonal is not strictly positive.
+    Converges on ||A x - b|| <= CG_REL_TOL * ||b||, within 10 * N steps.
+    The Jacobi preconditioner falls back to the identity when the
+    diagonal is not strictly positive.
 
     Returns CgResult; status INDEFINITE means a direction with
     p^T A p <= 0 was met, and x is the last iterate before breakdown
@@ -137,17 +74,12 @@ def cg_solve(a_op, b, rel_tol=1e-10, max_iters=None, precond="jacobi"):
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    probe = a_op.matvec(np.zeros(n))  # raises DimensionMismatch on bad shapes
-    if probe.shape != b.shape:
-        raise DimensionMismatch("operator and rhs sizes differ")
-    if max_iters is None:
-        max_iters = 10 * n
+    if a.shape != (n, n):
+        raise DimensionMismatch(f"matrix {a.shape} does not match a rhs of length {n}")
+    max_iters = 10 * n
 
-    inv_diag = None
-    if precond == "jacobi" and hasattr(a_op, "diagonal"):
-        d = a_op.diagonal()
-        if np.all(d > 0):
-            inv_diag = 1.0 / d
+    d = a.diagonal()
+    inv_diag = 1.0 / d if np.all(d > 0) else None
 
     def apply_precond(r):
         return r * inv_diag if inv_diag is not None else r
@@ -155,27 +87,27 @@ def cg_solve(a_op, b, rel_tol=1e-10, max_iters=None, precond="jacobi"):
     b_norm = np.linalg.norm(b)
     x = np.zeros(n)
     if b_norm == 0.0:
-        return CgResult(x, CgStatus.CONVERGED, 0, 0.0)
+        return CgResult(x, CgStatus.CONVERGED, 0)
 
     r = b.copy()
     z = apply_precond(r)
     p = z.copy()
     rz = float(np.dot(r, z))
     for k in range(max_iters):
-        ap = a_op.matvec(p)
+        ap = a @ p
         pap = float(np.dot(p, ap))
         if pap <= 0.0:
-            return CgResult(x, CgStatus.INDEFINITE, k, float(np.linalg.norm(b - a_op.matvec(x))))
+            return CgResult(x, CgStatus.INDEFINITE, k)
         alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
-        if np.linalg.norm(r) <= rel_tol * b_norm:
-            true_res = b - a_op.matvec(x)
-            if np.linalg.norm(true_res) <= rel_tol * b_norm:
-                return CgResult(x, CgStatus.CONVERGED, k + 1, float(np.linalg.norm(true_res)))
+        if np.linalg.norm(r) <= CG_REL_TOL * b_norm:
+            true_res = b - a @ x
+            if np.linalg.norm(true_res) <= CG_REL_TOL * b_norm:
+                return CgResult(x, CgStatus.CONVERGED, k + 1)
             r = true_res  # recurrence drifted; continue with the true residual
         z = apply_precond(r)
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return CgResult(x, CgStatus.MAX_ITERS, max_iters, float(np.linalg.norm(b - a_op.matvec(x))))
+    return CgResult(x, CgStatus.MAX_ITERS, max_iters)

@@ -94,7 +94,8 @@ class SimplicialMesh:
 
     @cached_property
     def cell_volumes(self):
-        """Positive measure (length/area/volume) of every cell."""
+        """Signed measure (length/area/volume) of every cell; positive on
+        a valid mesh."""
         return _signed_measures(self.dim, self.vertices, self.cells)
 
     @cached_property
@@ -119,16 +120,14 @@ class SimplicialMesh:
         return 0.5 * np.linalg.norm(cross, axis=1)
 
     @cached_property
-    def _facet_owners(self):
-        """(count, first) per boundary facet: the number of cells that have
-        it as a face, and the lowest such cell index (-1 when none)."""
+    def _facet_owner_counts(self):
+        """Number of cells that have each boundary facet as a face."""
         d = self.dim
         _, idx = self.facet_arrays
         # face r of a cell drops its local vertex r
         keep = np.array([[j for j in range(d + 1) if j != r] for r in range(d + 1)])
         faces = np.sort(self.cells[:, keep], axis=-1).reshape(-1, d)
         rows = np.concatenate([faces, np.sort(idx, axis=1)])
-        # stable sort: equal rows keep cell faces, in cell order, before facets
         order = np.lexsort(rows.T[::-1])
         ranked = rows[order]
         starts = np.ones(len(rows), dtype=bool)
@@ -136,43 +135,7 @@ class SimplicialMesh:
         group = np.empty(len(rows), dtype=np.int64)
         group[order] = np.cumsum(starts) - 1
         counts = np.bincount(group[: len(faces)], minlength=int(starts.sum()))
-        head = order[starts]
-        first = np.where(head < len(faces), head // (d + 1), -1)
-        facet_group = group[len(faces):]
-        return counts[facet_group], first[facet_group]
-
-    def facet_parent_cells(self):
-        """Cell index owning each boundary facet (-1 if none or ambiguous)."""
-        counts, first = self._facet_owners
-        return np.where(counts == 1, first, -1)
-
-    def facet_normals(self):
-        """Unit outward normal of every boundary facet.
-
-        Oriented away from the opposite vertex of the parent cell; raises
-        ValidationError when a facet has no unique parent.
-        """
-        _, idx = self.facet_arrays
-        parents = self.facet_parent_cells()
-        if np.any(parents < 0):
-            raise ValidationError("facet without a unique parent cell")
-        normals = np.zeros((len(idx), self.dim))
-        for k, facet in enumerate(idx):
-            cell = self.cells[parents[k]]
-            opposite = self.vertices[[v for v in cell if v not in facet][0]]
-            pts = self.vertices[list(facet)]
-            if self.dim == 1:
-                n = np.array([1.0])
-            elif self.dim == 2:
-                t = pts[1] - pts[0]
-                n = np.array([t[1], -t[0]])
-            else:
-                n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-            n = n / np.linalg.norm(n)
-            if np.dot(n, pts.mean(axis=0) - opposite) < 0:
-                n = -n
-            normals[k] = n
-        return normals
+        return counts[group[len(faces):]]
 
     def dirichlet_vertices(self):
         """Sorted indices of vertices lying on Dirichlet-marked facets."""
@@ -214,13 +177,13 @@ def validate(mesh):
     if violations:
         return violations
 
-    measures = _signed_measures(mesh.dim, mesh.vertices, mesh.cells)
+    measures = mesh.cell_volumes
     bad = np.flatnonzero(measures <= 0)
     for c in bad:
         violations.append(f"cell {c} has nonpositive measure {measures[c]:.3e}")
 
     seen = {}
-    owner_counts, _ = mesh._facet_owners
+    owner_counts = mesh._facet_owner_counts
     for (marker, facet), owners in zip(mesh.boundary_facets, owner_counts.tolist()):
         key = tuple(sorted(facet))
         if key in seen:

@@ -26,7 +26,6 @@ def constant_field(value):
     def f(x):
         return np.full(np.atleast_2d(x).shape[0], value)
 
-    f.constant_value = value
     return f
 
 
@@ -84,10 +83,6 @@ class ProblemSpec:
             object.__setattr__(self, name, _as_field(getattr(self, name)))
         if self.source is not None:
             object.__setattr__(self, "source", _as_field(self.source))
-
-    @property
-    def has_negative_powers(self):
-        return any(p < 0 for p, _ in self.power_terms)
 
     @property
     def exponents(self):
@@ -200,23 +195,21 @@ def lichnerowicz_spec(
     """Hamiltonian-constraint coefficients in power-law form.
 
     k(u) = (R/8) u + (tau^2/12) u^5 - (sigma^2/8) u^-7 - 2 pi rho u^-3,
-    with rho, sigma^2, tau^2 >= 0.  Scalar arguments become constant
-    fields; callables are used as-is (tau/sigma/rho callables must
-    return the already-squared combinations are not supported — pass
-    explicit power_terms for exotic cases).
+    with rho, sigma^2, tau^2 >= 0.  R, tau, sigma and rho are numbers;
+    pass explicit power_terms to ProblemSpec for varying coefficients.
     """
     for name, value in (("sigma", sigma), ("rho", rho)):
-        if not callable(value) and float(value) < 0:
+        if float(value) < 0:
             raise CoefficientViolation(f"{name} must be >= 0, got {value}")
-    terms = [
-        (1, constant_field(scalar_curvature / 8.0) if not callable(scalar_curvature) else scalar_curvature),
-        (5, constant_field(tau**2 / 12.0) if not callable(tau) else tau),
-        (-7, constant_field(-(sigma**2) / 8.0) if not callable(sigma) else sigma),
-        (-3, constant_field(-2.0 * math.pi * rho) if not callable(rho) else rho),
-    ]
+    terms = (
+        (1, scalar_curvature / 8.0),
+        (5, tau**2 / 12.0),
+        (-7, -(sigma**2) / 8.0),
+        (-3, -2.0 * math.pi * rho),
+    )
     return ProblemSpec(
         diffusion=diffusion,
-        power_terms=tuple(terms),
+        power_terms=terms,
         robin_coeff=robin_coeff,
         robin_data=robin_data,
         dirichlet_data=dirichlet_data,

@@ -50,7 +50,11 @@ def classify_sign(u):
 
 @dataclass
 class SolverConfig:
-    """Tolerances and schedule constants shared by all drivers."""
+    """Tolerances and schedule constants shared by all drivers.
+
+    An invalid value raises ValueError; its message starts with the
+    name of the field.
+    """
 
     eps: float = 1.0e-7
     mu0: float = 1.0
@@ -64,12 +68,17 @@ class SolverConfig:
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be > 0")
+        if self.mu0 < 0:
+            raise ValueError("mu0 must be >= 0")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0 < self.eta < 0.5:
             raise ValueError("eta must lie in (0, 1/2)")
         if not 0 < self.backtrack < 1:
             raise ValueError("backtrack must lie in (0, 1)")
+        for name in ("max_outer", "max_inner"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -117,12 +126,12 @@ class SolveReport:
     solution: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def step_to_boundary(u, w, free=None, fraction=0.99):
+def step_to_boundary(u, w, free=None):
     """Largest safe step along w keeping u strictly positive.
 
     alpha_max = min over {i : w_i < 0} of -u_i / w_i restricted to the
-    unconstrained indices; the returned cap is min(fraction*alpha_max, 1),
-    and exactly 1 when no component of w is negative.
+    unconstrained indices; the returned cap is min(0.99*alpha_max, 1)
+    (the 99% rule), and exactly 1 when no component of w is negative.
     """
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -134,17 +143,15 @@ def step_to_boundary(u, w, free=None, fraction=0.99):
     if not np.any(neg):
         return 1.0
     alpha_max = float(np.min(-u[neg] / w[neg]))
-    return min(fraction * alpha_max, 1.0)
+    return min(0.99 * alpha_max, 1.0)
 
 
-def armijo_backtrack(
-    merit, grad_dot_dir, u, w, alpha_bar, eta=1.0e-4, backtrack=0.5, max_halvings=40
-):
+def armijo_backtrack(merit, grad_dot_dir, u, w, alpha_bar, eta=1.0e-4, backtrack=0.5):
     """Largest alpha in {alpha_bar * backtrack^k} with sufficient decrease.
 
     merit(v) is evaluated at trial points v = u + alpha*w; the returned
     alpha satisfies merit(u + alpha*w) <= merit(u) + eta*alpha*grad_dot_dir.
-    Raises LineSearchFailure after max_halvings rejected trials.
+    Raises LineSearchFailure once alpha_bar and 40 halvings are all rejected.
     """
     if not grad_dot_dir < 0:
         raise ValueError(f"grad_dot_dir must be negative, got {grad_dot_dir}")
@@ -154,13 +161,13 @@ def armijo_backtrack(
     w = np.asarray(w, dtype=float)
     phi0 = merit(u)
     alpha = float(alpha_bar)
-    for _ in range(max_halvings + 1):
+    for _ in range(41):
         trial = merit(u + alpha * w)
         if np.isfinite(trial) and trial <= phi0 + eta * alpha * grad_dot_dir:
             return alpha
         alpha *= backtrack
     raise LineSearchFailure(
-        f"no sufficient decrease after {max_halvings} halvings (phi0={phi0:.3e})"
+        f"no sufficient decrease after 40 halvings (phi0={phi0:.3e})"
     )
 
 

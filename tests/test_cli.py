@@ -213,6 +213,28 @@ class TestMainEntry:
         cfg = write_cfg(tmp_path, "mesh.kind = worm\n")
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("mesh.kind = interval\nsolver.gamma = 2\n", "line 3: gamma must lie in (0, 1)"),
+            ("mesh.kind = interval\nsolver.max_inner = -3\n", "line 3: max_inner must be >= 0"),
+            ("mesh.kind = interval\nsolver.mu0 = -1\n", "line 3: mu0 must be >= 0"),
+            (None, "No such file or directory"),
+            ("mesh.kind = file\nmesh.path = {tmp}/none.mesh\n", "none.mesh"),
+            ("mesh.kind = interval\nu0.file = {tmp}/none.txt\n", "none.txt"),
+        ],
+        ids=["gamma", "max_inner", "mu0", "config_file", "mesh_path", "u0_file"],
+    )
+    def test_bad_input_is_an_error_line(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "exp.cfg"
+        if text is not None:
+            cfg.write_text("problem.example = 1\n" + text.format(tmp=tmp_path))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (out / "results.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def suite_dir(tmp_path_factory):

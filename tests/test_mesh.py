@@ -153,26 +153,6 @@ class TestValidate:
         assert any("out of range" in v for v in validate(bad))
 
 
-@pytest.mark.parametrize(
-    "mesh",
-    [
-        generate_interval_mesh(0, 2, 5),
-        generate_annulus_mesh(1, 2, 2, 8),
-        generate_shell_mesh(1, 3, 1),
-    ],
-    ids=["interval", "annulus", "shell"],
-)
-def test_outward_normals(mesh):
-    """Facet normals point away from the parent cell centroid."""
-    normals = mesh.facet_normals()
-    parents = mesh.facet_parent_cells()
-    _, fidx = mesh.facet_arrays
-    for k in range(len(fidx)):
-        facet_centroid = mesh.vertices[list(fidx[k])].mean(axis=0)
-        cell_centroid = mesh.vertices[mesh.cells[parents[k]]].mean(axis=0)
-        assert np.dot(normals[k], facet_centroid - cell_centroid) > 0
-
-
 class TestMeshIO:
     @pytest.mark.parametrize(
         "mesh",

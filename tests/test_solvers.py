@@ -114,11 +114,16 @@ class TestArmijo:
 
     def test_failure_after_max_halvings(self):
         # merit increases along w but the supplied slope claims descent
-        merit = lambda x: float(abs(x[0]))
+        points = []
+
+        def merit(x):
+            points.append(float(x[0]))
+            return abs(points[-1])
+
         with pytest.raises(LineSearchFailure):
-            armijo_backtrack(
-                merit, -1.0, np.array([1.0]), np.array([1.0]), 1.0, max_halvings=10
-            )
+            armijo_backtrack(merit, -1.0, np.array([1.0]), np.array([1.0]), 1.0)
+        # merit(u), then alpha_bar and 40 halvings
+        assert len(points) == 42 and points[-1] == 1.0 + 0.5**40
 
     def test_infinite_merit_treated_as_reject(self):
         # decreasing toward 0.3 but undefined past 0.5: the search must
@@ -401,6 +406,13 @@ def test_solver_config_validation():
         SolverConfig(eta=0.7)
     with pytest.raises(ValueError):
         SolverConfig(backtrack=0.0)
+
+
+@pytest.mark.parametrize("field", ["mu0", "max_outer", "max_inner"])
+def test_solver_config_rejects_negative_counts_and_mu0(field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+        SolverConfig(**{field: -3})
+    assert getattr(SolverConfig(**{field: 0}), field) == 0
 
 
 def test_reports_carry_wall_time(ex1_interval_reports):
