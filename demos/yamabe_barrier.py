@@ -1,11 +1,12 @@
 """A Yamabe-type problem where only the barrier method finds u > 0.
 
 The equation -8 Lap u - u/8 + u^5/r^3 = 0 with u = 1 on both boundaries
-has no singular term guarding u = 0: plain Newton happily converges to a
-solution with mixed signs (or wanders), and the 99%-rule safeguard alone
-stalls against the positivity boundary.  Continuation in the barrier
-parameter bends the early iterates away from the boundary and delivers a
-strictly positive solution.
+has no singular term guarding u = 0, and its Jacobian at u = 1 is
+indefinite.  Truncated CG then returns the zero step, so plain Newton
+stalls at its start vector, and safeguarded Newton finds no descent
+direction.  With the barrier term mu u^-2 added to the Jacobian, CG
+converges at every step, and continuation in mu delivers a strictly
+positive solution.
 
 Run:  python demos/yamabe_barrier.py
 """
@@ -31,7 +32,7 @@ print(f"shell mesh: {mesh.num_vertices} vertices\n")
 
 newton = newton_standard(spec, mesh, ones)
 print(f"standard Newton   : converged={newton.converged}  sign {newton.sign.value}  "
-      f"({newton.total_newton_iterations} iterations)")
+      f"({newton.total_newton_iterations} iterations)  [{newton.failure_reason}]")
 
 safeguarded = newton_safeguarded(spec, mesh, ones)
 print(f"safeguarded Newton: converged={safeguarded.converged}  "

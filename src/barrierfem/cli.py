@@ -16,6 +16,7 @@ process exit code is 0 iff every requested solve converged.
 
 import argparse
 import datetime
+import itertools
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -32,7 +33,7 @@ from .mesh import (
     load_mesh,
     save_mesh,
 )
-from .problem import FeFunction, builtin_example, lichnerowicz_spec
+from .problem import FeFunction, builtin_example, lichnerowicz_spec, power_sum
 from .solvers import (
     SolveReport,
     SolverConfig,
@@ -49,6 +50,32 @@ METHODS = ("newton", "safeguarded", "barrier")
 BUILTIN_SHELL_RADII = (50.0, 10.0, 1.0)
 BUILTIN_SHELL_REFINEMENT = 2
 BUILTIN_SHELL_LAYERS = 5
+
+#: mesh kind -> (generator, its marker keywords for the inner and outer
+#: boundary, (name, default, type) per parameter); the config keys
+#: mesh.<name> and the mesh-gen flags --<name> both read it
+MESH_KINDS = {
+    "interval": (generate_interval_mesh, ("left", "right"),
+                 (("a", 0.0, float), ("b", 1.0, float), ("n_cells", 64, int))),
+    "annulus": (generate_annulus_mesh, ("inner", "outer"),
+                (("r_in", 1.0, float), ("r_out", 2.0, float),
+                 ("n_radial", 8, int), ("n_angular", 32, int))),
+    "shell": (generate_shell_mesh, ("inner", "outer"),
+              (("r_in", 50.0, float), ("r_out", 100.0, float),
+               ("refinement", BUILTIN_SHELL_REFINEMENT, int), ("n_layers", None, int))),
+}
+
+
+def _generate_mesh(kind, value, inner, outer):
+    """The MESH_KINDS mesh `kind`; value(name, default, type) gives each parameter."""
+    generator, markers, params = MESH_KINDS[kind]
+    kwargs = {name: value(name, default, type_) for name, default, type_ in params}
+    return generator(**kwargs, **dict(zip(markers, (inner, outer))))
+
+
+def example_marker(example):
+    """Boundary marker of built-in example 1-4: Robin for 1-2, Dirichlet for 3-4."""
+    return Marker.ROBIN if example in (1, 2) else Marker.DIRICHLET
 
 
 def builtin_shell_meshes(marker=Marker.ROBIN):
@@ -145,7 +172,7 @@ def load_experiment(path):
                 line=ent.line_of("problem.example"),
             )
         spec = builtin_example(example)
-        default_marker = Marker.ROBIN if example in (1, 2) else Marker.DIRICHLET
+        default_marker = example_marker(example)
     else:
         spec = lichnerowicz_spec(
             diffusion=ent.take("problem.diffusion", 1.0, float),
@@ -166,35 +193,9 @@ def load_experiment(path):
     if kind is None:
         raise ConfigError("missing mesh.kind")
     try:
-        if kind == "interval":
-            mesh = generate_interval_mesh(
-                ent.take("mesh.a", 0.0, float),
-                ent.take("mesh.b", 1.0, float),
-                ent.take("mesh.n_cells", 64, int),
-                left=inner,
-                right=outer,
-            )
-            meshes = [("interval", mesh)]
-        elif kind == "annulus":
-            mesh = generate_annulus_mesh(
-                ent.take("mesh.r_in", 1.0, float),
-                ent.take("mesh.r_out", 2.0, float),
-                ent.take("mesh.n_radial", 8, int),
-                ent.take("mesh.n_angular", 32, int),
-                inner=inner,
-                outer=outer,
-            )
-            meshes = [("annulus", mesh)]
-        elif kind == "shell":
-            mesh = generate_shell_mesh(
-                ent.take("mesh.r_in", 50.0, float),
-                ent.take("mesh.r_out", 100.0, float),
-                ent.take("mesh.refinement", BUILTIN_SHELL_REFINEMENT, int),
-                inner=inner,
-                outer=outer,
-                n_layers=ent.take("mesh.n_layers", None, int),
-            )
-            meshes = [("shell", mesh)]
+        if kind in MESH_KINDS:
+            take = lambda name, default, type_: ent.take("mesh." + name, default, type_)
+            meshes = [(kind, _generate_mesh(kind, take, inner, outer))]
         elif kind == "shells":
             meshes = builtin_shell_meshes(inner)
         elif kind == "file":
@@ -223,7 +224,17 @@ def load_experiment(path):
     u0_vector = None
     u0_file = ent.take("u0.file")
     if u0_file is not None:
-        u0_vector = np.loadtxt(u0_file).ravel()
+        line = ent.line_of("u0.file")
+        try:
+            u0_vector = np.loadtxt(u0_file).ravel()
+        except ValueError as exc:
+            raise ConfigError(f"u0.file {u0_file}: {exc}", line=line) from None
+        for label, mesh in meshes:
+            if u0_vector.size != mesh.num_vertices:
+                raise ConfigError(
+                    f"u0.file has {u0_vector.size} values, mesh {label} has "
+                    f"{mesh.num_vertices} vertices", line=line,
+                )
     u0_value = ent.take("u0.constant", 1.0, float)
 
     # key solver.<name> sets the field <name>, solver.final_polish the
@@ -316,11 +327,12 @@ def figure_integrand(scalar_curvature, u):
     """Pointwise part of the 1D energy integrand,
     I(u) = (R/16) u^2 + u^6 + u^-6 + u^-2 (gradient term omitted).
 
-    Only even powers appear, so I(-u) = I(u); evaluating through |u|
-    makes that exact in floating point as well.
+    It is the antiderivative of (R/8) u + 6 u^5 - 6 u^-7 - 2 u^-3.  Only
+    even powers appear, so I(-u) = I(u); evaluating through |u| makes
+    that exact in floating point as well.
     """
-    a = np.abs(np.asarray(u, dtype=float))
-    return scalar_curvature * a**2 / 16.0 + a**6 + a**-6.0 + a**-2.0
+    coeffs = ((1, scalar_curvature / 8.0), (5, 6.0), (-7, -6.0), (-3, -2.0))
+    return power_sum(coeffs, np.abs(np.asarray(u, dtype=float)), derivative=-1)
 
 
 def plot_integrand(scalar_curvature, u_min, u_max, samples, out_path):
@@ -381,32 +393,32 @@ def emit_paper_suite(output_dir):
     summary = ["benchmark grid on shells r_in in {50, 10, 1}, r_out = 100", ""]
     written = []
 
-    for example in (1, 2, 3, 4):
-        spec = builtin_example(example)
-        marker = Marker.ROBIN if example in (1, 2) else Marker.DIRICHLET
+    # the examples of one marker share one set of shells
+    for marker, examples in itertools.groupby(_SUITE, example_marker):
         meshes = builtin_shell_meshes(marker)
-        rows = [CSV_HEADER]
-        for method_label in _SUITE[example]:
-            for mesh_label, mesh in meshes:
-                u0 = FeFunction.constant(mesh, 1.0)
-                report = run_method(method_label, spec, mesh, u0, base)
-                rows.append(_csv_row(method_label, mesh_label, report))
-                expected = _SUITE[example][method_label]
-                actual = (report.converged, report.sign.value)
-                if expected is None:
-                    verdict = f"observed {actual[1]}, converged={actual[0]} (not scored)"
-                else:
-                    verdict = "MATCH" if actual == expected else (
-                        f"MISMATCH (expected sign {expected[1]}, "
-                        f"converged={expected[0]}; got {actual[1]}, {actual[0]})"
+        for example in examples:
+            spec = builtin_example(example)
+            rows = [CSV_HEADER]
+            for method_label, expected in _SUITE[example].items():
+                for mesh_label, mesh in meshes:
+                    u0 = FeFunction.constant(mesh, 1.0)
+                    report = run_method(method_label, spec, mesh, u0, base)
+                    rows.append(_csv_row(method_label, mesh_label, report))
+                    actual = (report.converged, report.sign.value)
+                    if expected is None:
+                        verdict = f"observed {actual[1]}, converged={actual[0]} (not scored)"
+                    else:
+                        verdict = "MATCH" if actual == expected else (
+                            f"MISMATCH (expected sign {expected[1]}, "
+                            f"converged={expected[0]}; got {actual[1]}, {actual[0]})"
+                        )
+                    summary.append(
+                        f"example{example} {method_label:<16} {mesh_label:<9} {verdict}"
                     )
-                summary.append(
-                    f"example{example} {method_label:<16} {mesh_label:<9} {verdict}"
-                )
-        path = out / f"example{example}.csv"
-        path.write_text("\n".join(rows) + "\n")
-        written.append(path)
-        summary.append("")
+            path = out / f"example{example}.csv"
+            path.write_text("\n".join(rows) + "\n")
+            written.append(path)
+            summary.append("")
 
     integrand_path = out / "integrand.csv"
     plot_integrand(-1000.0, 0.4, 3.0, 200, integrand_path)
@@ -433,20 +445,11 @@ def _cmd_paper_suite(args):
 
 
 def _cmd_mesh_gen(args):
-    inner = Marker(args.inner_marker)
-    outer = Marker(args.outer_marker)
-    if args.kind == "interval":
-        mesh = generate_interval_mesh(args.a, args.b, args.n_cells, left=inner, right=outer)
-    elif args.kind == "annulus":
-        mesh = generate_annulus_mesh(
-            args.r_in, args.r_out, args.n_radial, args.n_angular, inner=inner, outer=outer
-        )
-    else:
-        mesh = generate_shell_mesh(
-            args.r_in, args.r_out, args.refinement,
-            inner=inner, outer=outer, n_layers=args.n_layers,
-        )
-    save_mesh(mesh, args.out)
+    def flag(name, default, _):
+        return default if getattr(args, name) is None else getattr(args, name)
+
+    inner, outer = Marker(args.inner_marker), Marker(args.outer_marker)
+    save_mesh(_generate_mesh(args.kind, flag, inner, outer), args.out)
     return 0
 
 
@@ -475,17 +478,12 @@ def build_parser():
     p_suite.set_defaults(func=_cmd_paper_suite)
 
     p_mesh = sub.add_parser("mesh-gen", help="generate a mesh file")
-    p_mesh.add_argument("--kind", choices=("interval", "annulus", "shell"), required=True)
+    p_mesh.add_argument("--kind", choices=tuple(MESH_KINDS), required=True)
     p_mesh.add_argument("--out", required=True)
-    p_mesh.add_argument("--a", type=float, default=0.0)
-    p_mesh.add_argument("--b", type=float, default=1.0)
-    p_mesh.add_argument("--n-cells", type=int, default=64)
-    p_mesh.add_argument("--r-in", type=float, default=1.0)
-    p_mesh.add_argument("--r-out", type=float, default=2.0)
-    p_mesh.add_argument("--n-radial", type=int, default=8)
-    p_mesh.add_argument("--n-angular", type=int, default=32)
-    p_mesh.add_argument("--refinement", type=int, default=2)
-    p_mesh.add_argument("--n-layers", type=int, default=None)
+    # one flag per parameter name; an unset flag takes the kind's default
+    flags = {name: type_ for _, _, params in MESH_KINDS.values() for name, _, type_ in params}
+    for name, type_ in flags.items():
+        p_mesh.add_argument("--" + name.replace("_", "-"), type=type_)
     p_mesh.add_argument("--inner-marker", choices=("dirichlet", "robin"), default="robin")
     p_mesh.add_argument("--outer-marker", choices=("dirichlet", "robin"), default="robin")
     p_mesh.set_defaults(func=_cmd_mesh_gen)

@@ -257,12 +257,13 @@ def _newton(problem, u, mu, config, report, safeguarded):
     """Newton iteration on f = 0 at fixed mu, f from problem.linearize.
 
     Converged once ||f|| <= subproblem_tolerance(mu, ||f(u0)||, eps), or
-    eps at mu = 0; at most max_inner steps.  A standard step is the full
-    Newton step.  A safeguarded step falls back to -f unless w.f < 0, is
-    capped by step_to_boundary and backtracked on problem.merit, and
-    five negligible steps in a row stop it.  Returns (u, stage, reason):
-    the last iterate, its StageRecord (None if the start state is
-    nonpositive) and "" on convergence, else why the iteration stopped.
+    eps at mu = 0.  Both step policies stop on a nonfinite residual,
+    after max_inner steps and after five negligible steps in a row.  A
+    standard step is the full Newton step.  A safeguarded step falls
+    back to -f unless w.f < 0, is capped by step_to_boundary and
+    backtracked on problem.merit.  Returns (u, stage, reason): the last
+    iterate, its StageRecord (None if the start state is nonpositive)
+    and "" on convergence, else why the iteration stopped.
     """
     stage = None
     stagnant = 0
@@ -311,12 +312,11 @@ def _newton(problem, u, mu, config, report, safeguarded):
                 float(u[problem.free].min()), cg_status,
             ))
             stage.newton_iterations += 1
-            if safeguarded:
-                step = alpha * float(np.linalg.norm(w))
-                negligible = step < 1e-14 * max(1.0, float(np.linalg.norm(u)))
-                stagnant = stagnant + 1 if negligible else 0
-                if stagnant >= 5:
-                    return u, stage, f"stagnation: negligible steps at mu={mu:g}"
+            step = alpha * float(np.linalg.norm(w))
+            negligible = step < 1e-14 * max(1.0, float(np.linalg.norm(u)))
+            stagnant = stagnant + 1 if negligible else 0
+            if stagnant >= 5:
+                return u, stage, f"stagnation: negligible steps at mu={mu:g}"
     except NonpositiveState as exc:
         return u, stage, f"nonpositive state: {exc}"
 
@@ -380,8 +380,8 @@ def _solve_fem(method, spec, mesh, u0, config):
 def newton_standard(spec, mesh, u0, config=None):
     """Plain Newton: full steps A(u) w = -G(u), no positivity safeguard.
 
-    Stops when ||G|| <= eps or after max_inner steps (converged=False);
-    a NonpositiveState raised by the assembly (positivity-demanding
+    Stops when ||G|| <= eps, or unconverged after max_inner steps or
+    five negligible steps in a row; a NonpositiveState raised by the assembly (positivity-demanding
     problems only) is reported as a failure rather than an exception.
     """
     return _solve_fem("newton", spec, mesh, u0, config)

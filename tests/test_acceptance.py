@@ -248,6 +248,19 @@ def test_criterion_06_example4_barrier_positive(ex4_shell_reports):
     print(f"criterion 6 PASS: example-4 barrier positive on all shells ({elapsed:.1f}s)")
 
 
+def test_criterion_06b_example4_standard_newton_stalls(ex4_shell_reports):
+    """Truncated CG returns w = 0 on example 4's indefinite Jacobian, so
+    standard Newton stops after five negligible steps at its start vector
+    (u0 = 1, which also meets the Dirichlet data u = 1)."""
+    for label, reports in ex4_shell_reports.items():
+        newton = reports["newton"]
+        assert not newton.converged
+        assert newton.total_newton_iterations == 5, label
+        assert newton.failure_reason == "stagnation: negligible steps at mu=0"
+        assert np.array_equal(newton.solution, np.ones_like(newton.solution))
+    print("\ncriterion 6b PASS: example-4 standard Newton stops on its zero steps")
+
+
 def test_criterion_07_feasibility_and_certificates(ex1_shell_reports, ex4_shell_reports):
     """Replay feasibility, Armijo and descent certificates; check mu
     schedules and the exact subproblem tolerances."""

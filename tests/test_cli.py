@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from barrierfem import cli
 from barrierfem.cli import (
     builtin_shell_meshes,
     emit_paper_suite,
@@ -222,10 +223,19 @@ class TestMainEntry:
             (None, "No such file or directory"),
             ("mesh.kind = file\nmesh.path = {tmp}/none.mesh\n", "none.mesh"),
             ("mesh.kind = interval\nu0.file = {tmp}/none.txt\n", "none.txt"),
+            (
+                "mesh.kind = interval\nmesh.n_cells = 8\nmesh.inner_marker = dirichlet\n"
+                "u0.file = {tmp}/short.txt\n",
+                "line 5: u0.file has 3 values, mesh interval has 9 vertices",
+            ),
+            ("mesh.kind = interval\nu0.file = {tmp}/words.txt\n", "line 3: u0.file"),
         ],
-        ids=["gamma", "max_inner", "mu0", "config_file", "mesh_path", "u0_file"],
+        ids=["gamma", "max_inner", "mu0", "config_file", "mesh_path", "u0_file",
+             "u0_file_short", "u0_file_not_numeric"],
     )
     def test_bad_input_is_an_error_line(self, tmp_path, capsys, text, message):
+        (tmp_path / "short.txt").write_text("1.0\n1.0\n1.0\n")
+        (tmp_path / "words.txt").write_text("one\ntwo\n")
         cfg = tmp_path / "exp.cfg"
         if text is not None:
             cfg.write_text("problem.example = 1\n" + text.format(tmp=tmp_path))
@@ -235,16 +245,47 @@ class TestMainEntry:
         assert err.startswith("error: ") and message in err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["interval", "annulus", "shell"])
+    def test_mesh_gen_matches_config_defaults(self, tmp_path, kind):
+        out = tmp_path / f"{kind}.mesh"
+        assert main(["mesh-gen", "--kind", kind, "--out", str(out)]) == 0
+        generated = load_mesh(out)
+        [(label, configured)] = load_experiment(write_cfg(tmp_path, f"mesh.kind = {kind}\n")).meshes
+        assert label == kind
+        assert np.array_equal(generated.vertices, configured.vertices)
+        assert np.array_equal(generated.cells, configured.cells)
+        assert [(m, tuple(f)) for m, f in generated.boundary_facets] == [
+            (m, tuple(f)) for m, f in configured.boundary_facets
+        ]
+
 
 @pytest.fixture(scope="module")
-def suite_dir(tmp_path_factory):
+def suite_run(tmp_path_factory):
+    """One paper-suite run: its output directory and its shell-set builds."""
     out = tmp_path_factory.mktemp("suite")
-    emit_paper_suite(out)
-    return out
+    builds = []
+
+    def counted(marker=Marker.ROBIN):
+        builds.append(marker)
+        return builtin_shell_meshes(marker)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "builtin_shell_meshes", counted)
+        emit_paper_suite(out)
+    return out, builds
+
+
+@pytest.fixture(scope="module")
+def suite_dir(suite_run):
+    return suite_run[0]
 
 
 @pytest.mark.slow
 class TestPaperSuite:
+
+    def test_each_shell_set_built_once(self, suite_run):
+        # examples 1-2 share the Robin shells, 3-4 the Dirichlet shells
+        assert suite_run[1] == [Marker.ROBIN, Marker.DIRICHLET]
 
     def test_files_exist(self, suite_dir):
         for name in ("example1.csv", "example2.csv", "example3.csv",
