@@ -26,7 +26,7 @@ print(f"  x* = {np.round(x, 8)}")
 print(f"  |x - c|_inf = {np.abs(x - c).max():.2e}")
 print(f"  multiplier estimates mu/x_i = {report.multiplier_estimates}")
 print(f"  ({report.total_newton_iterations} Newton steps over "
-      f"{report.outer_iterations} barrier stages)\n")
+      f"{len(report.stages)} barrier stages)\n")
 
 print("boundary minimizer: f(x) = x on x >= 0")
 x, report = classical_barrier_minimize(

@@ -10,8 +10,9 @@ Run:  python demos/energy_landscape.py
 
 import numpy as np
 
-from barrierfem import builtin_example, energy_density_second_derivative
+from barrierfem import builtin_example
 from barrierfem.cli import figure_integrand
+from barrierfem.problem import power_sum
 
 u = np.linspace(0.4, 3.0, 200)
 
@@ -21,8 +22,9 @@ for curvature in (0.0, -100.0, -1000.0):
     print(f"  R = {curvature:8.1f}:  I''(1) = {d2:10.2f}"
           + ("   (nonconvex)" if d2 < 0 else ""))
 
-# the same number through the library's generic power-law machinery
-assert energy_density_second_derivative(builtin_example(2), 1.0) == -47.0
+# the same number through the library's power-law evaluator: I'' = k'
+coeffs = [(p, c(np.zeros((1, 1)))) for p, c in builtin_example(2).power_terms]
+assert power_sum(coeffs, 1.0, derivative=1) == -47.0
 
 for curvature in (0.0, -1000.0):
     values = figure_integrand(curvature, u)

@@ -12,7 +12,6 @@ from .errors import (
     LineSearchFailure,
     NonpositiveState,
     ParseError,
-    Unsupported,
     UnknownExample,
     ValidationError,
 )
@@ -46,14 +45,9 @@ from .problem import (
     ProblemSpec,
     builtin_example,
     constant_field,
-    energy_density,
-    energy_density_second_derivative,
     lichnerowicz_spec,
-    nonlinearity,
-    nonlinearity_derivative,
     radial_field,
 )
-from .quadrature import QuadratureRule, quadrature_for
 from .solvers import (
     Sign,
     SolveReport,

@@ -65,6 +65,9 @@ MESH_KINDS = {
                ("refinement", BUILTIN_SHELL_REFINEMENT, int), ("n_layers", None, int))),
 }
 
+#: mesh-gen flag --<name> -> type, one per parameter name of MESH_KINDS
+_MESH_FLAGS = {name: type_ for _, _, params in MESH_KINDS.values() for name, _, type_ in params}
+
 
 def _generate_mesh(kind, value, inner, outer):
     """The MESH_KINDS mesh `kind`; value(name, default, type) gives each parameter."""
@@ -144,7 +147,7 @@ class _Entries:
     def check_all_used(self):
         for key, (_, line) in self.entries.items():
             if key not in self.used:
-                raise ConfigError(f"unknown key {key!r}", line=line)
+                raise ConfigError(f"key {key!r} is unknown or does not apply", line=line)
 
 
 def _to_bool(text):
@@ -186,18 +189,18 @@ def load_experiment(path):
         )
         default_marker = Marker.ROBIN
 
-    inner = ent.take("mesh.inner_marker", default_marker, _to_marker)
-    outer = ent.take("mesh.outer_marker", default_marker, _to_marker)
-
     kind = ent.take("mesh.kind")
     if kind is None:
         raise ConfigError("missing mesh.kind")
+    # a marker key is read only where the mesh uses it; check_all_used
+    # rejects one that does not apply
+    marker = lambda side: ent.take(f"mesh.{side}_marker", default_marker, _to_marker)
     try:
         if kind in MESH_KINDS:
             take = lambda name, default, type_: ent.take("mesh." + name, default, type_)
-            meshes = [(kind, _generate_mesh(kind, take, inner, outer))]
+            meshes = [(kind, _generate_mesh(kind, take, marker("inner"), marker("outer")))]
         elif kind == "shells":
-            meshes = builtin_shell_meshes(inner)
+            meshes = builtin_shell_meshes(marker("inner"))
         elif kind == "file":
             mesh_path = ent.take("mesh.path")
             if mesh_path is None:
@@ -285,7 +288,7 @@ def _csv_row(method_label, mesh_label, report):
             f"{report.final_residual:.6e}",
             report.sign.value,
             "true" if report.converged else "false",
-            str(len(report.mu_trajectory)),
+            str(len(report.stages)),
             f"{report.wall_time * 1000.0:.1f}",
         ]
     )
@@ -445,6 +448,11 @@ def _cmd_paper_suite(args):
 
 
 def _cmd_mesh_gen(args):
+    own = {name for name, _, _ in MESH_KINDS[args.kind][2]}
+    for name in _MESH_FLAGS:
+        if name not in own and getattr(args, name) is not None:
+            raise ConfigError(f"--{name.replace('_', '-')} does not apply to --kind {args.kind}")
+
     def flag(name, default, _):
         return default if getattr(args, name) is None else getattr(args, name)
 
@@ -480,9 +488,8 @@ def build_parser():
     p_mesh = sub.add_parser("mesh-gen", help="generate a mesh file")
     p_mesh.add_argument("--kind", choices=tuple(MESH_KINDS), required=True)
     p_mesh.add_argument("--out", required=True)
-    # one flag per parameter name; an unset flag takes the kind's default
-    flags = {name: type_ for _, _, params in MESH_KINDS.values() for name, _, type_ in params}
-    for name, type_ in flags.items():
+    # an unset flag takes the kind's default; a set flag of another kind is an error
+    for name, type_ in _MESH_FLAGS.items():
         p_mesh.add_argument("--" + name.replace("_", "-"), type=type_)
     p_mesh.add_argument("--inner-marker", choices=("dirichlet", "robin"), default="robin")
     p_mesh.add_argument("--outer-marker", choices=("dirichlet", "robin"), default="robin")

@@ -32,10 +32,6 @@ class ValidationError(BarrierFemError):
         self.violations = list(violations)
 
 
-class Unsupported(BarrierFemError):
-    """Requested feature outside the tabulated/implemented range."""
-
-
 class NonpositiveState(BarrierFemError):
     """An operation requiring u > 0 was evaluated at a nonpositive state."""
 
@@ -56,17 +52,11 @@ class UnknownExample(BarrierFemError):
     """Built-in example id outside 1..4."""
 
 
-class ConfigError(BarrierFemError):
-    """Bad experiment config (unknown key or invalid value).
+class ConfigError(ParseError):
+    """Bad config entry or mesh-gen flag: unknown, not applicable, or invalid.
 
     Carries the 1-based line number of the offending entry when known.
     """
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class InvalidRange(BarrierFemError):

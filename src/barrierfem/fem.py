@@ -32,9 +32,7 @@ from .errors import CoefficientViolation, DimensionMismatch, NonpositiveState
 from .linalg import SparseMatrix, add_scaled
 from .mesh import Marker
 from .problem import FeFunction, as_coefficients, power_sum
-from .quadrature import REFERENCE_MEASURE, facet_rule, quadrature_for
-
-QUADRATURE_DEGREE = 5
+from .quadrature import REFERENCE_MEASURE, simplex_rule
 
 
 def _pair_tables(k):
@@ -69,9 +67,7 @@ class _Workspace:
         n = mesh.num_vertices
         self.num_vertices = n
         self.cells = cells = mesh.cells                  # (M, d+1)
-        rule = quadrature_for(d, QUADRATURE_DEGREE)
-        self.lam = rule.points                           # (Q, d+1)
-        self.qw = rule.weights                           # (Q,)
+        self.lam, self.qw = simplex_rule(d)              # (Q, d+1), (Q,)
         verts = mesh.vertices
         cell_pts = verts[cells]                          # (M, d+1, d)
         edges = cell_pts[:, 1:, :] - cell_pts[:, :1, :]
@@ -94,12 +90,11 @@ class _Workspace:
         self.robin_idx = fidx[robin]
         rows, cols = [cells[:, rr].ravel()], [cells[:, cc].ravel()]
         if len(self.robin_idx):
-            frule = facet_rule(d, QUADRATURE_DEGREE)
-            self.flam = frule.points                     # (Qf, d)
+            self.flam, fqw = simplex_rule(d - 1)         # (Qf, d), (Qf,)
             fiu, fju, self.fsym, frr, fcc = _pair_tables(d)
             self.fphi2 = self.flam[:, fiu] * self.flam[:, fju]
             fscale = mesh.facet_measures[robin] / REFERENCE_MEASURE[d - 1]
-            self.fwq = fscale[:, None] * frule.weights   # (B, Qf)
+            self.fwq = fscale[:, None] * fqw             # (B, Qf)
             fpts = verts[self.robin_idx]                 # (B, d, dim)
             self.fxq_flat = np.einsum("qk,fkd->fqd", self.flam, fpts).reshape(-1, d)
             rows.append(self.robin_idx[:, frr].ravel())
@@ -213,13 +208,13 @@ class AssembledSystem:
         return self.residual - mu * self.barrier_vector
 
 
-def _check_state(spec, mesh, u, mu):
+def _check_state(mesh, u, mu):
     u = as_coefficients(u)
     if len(u) != mesh.num_vertices:
         raise DimensionMismatch(
             f"state has {len(u)} coefficients, mesh has {mesh.num_vertices} vertices"
         )
-    if (mu > 0 or spec.positivity_required) and np.any(u <= 0):
+    if mu > 0 and np.any(u <= 0):
         raise NonpositiveState(
             "state must be strictly positive at every vertex "
             f"(min = {u.min():.3e}, mu = {mu})"
@@ -228,7 +223,7 @@ def _check_state(spec, mesh, u, mu):
 
 
 def _assemble(spec, mesh, u, mu, need_matrix):
-    u = _check_state(spec, mesh, u, mu)
+    u = _check_state(mesh, u, mu)
     ws = workspace_for(mesh)
     fields = ws.fields_for(spec)
     need_barrier = mu > 0
@@ -296,7 +291,7 @@ def assemble_jacobian(spec, mesh, u, mu=0.0):
 
 def compute_energy(spec, mesh, u, mu=0.0):
     """Total energy, including the -mu*int(ln u) barrier term when mu > 0."""
-    u = _check_state(spec, mesh, u, mu)
+    u = _check_state(mesh, u, mu)
     ws = workspace_for(mesh)
     fields = ws.fields_for(spec)
 

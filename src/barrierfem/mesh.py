@@ -145,19 +145,6 @@ class SimplicialMesh:
         sel = np.array([m == Marker.DIRICHLET for m in markers], dtype=bool)
         return np.unique(idx[sel].ravel()) if sel.any() else np.zeros(0, dtype=np.int64)
 
-    def __eq__(self, other):
-        if not isinstance(other, SimplicialMesh):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.vertices.shape == other.vertices.shape
-            and np.array_equal(self.vertices, other.vertices)
-            and np.array_equal(self.cells, other.cells)
-            and self.boundary_facets == other.boundary_facets
-        )
-
-    __hash__ = object.__hash__  # identity hashing; meshes are cache keys
-
     def __repr__(self):
         return (
             f"SimplicialMesh(dim={self.dim}, vertices={self.num_vertices}, "

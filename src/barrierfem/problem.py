@@ -1,10 +1,10 @@
-"""Problem data: PDE coefficients, the pointwise nonlinearity, and energies.
+"""Problem data: PDE coefficients and the power-law nonlinearity.
 
 A problem is described by a scalar diffusion field and a sum of power
 terms sum_p c_p(x) u^p with odd integer exponents; the Hamiltonian
 constraint uses p in {1, 5, -3, -7} and the Yamabe examples use subsets
-of {1, 5}.  Antiderivatives (the energy density) and derivatives are
-generated mechanically from the same representation.
+of {1, 5}.  power_sum evaluates k(u), its derivative k'(u) and its
+antiderivative (the energy density) from the same representation.
 
 Coefficient fields are closures of position: they receive an (n, dim)
 array of points and return n values, so sharp fields like 1/r^3 are
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoefficientViolation, NonpositiveState, UnknownExample
+from .errors import CoefficientViolation, UnknownExample
 
 
 def constant_field(value):
@@ -52,9 +52,7 @@ class ProblemSpec:
         u = dirichlet_data                                        on Dirichlet part
 
     power_terms maps odd integer exponents p (p != -1) to coefficient
-    fields c_p.  positivity_required demands u > 0 for every pointwise
-    evaluation; independent of the flag, assemblies with a positive
-    barrier parameter always require u > 0.
+    fields c_p.
     """
 
     diffusion: object = field(default_factory=lambda: constant_field(1.0))
@@ -63,7 +61,6 @@ class ProblemSpec:
     robin_data: object = field(default_factory=lambda: constant_field(0.0))
     dirichlet_data: object = field(default_factory=lambda: constant_field(0.0))
     source: object = None
-    positivity_required: bool = False
 
     def __post_init__(self):
         terms = []
@@ -84,10 +81,6 @@ class ProblemSpec:
         if self.source is not None:
             object.__setattr__(self, "source", _as_field(self.source))
 
-    @property
-    def exponents(self):
-        return tuple(p for p, _ in self.power_terms)
-
 
 @dataclass
 class FeFunction:
@@ -102,23 +95,12 @@ class FeFunction:
     def constant(cls, mesh, value):
         return cls(np.full(mesh.num_vertices, float(value)))
 
-    def copy(self):
-        return FeFunction(self.coefficients.copy())
-
-    def __len__(self):
-        return len(self.coefficients)
-
 
 def as_coefficients(u):
     """Accept an FeFunction or a plain array and return the raw vector."""
     if isinstance(u, FeFunction):
         return u.coefficients
     return np.asarray(u, dtype=float).ravel()
-
-
-def _check_positive(spec, u):
-    if spec.positivity_required and np.any(np.asarray(u) <= 0):
-        raise NonpositiveState("evaluation at u <= 0 with positivity required")
 
 
 def power_sum(coeffs, u, derivative=0):
@@ -141,46 +123,6 @@ def power_sum(coeffs, u, derivative=0):
     return out
 
 
-def _pointwise(spec, x, u, derivative):
-    """power_sum of the spec's power terms at points x and values u."""
-    _check_positive(spec, u)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0 and np.asarray(x).shape[0] == 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        coeffs = [(p, coeff(x)) for p, coeff in spec.power_terms]
-    # one value per point, also for a scalar u and no power terms
-    out = np.zeros(np.broadcast(np.zeros(x.shape[0]), u_arr).shape)
-    out += power_sum(coeffs, u_arr, derivative)
-    return float(out[0]) if scalar else out
-
-
-def nonlinearity(spec, x, u):
-    """k(u) = sum_p c_p(x) u^p, the zeroth-order part of the operator."""
-    return _pointwise(spec, x, u, 0)
-
-
-def nonlinearity_derivative(spec, x, u):
-    """k'(u) = sum_p p c_p(x) u^(p-1)."""
-    return _pointwise(spec, x, u, 1)
-
-
-def energy_density(spec, x, u):
-    """Antiderivative sum_p c_p(x) u^(p+1)/(p+1); d/du of this is k(u)."""
-    return _pointwise(spec, x, u, -1)
-
-
-def energy_density_second_derivative(spec, u, x=None):
-    """d^2/du^2 of the energy density: sum_p p c_p(x) u^(p-1).
-
-    `x` defaults to the origin, which is only meaningful for spatially
-    constant coefficient fields (the Figure-style 1D integrand use).
-    """
-    if x is None:
-        x = np.zeros((1, 1))
-    return nonlinearity_derivative(spec, x, u)
-
-
 def lichnerowicz_spec(
     diffusion=1.0,
     scalar_curvature=0.0,
@@ -190,7 +132,6 @@ def lichnerowicz_spec(
     robin_coeff=0.0,
     robin_data=0.0,
     dirichlet_data=0.0,
-    positivity_required=False,
 ):
     """Hamiltonian-constraint coefficients in power-law form.
 
@@ -213,7 +154,6 @@ def lichnerowicz_spec(
         robin_coeff=robin_coeff,
         robin_data=robin_data,
         dirichlet_data=dirichlet_data,
-        positivity_required=positivity_required,
     )
 
 

@@ -1,4 +1,4 @@
-"""Quadrature rules on reference simplices.
+"""Degree-5 quadrature rules on reference simplices.
 
 Rules are stored in barycentric coordinates with weights that sum to the
 reference-simplex measure (1 for the unit interval, 1/2 for the unit
@@ -6,64 +6,25 @@ triangle, 1/6 for the unit tetrahedron), so that
 
     integral_K f dx  ~=~ (|K| / ref_measure) * sum_q w_q f(x_q).
 
-Available exactness: Gauss-Legendre up to degree 9 in 1D, a 7-point
-degree-5 rule on the triangle, and a 15-point degree-5 rule on the
-tetrahedron.  Degree 5 is enough to integrate the polynomial part of the
-P1 residual (u^5 composed with a linear is degree-5 per cell); rational
-negative-power and logarithm terms are approximated by the same rules.
+The rules are 3-point Gauss-Legendre in 1D, a 7-point rule on the
+triangle and a 15-point rule on the tetrahedron, each exact to degree 5.
+That is not exact for the P1 residual: u^5 phi_i has degree 6 per cell,
+and degree-6 barycentric monomials are missed by up to about 5%; the
+negative-power and logarithm terms are approximated as well.  The
+discretization stays consistent because the residual, the Jacobian and
+the energy all use the same rule, so the assembled residual is the exact
+gradient of the assembled energy (test_fem checks this by finite
+differences).
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Unsupported
-
 REFERENCE_MEASURE = {0: 1.0, 1: 1.0, 2: 0.5, 3: 1.0 / 6.0}
 
-_MAX_DEGREE = {1: 9, 2: 5, 3: 5}
 
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Positive-weight rule on the reference d-simplex.
-
-    points  : (Q, d+1) barycentric coordinates
-    weights : (Q,) positive weights summing to the reference measure
-    degree  : highest polynomial degree integrated exactly
-    """
-
-    dim: int
-    points: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    degree: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be strictly positive")
-        total = self.weights.sum()
-        if abs(total - REFERENCE_MEASURE[self.dim]) > 1e-14:
-            raise ValueError(
-                f"weights sum to {total!r}, expected {REFERENCE_MEASURE[self.dim]!r}"
-            )
-
-    def __len__(self):
-        return len(self.weights)
-
-
-def _gauss_interval(degree):
-    # n-point Gauss-Legendre is exact to degree 2n-1
-    n = degree // 2 + 1
-    x, w = np.polynomial.legendre.leggauss(n)
-    t = 0.5 * (x + 1.0)
-    pts = np.column_stack([1.0 - t, t])
-    return QuadratureRule(1, pts, 0.5 * w, degree=2 * n - 1)
-
-
-def _triangle_degree5():
+def _triangle():
     # Radon 7-point rule; weights below are normalized to 1 and scaled by
     # the reference area 1/2.
     s15 = math.sqrt(15.0)
@@ -77,10 +38,10 @@ def _triangle_degree5():
         rest = 1.0 - 2.0 * v
         pts += [(rest, v, v), (v, rest, v), (v, v, rest)]
         wts += [w, w, w]
-    return QuadratureRule(2, np.array(pts), 0.5 * np.array(wts), degree=5)
+    return np.array(pts), 0.5 * np.array(wts)
 
 
-def _tetrahedron_degree5():
+def _tetrahedron():
     # 15-point degree-5 rule (Keast); weights normalized to 1 and scaled
     # by the reference volume 1/6.
     s15 = math.sqrt(15.0)
@@ -112,54 +73,24 @@ def _tetrahedron_degree5():
         (d, d, c, c),
     ]
     wts += [wcd] * 6
-    return QuadratureRule(3, np.array(pts), np.array(wts) / 6.0, degree=5)
+    return np.array(pts), np.array(wts) / 6.0
 
 
-_POINT_RULE = QuadratureRule(0, np.array([[1.0]]), np.array([1.0]), degree=10**6)
+def simplex_rule(dim):
+    """(points, weights) of the degree-5 rule on the reference `dim`-simplex.
 
-
-def quadrature_for(dim, degree):
-    """Return a rule exact for polynomials up to `degree` on the d-simplex.
-
-    Raises Unsupported when `degree` exceeds the tabulated range
-    (9 in 1D, 5 in 2D and 3D).
+    points are (Q, dim+1) barycentric coordinates and weights (Q,)
+    positive values summing to REFERENCE_MEASURE[dim]; dim is 0 to 3,
+    where 0 is the single point (a facet of an interval) with weight 1.
     """
-    if dim not in (1, 2, 3):
-        raise Unsupported(f"dimension {dim} not supported")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree > _MAX_DEGREE[dim]:
-        raise Unsupported(
-            f"degree {degree} exceeds tabulated maximum {_MAX_DEGREE[dim]} in {dim}D"
-        )
+    if dim == 0:
+        return np.array([[1.0]]), np.array([1.0])
     if dim == 1:
-        return _gauss_interval(degree)
+        x, w = np.polynomial.legendre.leggauss(3)
+        t = 0.5 * (x + 1.0)
+        return np.column_stack([1.0 - t, t]), 0.5 * w
     if dim == 2:
-        return _triangle_degree5()
-    return _tetrahedron_degree5()
-
-
-def facet_rule(dim, degree=5):
-    """Quadrature for a boundary facet of a `dim`-dimensional mesh.
-
-    Facets are (dim-1)-simplices; the 0-simplex case (interval
-    endpoints) is a single point with unit weight.
-    """
-    if dim == 1:
-        return _POINT_RULE
-    return quadrature_for(dim - 1, degree)
-
-
-def barycentric_monomial_integral(dim, alpha):
-    """Exact integral of prod(lambda_i^alpha_i) over the reference d-simplex.
-
-    Classical formula: d! * V * prod(alpha_i!) / (|alpha| + d)! with
-    V the reference measure.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != dim + 1:
-        raise ValueError("need one exponent per barycentric coordinate")
-    num = math.factorial(dim) * REFERENCE_MEASURE[dim]
-    for a in alpha:
-        num *= math.factorial(a)
-    return num / math.factorial(sum(alpha) + dim)
+        return _triangle()
+    if dim == 3:
+        return _tetrahedron()
+    raise ValueError(f"no quadrature rule for dimension {dim}")

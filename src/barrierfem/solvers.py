@@ -112,11 +112,9 @@ class StageRecord:
 class SolveReport:
     method: str
     converged: bool = False
-    outer_iterations: int = 0
     total_newton_iterations: int = 0
     final_residual: float = np.inf
     residual_history: list = field(default_factory=list)
-    mu_trajectory: list = field(default_factory=list)
     sign: Sign = Sign.MIXED
     multiplier_estimates: np.ndarray = field(default_factory=lambda: np.zeros(0))
     wall_time: float = 0.0
@@ -337,7 +335,6 @@ def _continuation(problem, u, config, report, polish):
     for stage_mu in schedule + ([0.0] if polish else []):
         u, stage, reason = _newton(problem, u, stage_mu, config, report, safeguarded=True)
         if stage is not None:
-            report.mu_trajectory.append(stage_mu)
             report.stages.append(stage)
         if reason:
             return u, reason
@@ -351,7 +348,6 @@ def _finalize(report, problem, u, t0):
     report.solution = u.copy()
     report.sign = classify_sign(u)
     report.total_newton_iterations = len(report.iterations)
-    report.outer_iterations = len(report.stages)
     report.final_residual = problem.final_residual(u)
     report.wall_time = time.perf_counter() - t0
     return report
@@ -381,8 +377,7 @@ def newton_standard(spec, mesh, u0, config=None):
     """Plain Newton: full steps A(u) w = -G(u), no positivity safeguard.
 
     Stops when ||G|| <= eps, or unconverged after max_inner steps or
-    five negligible steps in a row; a NonpositiveState raised by the assembly (positivity-demanding
-    problems only) is reported as a failure rather than an exception.
+    five negligible steps in a row.
     """
     return _solve_fem("newton", spec, mesh, u0, config)
 

@@ -26,8 +26,8 @@ from barrierfem.problem import (
     FeFunction,
     ProblemSpec,
     builtin_example,
-    energy_density_second_derivative,
     lichnerowicz_spec,
+    power_sum,
 )
 from barrierfem.solvers import (
     Sign,
@@ -212,7 +212,9 @@ def test_criterion_05_example2_nonconvexity(tmp_path):
     # rational-arithmetic oracle for (1/8) R + 30 u^4 + 42 u^-8 + 6 u^-4
     oracle = Fraction(1, 8) * (-1000) + 30 + 42 + 6
     assert oracle == -47
-    value = energy_density_second_derivative(builtin_example(2), 1.0)
+    # the integrand's second derivative is k'(u), evaluated by power_sum
+    coeffs = [(p, c(np.zeros((1, 1)))) for p, c in builtin_example(2).power_terms]
+    value = power_sum(coeffs, 1.0, derivative=1)
     assert value == float(oracle)
 
     def second_differences(path):
@@ -279,8 +281,9 @@ def test_criterion_07_feasibility_and_certificates(ex1_shell_reports, ex4_shell_
             assert rec.phi_after <= rec.phi_before + config.eta * rec.alpha * rec.grad_dot_dir
             assert rec.dir_dot_residual < 0 or rec.fallback_used
             checked_steps += 1
-        positive = [m for m in report.mu_trajectory if m > 0]
-        assert all(b < a for a, b in zip(report.mu_trajectory, report.mu_trajectory[1:]))
+        mus = [stage.mu for stage in report.stages]
+        positive = [m for m in mus if m > 0]
+        assert all(b < a for a, b in zip(mus, mus[1:]))
         for a, b in zip(positive, positive[1:]):
             assert np.isclose(b / a, config.gamma, rtol=1e-12)
         for stage in report.stages:

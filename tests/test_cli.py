@@ -15,7 +15,7 @@ from barrierfem.cli import (
     run_method,
 )
 from barrierfem.errors import ConfigError, InvalidRange
-from barrierfem.mesh import Marker, generate_interval_mesh, load_mesh
+from barrierfem.mesh import Marker, generate_interval_mesh, load_mesh, save_mesh
 from barrierfem.problem import FeFunction, builtin_example
 from barrierfem.solvers import SolverConfig
 
@@ -99,7 +99,7 @@ class TestConfigParsing:
             "mesh.kind = interval\nmethods = newton\n"
         )
         config = load_experiment(write_cfg(tmp_path, text))
-        assert set(config.spec.exponents) == {1, 5, -3, -7}
+        assert {p for p, _ in config.spec.power_terms} == {1, 5, -3, -7}
 
 
 class TestRun:
@@ -138,7 +138,7 @@ class TestRun:
         args = (builtin_example(1), mesh, FeFunction.constant(mesh, 1.0), SolverConfig())
         report = run_method("barrier@mu0=0.5", *args)
         assert report.method == "barrier" and report.converged
-        assert report.mu_trajectory[0] == 0.5
+        assert report.stages[0].mu == 0.5
         with pytest.raises(ValueError):
             run_method("newton@mu0=0.5", *args)
 
@@ -229,13 +229,23 @@ class TestMainEntry:
                 "line 5: u0.file has 3 values, mesh interval has 9 vertices",
             ),
             ("mesh.kind = interval\nu0.file = {tmp}/words.txt\n", "line 3: u0.file"),
+            (
+                "mesh.kind = shells\nmesh.outer_marker = dirichlet\n",
+                "line 3: key 'mesh.outer_marker' is unknown or does not apply",
+            ),
+            (
+                "mesh.kind = file\nmesh.path = {tmp}/iv.mesh\nmesh.inner_marker = robin\n",
+                "line 4: key 'mesh.inner_marker' is unknown or does not apply",
+            ),
         ],
         ids=["gamma", "max_inner", "mu0", "config_file", "mesh_path", "u0_file",
-             "u0_file_short", "u0_file_not_numeric"],
+             "u0_file_short", "u0_file_not_numeric", "shells_outer_marker",
+             "file_inner_marker"],
     )
     def test_bad_input_is_an_error_line(self, tmp_path, capsys, text, message):
         (tmp_path / "short.txt").write_text("1.0\n1.0\n1.0\n")
         (tmp_path / "words.txt").write_text("one\ntwo\n")
+        save_mesh(generate_interval_mesh(0.1, 10, 4), tmp_path / "iv.mesh")
         cfg = tmp_path / "exp.cfg"
         if text is not None:
             cfg.write_text("problem.example = 1\n" + text.format(tmp=tmp_path))
@@ -244,6 +254,22 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "kind, flags, message",
+        [
+            ("shell", ["--a", "5"], "--a does not apply to --kind shell"),
+            ("interval", ["--n-cells", "4", "--r-in", "1"], "--r-in does not apply"),
+            ("annulus", ["--refinement", "0"], "--refinement does not apply"),
+        ],
+        ids=["shell", "interval", "annulus"],
+    )
+    def test_mesh_gen_rejects_flags_of_other_kinds(self, tmp_path, capsys, kind, flags, message):
+        out = tmp_path / "bad.mesh"
+        assert main(["mesh-gen", "--kind", kind, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["interval", "annulus", "shell"])
     def test_mesh_gen_matches_config_defaults(self, tmp_path, kind):

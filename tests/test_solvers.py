@@ -161,17 +161,6 @@ class TestNewtonStandard:
         assert not report.converged
         assert report.total_newton_iterations == 2
 
-    def test_positivity_required_failure_is_reported(self, interval_robin):
-        spec = ProblemSpec(
-            power_terms=builtin_example(1).power_terms,
-            robin_coeff=1.0,
-            robin_data=-1.0,
-            positivity_required=True,
-        )
-        report = newton_standard(spec, interval_robin, FeFunction.constant(interval_robin, -1.0))
-        assert not report.converged
-        assert "nonpositive" in report.failure_reason
-
 
 class TestNewtonSafeguarded:
     def test_identical_to_standard_when_full_steps_accepted(self, ex1_interval_reports):
@@ -220,7 +209,7 @@ class TestBarrier:
         assert report.final_residual <= 1e-7
 
     def test_mu_trajectory_schedule(self, ex1_interval_reports):
-        traj = ex1_interval_reports["barrier"].mu_trajectory
+        traj = [stage.mu for stage in ex1_interval_reports["barrier"].stages]
         assert traj[0] == 1.0 and traj[-1] == 0.0
         positive = [m for m in traj if m > 0]
         assert all(b < a for a, b in zip(traj, traj[1:]))
@@ -259,7 +248,7 @@ class TestBarrier:
         assert report.total_newton_iterations == (
             ex1_interval_reports["newton"].total_newton_iterations
         )
-        assert report.mu_trajectory == [0.0]
+        assert [stage.mu for stage in report.stages] == [0.0]
 
     def test_failure_propagates_mu(self):
         mesh = generate_shell_mesh(
