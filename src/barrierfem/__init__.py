@@ -27,7 +27,6 @@ from .linalg import (
     CgResult,
     CgStatus,
     SparseMatrix,
-    add_scaled,
     cg_solve,
 )
 from .mesh import (

@@ -1,22 +1,22 @@
-"""P1 Galerkin assembly of residuals, Jacobians, barrier terms and energies.
+"""P1 Galerkin assembly of residuals, Jacobians and energies.
 
-For a state u_h = sum_i u_i phi_i the assembled objects are
+For a state u_h = sum_i u_i phi_i and a barrier parameter mu >= 0 the
+assembled objects are
 
-    residual_i       = int [ a grad(u_h).grad(phi_i) + k(u_h) phi_i ]
-                       + int_Robin (c u_h - g) phi_i - int source phi_i
-    jacobian_ij      = int [ a grad(phi_j).grad(phi_i) + k'(u_h) phi_j phi_i ]
-                       + int_Robin c phi_j phi_i
-    barrier_vector_i = int u_h^-1 phi_i
-    barrier_matrix_ij= int u_h^-2 phi_j phi_i
+    residual_i  = int [ a grad(u_h).grad(phi_i) + k_mu(u_h) phi_i ]
+                  + int_Robin (c u_h - g) phi_i - int source phi_i
+    jacobian_ij = int [ a grad(phi_j).grad(phi_i) + k_mu'(u_h) phi_j phi_i ]
+                  + int_Robin c phi_j phi_i
 
-so the barrier Newton system reads
-
-    [jacobian + mu * barrier_matrix] w = -[residual - mu * barrier_vector].
+with k_mu(u) = k(u) - mu u^-1: the barrier -mu int ln u of the energy is
+one more power term, p = -1 with coefficient -mu.  So the residual is
+f = G - mu H and the Jacobian B = J + mu M, with H_i = int u_h^-1 phi_i
+and M_ij = int u_h^-2 phi_j phi_i, and the Newton system B w = -f is
+assembled at mu in one power_sum pass and one scatter each.
 
 Dirichlet constraints are imposed by row/column reduction: constrained
-rows and columns of the Jacobian become identity, constrained rows and
-columns of the barrier matrix become zero, and constrained entries of
-both vectors are zeroed, which keeps every matrix symmetric.
+rows and columns of the Jacobian become identity and constrained
+entries of the residual are zeroed, which keeps the matrix symmetric.
 
 All integrals use the degree-5 rules from the quadrature module; the
 negative-power and logarithm integrands are thereby approximated by a
@@ -29,7 +29,8 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .errors import CoefficientViolation, DimensionMismatch, NonpositiveState
-from .linalg import SparseMatrix, add_scaled
+# add_scaled is unused here; the traced benchmark run wraps fem.add_scaled
+from .linalg import SparseMatrix, add_scaled  # noqa: F401
 from .mesh import Marker
 from .problem import FeFunction, as_coefficients, power_sum
 from .quadrature import REFERENCE_MEASURE, simplex_rule
@@ -185,27 +186,10 @@ def workspace_for(mesh):
 
 @dataclass
 class AssembledSystem:
-    """Matrices and vectors of one linearization point.
-
-    barrier_matrix/barrier_vector are None when assembled with mu = 0;
-    they do not depend on mu otherwise (mu only scales the combination).
-    The jacobian and barrier_matrix share one CSR pattern.
-    """
+    """f = G - mu H at one state and its Jacobian B = J + mu M (mesh pattern)."""
 
     jacobian: SparseMatrix
-    barrier_matrix: object
     residual: np.ndarray
-    barrier_vector: object
-
-    def system_matrix(self, mu):
-        if mu == 0.0 or self.barrier_matrix is None:
-            return self.jacobian
-        return add_scaled(self.jacobian, mu, self.barrier_matrix)
-
-    def residual_vector(self, mu):
-        if mu == 0.0 or self.barrier_vector is None:
-            return self.residual
-        return self.residual - mu * self.barrier_vector
 
 
 def _check_state(mesh, u, mu):
@@ -226,27 +210,25 @@ def _assemble(spec, mesh, u, mu, need_matrix):
     u = _check_state(mesh, u, mu)
     ws = workspace_for(mesh)
     fields = ws.fields_for(spec)
-    need_barrier = mu > 0
     n = ws.num_vertices
     cells = ws.cells.ravel()
+    # the barrier -mu int ln u contributes the power term -mu u^-1 to k
+    coeffs = fields["coeffs"] + [(-1, -mu)] if mu > 0 else fields["coeffs"]
 
     u_cells = u[ws.cells]                                # (M, d+1)
     uq = u_cells @ ws.lam.T                              # (M, Q)
     gradu = np.einsum("mk,mkd->md", u_cells, ws.grads)   # (M, d)
-    kq = power_sum(fields["coeffs"], uq)
+    if need_matrix:
+        kq, kpq = power_sum(coeffs, uq, derivative=(0, 1))
+    else:
+        kq = power_sum(coeffs, uq)
     if fields["source"] is not None:
-        kq = kq - fields["source"]
+        kq -= fields["source"]
     local_res = np.einsum(
         "md,mkd->mk", fields["diffusion_w"][:, None] * gradu, ws.grads
     )
     local_res += (ws.wq * kq) @ ws.lam
     residual = np.bincount(cells, weights=local_res.ravel(), minlength=n)
-
-    barrier_vec = None
-    if need_barrier:
-        with np.errstate(divide="ignore"):
-            local_bar = (ws.wq / uq) @ ws.lam
-        barrier_vec = np.bincount(cells, weights=local_bar.ravel(), minlength=n)
 
     # Robin boundary terms
     if len(ws.robin_idx):
@@ -254,38 +236,24 @@ def _assemble(spec, mesh, u, mu, need_matrix):
         cf, gf = fields["robin_coeff"], fields["robin_data"]
         local = (ws.fwq * (cf * uqf - gf)) @ ws.flam
         residual += np.bincount(ws.robin_idx.ravel(), weights=local.ravel(), minlength=n)
+    residual[ws.dirichlet_mask] = 0.0
+    if not need_matrix:
+        return residual
 
-    mask = ws.dirichlet_mask
-    residual[mask] = 0.0
-    if need_barrier:
-        barrier_vec[mask] = 0.0
-
-    jacobian = barrier_mat = None
-    if need_matrix:
-        kpq = power_sum(fields["coeffs"], uq, derivative=1)
-        local_jac = fields["diffusion_w"][:, None] * ws.grad_gram
-        local_jac += (ws.wq * kpq) @ ws.phi2
-        data = ws.scatter(local_jac, fields.get("robin_matrix"))
-        data[ws.fixed_slots] = 1.0
-        jacobian = SparseMatrix.from_pattern(ws.indptr, ws.indices, data)
-        if need_barrier:
-            with np.errstate(divide="ignore"):
-                local_m = (ws.wq * uq**-2) @ ws.phi2
-            barrier_mat = SparseMatrix.from_pattern(
-                ws.indptr, ws.indices, ws.scatter(local_m)
-            )
-
-    return AssembledSystem(jacobian, barrier_mat, residual, barrier_vec)
+    local_jac = fields["diffusion_w"][:, None] * ws.grad_gram
+    local_jac += (ws.wq * kpq) @ ws.phi2
+    data = ws.scatter(local_jac, fields.get("robin_matrix"))
+    data[ws.fixed_slots] = 1.0
+    return AssembledSystem(SparseMatrix.from_pattern(ws.indptr, ws.indices, data), residual)
 
 
 def assemble_residual(spec, mesh, u, mu=0.0):
     """Residual vector G - mu*H with Dirichlet entries zeroed."""
-    system = _assemble(spec, mesh, u, mu, need_matrix=False)
-    return system.residual_vector(mu)
+    return _assemble(spec, mesh, u, mu, need_matrix=False)
 
 
 def assemble_jacobian(spec, mesh, u, mu=0.0):
-    """Full AssembledSystem at the state u (barrier parts only when mu > 0)."""
+    """AssembledSystem at the state u: B = J + mu*M and f = G - mu*H."""
     return _assemble(spec, mesh, u, mu, need_matrix=True)
 
 

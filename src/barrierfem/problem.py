@@ -4,7 +4,9 @@ A problem is described by a scalar diffusion field and a sum of power
 terms sum_p c_p(x) u^p with odd integer exponents; the Hamiltonian
 constraint uses p in {1, 5, -3, -7} and the Yamabe examples use subsets
 of {1, 5}.  power_sum evaluates k(u), its derivative k'(u) and its
-antiderivative (the energy density) from the same representation.
+antiderivative (the energy density) from the same representation.  The
+assembly adds the barrier -mu ln u to k as the term (p, c) = (-1, -mu);
+no ProblemSpec holds it, since it has no power-law antiderivative.
 
 Coefficient fields are closures of position: they receive an (n, dim)
 array of points and return n values, so sharp fields like 1/r^3 are
@@ -103,24 +105,56 @@ def as_coefficients(u):
     return np.asarray(u, dtype=float).ravel()
 
 
+def _power_into(out, base, e):
+    """out[...] = base**e for an integer e >= 1, by left-to-right binary powering."""
+    out[...] = base
+    for bit in bin(e)[3:]:
+        out *= out
+        if bit == "1":
+            out *= base
+
+
 def power_sum(coeffs, u, derivative=0):
     """sum_p c_p u^p (derivative 0), its u-derivative (1) or antiderivative (-1).
 
     `coeffs` holds (p, c_p) pairs with each c_p evaluated at the points
     of u.  The result has the broadcast shape of u and the c_p, and is
-    an array of zeros when there are no terms.
+    an array of zeros when there are no terms.  derivative=(0, 1) gives
+    (k, k') from one pass.  p = -1 has no antiderivative.
+
+    As p is odd, u^(p-1) is a power of u^2 or u^-2, formed once per term
+    by repeated multiplication: k = u sum c_p u^(p-1), k' = sum p c_p
+    u^(p-1), and the antiderivative is u^2 sum c_p u^(p-1)/(p+1).
     """
+    if derivative not in (-1, 0, 1, (0, 1)):
+        raise ValueError(f"derivative must be -1, 0, 1 or (0, 1), got {derivative}")
+    if derivative == -1 and any(p == -1 for p, _ in coeffs):
+        raise ValueError("exponent -1 has no power-law antiderivative")
     u = np.asarray(u, dtype=float)
-    out = np.zeros(np.broadcast_shapes(u.shape, *(np.shape(c) for _, c in coeffs)))
+    shape = np.broadcast_shapes(u.shape, *(np.shape(c) for _, c in coeffs))
+    total = np.zeros(shape)
+    slope = np.zeros(shape) if derivative == (0, 1) else None
+    term = np.empty(shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u2 = u * u
+        inv_u2 = 1.0 / u2 if any(p < 0 for p, _ in coeffs) else None
         for p, c in coeffs:
-            if derivative == 0:
-                out += c * u**p
-            elif derivative == 1:
-                out += p * c * u ** (p - 1)
+            if p == 1:
+                term[...] = c
             else:
-                out += c * u ** (p + 1) / (p + 1)
-    return out
+                _power_into(term, u2 if p > 0 else inv_u2, abs(p - 1) // 2)
+                term *= c
+            if derivative == 1:
+                term *= p
+            elif derivative == -1:
+                term /= p + 1
+            total += term
+            if slope is not None:
+                term *= p
+                slope += term
+        if derivative != 1:
+            total *= u2 if derivative == -1 else u
+    return total if slope is None else (total, slope)
 
 
 def lichnerowicz_spec(

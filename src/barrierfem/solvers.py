@@ -179,8 +179,8 @@ def subproblem_tolerance(mu, initial_residual_norm, eps):
 class _FemProblem:
     """The P1 system f = G(u) - mu H(u) with merit phi = 0.5 ||f||^2.
 
-    Newton solves [A + mu M] w = -f by truncated CG; the merit slope
-    along w is (B w).f with B = A + mu M, since grad phi = B f.
+    Newton solves B w = -f with B = A + mu M, both assembled at mu, by
+    truncated CG; the merit slope along w is (B w).f, since grad phi = B f.
     """
 
     def __init__(self, spec, mesh):
@@ -190,11 +190,10 @@ class _FemProblem:
     def linearize(self, u, mu):
         """(f, ||f||, phi, solve) at u; solve() -> (w, cg status, w -> merit slope)."""
         system = assemble_jacobian(self.spec, self.mesh, u, mu)
-        f = system.residual_vector(mu)
+        f, matrix = system.residual, system.jacobian
         fn = float(np.linalg.norm(f))
 
         def solve():
-            matrix = system.system_matrix(mu)
             result = cg_solve(matrix, -f)
             return result.x, result.status.value, lambda w: float(np.dot(matrix @ w, f))
 

@@ -114,8 +114,7 @@ def test_criterion_01_gradient_and_hessian_consistency(consistency_meshes):
                 assert abs(fd - float(v @ residual)) <= 1e-6 * max(1.0, abs(energy)), (
                     f"gradient FD failed on {label} at mu={mu}"
                 )
-                system = assemble_jacobian(spec, mesh, u, mu)
-                matrix = system.system_matrix(mu)
+                matrix = assemble_jacobian(spec, mesh, u, mu).jacobian
                 rp = assemble_residual(spec, mesh, up, mu)
                 rm = assemble_residual(spec, mesh, um, mu)
                 fd_vec = (rp - rm) / (2 * t)
@@ -298,19 +297,19 @@ def test_criterion_07_feasibility_and_certificates(ex1_shell_reports, ex4_shell_
 
 
 def test_criterion_08_barrier_matrix_properties():
-    """Dense oracle on N <= 100: barrier matrix SPD, and the smallest
-    eigenvalue of (jacobian + mu * barrier matrix) nondecreasing in mu."""
+    """Dense oracle on N <= 100: B(mu) = J + mu M exactly symmetric, the
+    barrier matrix M = B(1) - B(0) SPD, and the smallest eigenvalue of
+    B(mu), assembled at each mu, nondecreasing in mu."""
     mesh = generate_interval_mesh(0.1, 10, 80, left=Marker.ROBIN, right=Marker.ROBIN)
     assert mesh.num_vertices <= 100
     spec = builtin_example(1)
     rng = np.random.default_rng(5)
     u = FeFunction(rng.uniform(0.5, 2.0, mesh.num_vertices))
-    system = assemble_jacobian(spec, mesh, u, mu=1.0)
-    a = system.jacobian.toarray()
-    m = system.barrier_matrix.toarray()
-    assert np.abs(m - m.T).max() == 0.0
-    assert np.linalg.eigvalsh(m).min() > 0.0
-    mins = [np.linalg.eigvalsh(a + mu * m).min() for mu in (0.0, 0.01, 0.1, 1.0, 10.0)]
+    b = {mu: assemble_jacobian(spec, mesh, u, mu).jacobian.toarray()
+         for mu in (0.0, 0.01, 0.1, 1.0, 10.0)}
+    assert all(np.abs(a - a.T).max() == 0.0 for a in b.values())
+    assert np.linalg.eigvalsh(b[1.0] - b[0.0]).min() > 0.0
+    mins = [np.linalg.eigvalsh(matrix).min() for matrix in b.values()]
     assert all(x <= y + 1e-12 for x, y in zip(mins, mins[1:]))
     print(f"\ncriterion 8 PASS: barrier matrix SPD, lambda_min nondecreasing {np.round(mins, 4)}")
 

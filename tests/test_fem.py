@@ -41,6 +41,14 @@ def random_positive_state(mesh, seed=0, lo=0.6, hi=1.8):
     return FeFunction(rng.uniform(lo, hi, mesh.num_vertices)), rng
 
 
+def barrier_part(spec, mesh, u, mu):
+    """mu M as B(mu) - B(0): the two Jacobians share one CSR pattern."""
+    return (
+        assemble_jacobian(spec, mesh, u, mu).jacobian
+        - assemble_jacobian(spec, mesh, u, 0.0).jacobian
+    )
+
+
 class TestResidual:
     def test_constant_state_pure_diffusion(self):
         mesh = generate_interval_mesh(0, 1, 4, left=Marker.ROBIN, right=Marker.ROBIN)
@@ -101,8 +109,7 @@ class TestJacobian:
         u, rng = random_positive_state(annulus_mixed, seed=2)
         mask = workspace_for(annulus_mixed).dirichlet_mask
         for mu in (0.0, 0.5):
-            system = assemble_jacobian(spec, annulus_mixed, u, mu)
-            matrix = system.system_matrix(mu)
+            matrix = assemble_jacobian(spec, annulus_mixed, u, mu).jacobian
             for _ in range(3):
                 w = rng.standard_normal(annulus_mixed.num_vertices)
                 w[mask] = 0.0
@@ -114,10 +121,12 @@ class TestJacobian:
                 assert np.linalg.norm(fd - bw) / np.linalg.norm(bw) < 1e-5
 
     def test_barrier_matrix_is_mass_matrix_at_one(self):
-        # u == 1 so u^-2 == 1: row sums equal the vertex patch volume / (d+1)
+        # u == 1 so u^-2 == 1: the rows of M = B(1) - B(0) sum to the
+        # vertex patch volume / (d+1)
         mesh = generate_annulus_mesh(1, 2, 2, 8)
-        system = assemble_jacobian(ProblemSpec(), mesh, FeFunction.constant(mesh, 1.0), mu=1.0)
-        rows = system.barrier_matrix.toarray().sum(axis=1)
+        u = FeFunction.constant(mesh, 1.0)
+        m = barrier_part(ProblemSpec(), mesh, u, 1.0)
+        rows = m.toarray().sum(axis=1)
         patch = np.zeros(mesh.num_vertices)
         for cell, vol in zip(mesh.cells, mesh.cell_volumes):
             patch[cell] += vol / 3.0
@@ -126,9 +135,8 @@ class TestJacobian:
     def test_barrier_matrix_positive_definite(self, annulus_mixed):
         spec = builtin_example(1)
         u, rng = random_positive_state(annulus_mixed, seed=3)
-        system = assemble_jacobian(spec, annulus_mixed, u, mu=1.0)
         mask = workspace_for(annulus_mixed).dirichlet_mask
-        m = system.barrier_matrix
+        m = barrier_part(spec, annulus_mixed, u, 1.0)
         for _ in range(50):
             x = rng.standard_normal(annulus_mixed.num_vertices)
             x[mask] = 0.0
@@ -138,28 +146,23 @@ class TestJacobian:
         spec = builtin_example(1)
         for mesh in (annulus_mixed, small_shell):
             u, _ = random_positive_state(mesh, seed=4)
-            system = assemble_jacobian(spec, mesh, u, mu=1.0)
-            a = system.jacobian.toarray()
-            m = system.barrier_matrix.toarray()
-            assert np.abs(a - a.T).max() == 0.0
-            assert np.abs(m - m.T).max() == 0.0
+            for mu in (0.0, 1.0):
+                b = assemble_jacobian(spec, mesh, u, mu).jacobian.toarray()
+                assert np.abs(b - b.T).max() == 0.0
 
     def test_dirichlet_reduction(self, annulus_mixed):
         spec = builtin_example(3)
         u = apply_dirichlet(FeFunction.constant(annulus_mixed, 2.0), annulus_mixed, spec)
         system = assemble_jacobian(spec, annulus_mixed, u, mu=0.5)
         mask = workspace_for(annulus_mixed).dirichlet_mask
-        a = system.jacobian.toarray()
-        m = system.barrier_matrix.toarray()
+        b = system.jacobian.toarray()
         idx = np.flatnonzero(mask)
         for i in idx:
             row = np.zeros(len(mask))
             row[i] = 1.0
-            assert np.array_equal(a[i], row)
-            assert np.array_equal(a[:, i], row)
-            assert np.all(m[i] == 0.0) and np.all(m[:, i] == 0.0)
+            assert np.array_equal(b[i], row)
+            assert np.array_equal(b[:, i], row)
         assert np.all(system.residual[mask] == 0.0)
-        assert np.all(system.barrier_vector[mask] == 0.0)
 
 
 # 1D, 2D and 3D meshes with one Dirichlet and one Robin boundary part
@@ -208,45 +211,46 @@ def _reference_matrices(spec, mesh, u):
 
 
 class TestAssemblyPattern:
-    """The per-mesh CSR pattern and the bincount scatter shared by J and M."""
+    """The per-mesh CSR pattern and the bincount scatter of B(mu) = J + mu M."""
 
     @pytest.fixture(scope="class", params=sorted(MIXED_MESHES))
     def case(self, request):
         mesh = MIXED_MESHES[request.param]()
         u, _ = random_positive_state(mesh, seed=7)
         u = apply_dirichlet(u, mesh, PATTERN_SPEC)
-        return mesh, u, assemble_jacobian(PATTERN_SPEC, mesh, u, mu=0.7)
+        matrices = {mu: assemble_jacobian(PATTERN_SPEC, mesh, u, mu).jacobian for mu in (0.0, 0.7)}
+        return mesh, u, matrices
 
     def test_exact_symmetry(self, case):
-        _, _, system = case
-        for matrix in (system.jacobian, system.barrier_matrix, system.system_matrix(0.7)):
+        _, _, matrices = case
+        for matrix in matrices.values():
             a = matrix.toarray()
             assert np.array_equal(a, a.T)
 
     def test_shared_pattern(self, case):
-        _, _, system = case
-        j, m, s = system.jacobian, system.barrier_matrix, system.system_matrix(0.7)
-        for other in (m, s):
-            assert other.indptr is j.indptr
-            assert other.indices is j.indices
+        mesh, _, matrices = case
+        ws = workspace_for(mesh)
+        for matrix in matrices.values():
+            assert matrix.indptr is ws.indptr
+            assert matrix.indices is ws.indices
 
     def test_matches_coo_reference(self, case):
-        mesh, u, system = case
+        mesh, u, matrices = case
         ref_j, ref_m = _reference_matrices(PATTERN_SPEC, mesh, u.coefficients)
-        for got, ref in ((system.jacobian, ref_j), (system.barrier_matrix, ref_m)):
-            err = np.abs(got.toarray() - ref).max()
+        for mu, matrix in matrices.items():
+            ref = ref_j + mu * ref_m
+            err = np.abs(matrix.toarray() - ref).max()
             assert err <= 1e-13 * np.abs(ref).max()
 
     def test_dirichlet_rows_and_columns(self, case):
-        mesh, _, system = case
+        mesh, _, matrices = case
         mask = workspace_for(mesh).dirichlet_mask
         assert mask.any() and not mask.all()
-        a = system.jacobian.toarray()
-        m = system.barrier_matrix.toarray()
         eye = np.eye(mesh.num_vertices)
-        assert np.array_equal(a[mask], eye[mask])
-        assert np.array_equal(a[:, mask], eye[:, mask])
-        assert np.all(m[mask] == 0.0) and np.all(m[:, mask] == 0.0)
+        for matrix in matrices.values():
+            b = matrix.toarray()
+            assert np.array_equal(b[mask], eye[mask])
+            assert np.array_equal(b[:, mask], eye[:, mask])
 
 
 def test_workspace_freed_with_mesh():

@@ -157,6 +157,46 @@ def test_derivative_nonnegative_for_nonnegative_curvature():
         assert nonlinearity_derivative(spec, ORIGIN3, u) >= 0
 
 
+class TestPowerSumAccuracy:
+    """power_sum against a term-by-term u**p reference in extended precision."""
+
+    # example 2's power terms plus the barrier term (-1, -mu) at mu = 0.3
+    TERMS = ((1, -125.0), (5, 6.0), (-7, -6.0), (-3, -2.0), (-1, -0.3))
+    U = np.concatenate([np.geomspace(1e-3, 1e3, 2001), -np.geomspace(1e-3, 1e3, 2001)])
+
+    @staticmethod
+    def reference_terms(terms, u, derivative):
+        u = u.astype(np.longdouble)
+        if derivative == 0:
+            return [c * u**p for p, c in terms]
+        if derivative == 1:
+            return [p * c * u ** (p - 1) for p, c in terms]
+        return [c * u ** (p + 1) / (p + 1) for p, c in terms]
+
+    @pytest.mark.parametrize("derivative", [-1, 0, 1])
+    def test_within_4e15_of_abs_term_sum(self, derivative):
+        terms = self.TERMS[:-1] if derivative == -1 else self.TERMS
+        coeffs = [(p, np.full(self.U.shape, c)) for p, c in terms]
+        ref = self.reference_terms(terms, self.U, derivative)
+        scale = sum(np.abs(t) for t in ref)
+        err = np.abs(power_sum(coeffs, self.U, derivative) - sum(ref))
+        assert np.all(err <= 4e-15 * scale)
+
+    def test_pair_equals_single_orders(self):
+        coeffs = list(self.TERMS)
+        k, kp = power_sum(coeffs, self.U, derivative=(0, 1))
+        assert np.array_equal(k, power_sum(coeffs, self.U, 0))
+        assert np.array_equal(kp, power_sum(coeffs, self.U, 1))
+
+    def test_minus_one_has_no_antiderivative(self):
+        with pytest.raises(ValueError, match="exponent -1"):
+            power_sum(list(self.TERMS), self.U, derivative=-1)
+
+    def test_unknown_order_rejected(self):
+        with pytest.raises(ValueError, match="derivative"):
+            power_sum(list(self.TERMS), self.U, derivative=2)
+
+
 class TestPositivity:
     def test_negative_branch_allowed_without_flag(self):
         # odd negative exponents are defined for u < 0
