@@ -16,7 +16,6 @@ from .errors import (
     ValidationError,
 )
 from .fem import (
-    AssembledSystem,
     apply_dirichlet,
     assemble_jacobian,
     assemble_residual,

@@ -11,8 +11,10 @@ assembled objects are
 with k_mu(u) = k(u) - mu u^-1: the barrier -mu int ln u of the energy is
 one more power term, p = -1 with coefficient -mu.  So the residual is
 f = G - mu H and the Jacobian B = J + mu M, with H_i = int u_h^-1 phi_i
-and M_ij = int u_h^-2 phi_j phi_i, and the Newton system B w = -f is
-assembled at mu in one power_sum pass and one scatter each.
+and M_ij = int u_h^-2 phi_j phi_i.  assemble_residual builds f from k
+and assemble_jacobian builds B from k', each at mu with one power_sum
+pass and one scatter, so a caller pays for the matrix only when it
+takes a Newton step.
 
 Dirichlet constraints are imposed by row/column reduction: constrained
 rows and columns of the Jacobian become identity and constrained
@@ -23,7 +25,6 @@ negative-power and logarithm integrands are thereby approximated by a
 finite sum with fixed positive weights.
 """
 
-from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -184,14 +185,6 @@ def workspace_for(mesh):
     return ws
 
 
-@dataclass
-class AssembledSystem:
-    """f = G - mu H at one state and its Jacobian B = J + mu M (mesh pattern)."""
-
-    jacobian: SparseMatrix
-    residual: np.ndarray
-
-
 def _check_state(mesh, u, mu):
     u = as_coefficients(u)
     if len(u) != mesh.num_vertices:
@@ -206,29 +199,30 @@ def _check_state(mesh, u, mu):
     return u
 
 
-def _assemble(spec, mesh, u, mu, need_matrix):
+def _at_quadrature(spec, mesh, u, mu):
+    """(u, workspace, spec fields, power terms at mu, u at the cell vertices, u at the
+    quadrature points); the barrier -mu int ln u is the power term -mu u^-1 of k."""
     u = _check_state(mesh, u, mu)
     ws = workspace_for(mesh)
     fields = ws.fields_for(spec)
-    n = ws.num_vertices
-    cells = ws.cells.ravel()
-    # the barrier -mu int ln u contributes the power term -mu u^-1 to k
     coeffs = fields["coeffs"] + [(-1, -mu)] if mu > 0 else fields["coeffs"]
-
     u_cells = u[ws.cells]                                # (M, d+1)
-    uq = u_cells @ ws.lam.T                              # (M, Q)
+    return u, ws, fields, coeffs, u_cells, u_cells @ ws.lam.T
+
+
+def assemble_residual(spec, mesh, u, mu=0.0):
+    """Residual vector f = G - mu*H with Dirichlet entries zeroed."""
+    u, ws, fields, coeffs, u_cells, uq = _at_quadrature(spec, mesh, u, mu)
+    n = ws.num_vertices
     gradu = np.einsum("mk,mkd->md", u_cells, ws.grads)   # (M, d)
-    if need_matrix:
-        kq, kpq = power_sum(coeffs, uq, derivative=(0, 1))
-    else:
-        kq = power_sum(coeffs, uq)
+    kq = power_sum(coeffs, uq)
     if fields["source"] is not None:
         kq -= fields["source"]
     local_res = np.einsum(
         "md,mkd->mk", fields["diffusion_w"][:, None] * gradu, ws.grads
     )
     local_res += (ws.wq * kq) @ ws.lam
-    residual = np.bincount(cells, weights=local_res.ravel(), minlength=n)
+    residual = np.bincount(ws.cells.ravel(), weights=local_res.ravel(), minlength=n)
 
     # Robin boundary terms
     if len(ws.robin_idx):
@@ -237,34 +231,22 @@ def _assemble(spec, mesh, u, mu, need_matrix):
         local = (ws.fwq * (cf * uqf - gf)) @ ws.flam
         residual += np.bincount(ws.robin_idx.ravel(), weights=local.ravel(), minlength=n)
     residual[ws.dirichlet_mask] = 0.0
-    if not need_matrix:
-        return residual
-
-    local_jac = fields["diffusion_w"][:, None] * ws.grad_gram
-    local_jac += (ws.wq * kpq) @ ws.phi2
-    data = ws.scatter(local_jac, fields.get("robin_matrix"))
-    data[ws.fixed_slots] = 1.0
-    return AssembledSystem(SparseMatrix.from_pattern(ws.indptr, ws.indices, data), residual)
-
-
-def assemble_residual(spec, mesh, u, mu=0.0):
-    """Residual vector G - mu*H with Dirichlet entries zeroed."""
-    return _assemble(spec, mesh, u, mu, need_matrix=False)
+    return residual
 
 
 def assemble_jacobian(spec, mesh, u, mu=0.0):
-    """AssembledSystem at the state u: B = J + mu*M and f = G - mu*H."""
-    return _assemble(spec, mesh, u, mu, need_matrix=True)
+    """Jacobian B = J + mu*M at the state u, on the mesh's CSR pattern."""
+    _, ws, fields, coeffs, _, uq = _at_quadrature(spec, mesh, u, mu)
+    local_jac = fields["diffusion_w"][:, None] * ws.grad_gram
+    local_jac += (ws.wq * power_sum(coeffs, uq, derivative=1)) @ ws.phi2
+    data = ws.scatter(local_jac, fields.get("robin_matrix"))
+    data[ws.fixed_slots] = 1.0
+    return SparseMatrix.from_pattern(ws.indptr, ws.indices, data)
 
 
 def compute_energy(spec, mesh, u, mu=0.0):
     """Total energy, including the -mu*int(ln u) barrier term when mu > 0."""
-    u = _check_state(mesh, u, mu)
-    ws = workspace_for(mesh)
-    fields = ws.fields_for(spec)
-
-    u_cells = u[ws.cells]
-    uq = u_cells @ ws.lam.T
+    u, ws, fields, _, u_cells, uq = _at_quadrature(spec, mesh, u, mu)
     gradu = np.einsum("mk,mkd->md", u_cells, ws.grads)
     grad_sq = np.einsum("md,md->m", gradu, gradu)
     total = 0.5 * float(fields["diffusion_w"] @ grad_sq)

@@ -119,21 +119,20 @@ def power_sum(coeffs, u, derivative=0):
 
     `coeffs` holds (p, c_p) pairs with each c_p evaluated at the points
     of u.  The result has the broadcast shape of u and the c_p, and is
-    an array of zeros when there are no terms.  derivative=(0, 1) gives
-    (k, k') from one pass.  p = -1 has no antiderivative.
+    an array of zeros when there are no terms.  p = -1 has no
+    antiderivative.
 
     As p is odd, u^(p-1) is a power of u^2 or u^-2, formed once per term
     by repeated multiplication: k = u sum c_p u^(p-1), k' = sum p c_p
     u^(p-1), and the antiderivative is u^2 sum c_p u^(p-1)/(p+1).
     """
-    if derivative not in (-1, 0, 1, (0, 1)):
-        raise ValueError(f"derivative must be -1, 0, 1 or (0, 1), got {derivative}")
+    if derivative not in (-1, 0, 1):
+        raise ValueError(f"derivative must be -1, 0 or 1, got {derivative}")
     if derivative == -1 and any(p == -1 for p, _ in coeffs):
         raise ValueError("exponent -1 has no power-law antiderivative")
     u = np.asarray(u, dtype=float)
     shape = np.broadcast_shapes(u.shape, *(np.shape(c) for _, c in coeffs))
     total = np.zeros(shape)
-    slope = np.zeros(shape) if derivative == (0, 1) else None
     term = np.empty(shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u2 = u * u
@@ -149,12 +148,9 @@ def power_sum(coeffs, u, derivative=0):
             elif derivative == -1:
                 term /= p + 1
             total += term
-            if slope is not None:
-                term *= p
-                slope += term
         if derivative != 1:
             total *= u2 if derivative == -1 else u
-    return total if slope is None else (total, slope)
+    return total
 
 
 def lichnerowicz_spec(

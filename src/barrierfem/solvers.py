@@ -14,10 +14,14 @@
 
 All four run one Newton loop, with a full or a safeguarded step, and
 the two barrier drivers one mu schedule.  The loop sees a problem
-through an adapter: `_FemProblem` for the P1 system, `_DenseProblem`
-for a finite-dimensional barrier function.  Every accepted step stores
-enough data (merit values, slope, step sizes, minimum coefficient) to
-replay the Armijo, descent and feasibility certificates after the fact.
+through an adapter, `_FemProblem` for the P1 system or `_DenseProblem`
+for a finite-dimensional barrier function, with two methods:
+`evaluate` (residual and merit at a point) and `direction` (the Newton
+direction, the only place a matrix is built).  Every accepted step
+stores enough data (merit values, slope, step sizes, minimum
+coefficient) to replay the Armijo, descent and feasibility
+certificates after the fact; within a stage each step's merit before
+is the previous step's merit after, bit for bit.
 """
 
 import time
@@ -140,7 +144,8 @@ def step_to_boundary(u, w, free=None):
     neg = w < 0
     if not np.any(neg):
         return 1.0
-    alpha_max = float(np.min(-u[neg] / w[neg]))
+    with np.errstate(over="ignore"):  # an overflowed ratio is no cap
+        alpha_max = float(np.min(-u[neg] / w[neg]))
     return min(0.99 * alpha_max, 1.0)
 
 
@@ -179,32 +184,25 @@ def subproblem_tolerance(mu, initial_residual_norm, eps):
 class _FemProblem:
     """The P1 system f = G(u) - mu H(u) with merit phi = 0.5 ||f||^2.
 
-    Newton solves B w = -f with B = A + mu M, both assembled at mu, by
-    truncated CG; the merit slope along w is (B w).f, since grad phi = B f.
+    A Newton step solves B w = -f with B = A + mu M, assembled at mu
+    only for that step, by truncated CG; the merit slope along w is
+    (B w).f, since grad phi = B f.
     """
 
     def __init__(self, spec, mesh):
         self.spec, self.mesh = spec, mesh
         self.free = ~workspace_for(mesh).dirichlet_mask
 
-    def linearize(self, u, mu):
-        """(f, ||f||, phi, solve) at u; solve() -> (w, cg status, w -> merit slope)."""
-        system = assemble_jacobian(self.spec, self.mesh, u, mu)
-        f, matrix = system.residual, system.jacobian
-        fn = float(np.linalg.norm(f))
+    def evaluate(self, v, mu):
+        """(f, phi) at v; raises NonpositiveState for v <= 0 somewhere at mu > 0."""
+        f = assemble_residual(self.spec, self.mesh, v, mu)
+        return f, 0.5 * float(np.dot(f, f))
 
-        def solve():
-            result = cg_solve(matrix, -f)
-            return result.x, result.status.value, lambda w: float(np.dot(matrix @ w, f))
-
-        return f, fn, 0.5 * fn * fn, solve
-
-    def merit(self, v, mu):
-        try:
-            r = assemble_residual(self.spec, self.mesh, v, mu)
-        except NonpositiveState:
-            return np.inf
-        return 0.5 * float(np.dot(r, r))
+    def direction(self, u, mu, f):
+        """(w, CG status, w -> merit slope) for B(u) w = -f."""
+        matrix = assemble_jacobian(self.spec, self.mesh, u, mu)
+        result = cg_solve(matrix, -f)
+        return result.x, result.status.value, lambda w: float(np.dot(matrix @ w, f))
 
     def final_residual(self, u):
         """||G(u)||, the unbarriered residual; inf where G is undefined."""
@@ -226,24 +224,21 @@ class _DenseProblem:
         self.f, self.grad, self.hess = f, grad, hess
         self.free = np.ones(n, dtype=bool)
 
-    def linearize(self, x, mu):
-        """(g, ||g||, B_mu, solve) at x; solve() -> (p, "dense", p -> merit slope)."""
-        g = np.asarray(self.grad(x), dtype=float) - mu / x
-
-        def solve():
-            hbar = np.asarray(self.hess(x), dtype=float) + mu * np.diag(x**-2.0)
-            try:
-                p = np.linalg.solve(hbar, -g)
-            except np.linalg.LinAlgError:
-                p = -g
-            return p, "dense", lambda w: float(np.dot(g, w))
-
-        return g, float(np.linalg.norm(g)), self.merit(x, mu), solve
-
-    def merit(self, y, mu):
+    def evaluate(self, y, mu):
+        """(grad B_mu, B_mu) at y; raises NonpositiveState unless y > 0."""
         if np.any(y <= 0):
-            return np.inf
-        return float(self.f(y)) - mu * float(np.sum(np.log(y)))
+            raise NonpositiveState("the barrier function needs y > 0")
+        g = np.asarray(self.grad(y), dtype=float) - mu / y
+        return g, float(self.f(y)) - mu * float(np.sum(np.log(y)))
+
+    def direction(self, x, mu, g):
+        """(p, "dense", p -> merit slope) for the barrier Hessian system."""
+        hbar = np.asarray(self.hess(x), dtype=float) + mu * np.diag(x**-2.0)
+        try:
+            p = np.linalg.solve(hbar, -g)
+        except np.linalg.LinAlgError:
+            p = -g
+        return p, "dense", lambda w: float(np.dot(g, w))
 
     def final_residual(self, x):
         """||grad f(x)||, the unbarriered gradient."""
@@ -251,22 +246,29 @@ class _DenseProblem:
 
 
 def _newton(problem, u, mu, config, report, safeguarded):
-    """Newton iteration on f = 0 at fixed mu, f from problem.linearize.
+    """Newton iteration on f = 0 at fixed mu, (f, phi) from problem.evaluate.
+
+    f is evaluated once at the start; after that a safeguarded step
+    takes (f, phi) from its accepted line-search trial, which is the new
+    iterate, and a standard step evaluates the new iterate.  The
+    direction, and with it a matrix, is only computed for a step.
 
     Converged once ||f|| <= subproblem_tolerance(mu, ||f(u0)||, eps), or
     eps at mu = 0.  Both step policies stop on a nonfinite residual,
     after max_inner steps and after five negligible steps in a row.  A
     standard step is the full Newton step.  A safeguarded step falls
     back to -f unless w.f < 0, is capped by step_to_boundary and
-    backtracked on problem.merit.  Returns (u, stage, reason): the last
-    iterate, its StageRecord (None if the start state is nonpositive)
-    and "" on convergence, else why the iteration stopped.
+    backtracked on phi, which is infinite at a nonpositive trial.
+    Returns (u, stage, reason): the last iterate, its StageRecord (None
+    if the start state is nonpositive) and "" on convergence, else why
+    the iteration stopped.
     """
     stage = None
     stagnant = 0
     try:
+        f, phi = problem.evaluate(u, mu)
         while True:
-            f, fn, phi0, solve = problem.linearize(u, mu)
+            fn = float(np.linalg.norm(f))
             if stage is None:
                 tol = subproblem_tolerance(mu, fn, config.eps) if mu > 0 else config.eps
                 stage = StageRecord(mu, tol, fn, 0)
@@ -277,7 +279,7 @@ def _newton(problem, u, mu, config, report, safeguarded):
                 return u, stage, ""
             if stage.newton_iterations >= config.max_inner:
                 return u, stage, f"no convergence in {config.max_inner} iterations at mu={mu:g}"
-            w, cg_status, slope_along = solve()
+            w, cg_status, slope_along = problem.direction(u, mu, f)
             w_dot_f = float(np.dot(w, f))
             alpha, alpha_bar, slope, phi_after, fallback = 1.0, np.nan, np.nan, np.nan, False
             if safeguarded:
@@ -291,9 +293,12 @@ def _newton(problem, u, mu, config, report, safeguarded):
 
                 def merit(v):
                     if v is start:  # the merit at u is known: no assembly
-                        return phi0
-                    trials.append(problem.merit(v, mu))
-                    return trials[-1]
+                        return phi
+                    try:
+                        trials.append(problem.evaluate(v, mu))
+                    except NonpositiveState:
+                        trials.append((None, np.inf))
+                    return trials[-1][1]
 
                 try:
                     alpha = armijo_backtrack(
@@ -301,11 +306,11 @@ def _newton(problem, u, mu, config, report, safeguarded):
                     )
                 except LineSearchFailure as exc:
                     return u, stage, f"line search failure at mu={mu:g}: {exc}"
-                phi_after = trials[-1]  # the accepted trial is the last one
+                phi_after = trials[-1][1]  # the accepted trial is the last one
 
             u = u + alpha * w
             report.iterations.append(IterationRecord(
-                mu, fn, phi0, phi_after, alpha_bar, alpha, slope, w_dot_f, fallback,
+                mu, fn, phi, phi_after, alpha_bar, alpha, slope, w_dot_f, fallback,
                 float(u[problem.free].min()), cg_status,
             ))
             stage.newton_iterations += 1
@@ -314,6 +319,8 @@ def _newton(problem, u, mu, config, report, safeguarded):
             stagnant = stagnant + 1 if negligible else 0
             if stagnant >= 5:
                 return u, stage, f"stagnation: negligible steps at mu={mu:g}"
+            # the accepted trial u + alpha*w is the new iterate, bit for bit
+            f, phi = trials[-1] if safeguarded else problem.evaluate(u, mu)
     except NonpositiveState as exc:
         return u, stage, f"nonpositive state: {exc}"
 

@@ -114,7 +114,7 @@ def test_criterion_01_gradient_and_hessian_consistency(consistency_meshes):
                 assert abs(fd - float(v @ residual)) <= 1e-6 * max(1.0, abs(energy)), (
                     f"gradient FD failed on {label} at mu={mu}"
                 )
-                matrix = assemble_jacobian(spec, mesh, u, mu).jacobian
+                matrix = assemble_jacobian(spec, mesh, u, mu)
                 rp = assemble_residual(spec, mesh, up, mu)
                 rm = assemble_residual(spec, mesh, um, mu)
                 fd_vec = (rp - rm) / (2 * t)
@@ -305,7 +305,7 @@ def test_criterion_08_barrier_matrix_properties():
     spec = builtin_example(1)
     rng = np.random.default_rng(5)
     u = FeFunction(rng.uniform(0.5, 2.0, mesh.num_vertices))
-    b = {mu: assemble_jacobian(spec, mesh, u, mu).jacobian.toarray()
+    b = {mu: assemble_jacobian(spec, mesh, u, mu).toarray()
          for mu in (0.0, 0.01, 0.1, 1.0, 10.0)}
     assert all(np.abs(a - a.T).max() == 0.0 for a in b.values())
     assert np.linalg.eigvalsh(b[1.0] - b[0.0]).min() > 0.0

@@ -126,15 +126,15 @@ class TestCg:
         rng = np.random.default_rng(11)
         for mesh in meshes:
             u = FeFunction.constant(mesh, 1.0)
-            system = assemble_jacobian(spec, mesh, u)
+            matrix = assemble_jacobian(spec, mesh, u)
             b = rng.standard_normal(mesh.num_vertices)
             b[workspace_for(mesh).dirichlet_mask] = 0.0
             plain_iterations = []
             _, info = spla.cg(
-                system.jacobian, b, rtol=1e-10, atol=0.0,
+                matrix, b, rtol=1e-10, atol=0.0,
                 callback=lambda xk: plain_iterations.append(1),
             )
-            jacobi = cg_solve(system.jacobian, b)
+            jacobi = cg_solve(matrix, b)
             assert info == 0
             assert jacobi.status == CgStatus.CONVERGED
             assert jacobi.iterations <= 2 * len(plain_iterations)

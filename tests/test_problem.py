@@ -182,12 +182,6 @@ class TestPowerSumAccuracy:
         err = np.abs(power_sum(coeffs, self.U, derivative) - sum(ref))
         assert np.all(err <= 4e-15 * scale)
 
-    def test_pair_equals_single_orders(self):
-        coeffs = list(self.TERMS)
-        k, kp = power_sum(coeffs, self.U, derivative=(0, 1))
-        assert np.array_equal(k, power_sum(coeffs, self.U, 0))
-        assert np.array_equal(kp, power_sum(coeffs, self.U, 1))
-
     def test_minus_one_has_no_antiderivative(self):
         with pytest.raises(ValueError, match="exponent -1"):
             power_sum(list(self.TERMS), self.U, derivative=-1)

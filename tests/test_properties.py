@@ -1,5 +1,6 @@
-"""Property tests of the assembled system at mu: B(mu) = J + mu M and
-f = G - mu H, on small random meshes with mixed boundary markers."""
+"""Property tests of the assembled system at mu, B(mu) = J + mu M and
+f = G - mu H, and of the energy on small random meshes with mixed
+boundary markers; and of the positivity cap of the safeguarded step."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,11 +10,13 @@ from hypothesis.extra.numpy import arrays
 from barrierfem.fem import apply_dirichlet, assemble_jacobian, assemble_residual, compute_energy
 from barrierfem.mesh import (
     Marker,
+    SimplicialMesh,
     generate_annulus_mesh,
     generate_interval_mesh,
     generate_shell_mesh,
 )
-from barrierfem.problem import FeFunction, ProblemSpec
+from barrierfem.problem import ProblemSpec
+from barrierfem.solvers import step_to_boundary
 
 # few examples, no deadline and a fixed example sequence keep tier-1
 # short and reproducible
@@ -72,7 +75,7 @@ def cases(draw):
 def test_system_matrix_exactly_symmetric(case):
     spec, mesh, u, _, mu = case
     for m in (0.0, mu):
-        b = assemble_jacobian(spec, mesh, u, m).jacobian.toarray()
+        b = assemble_jacobian(spec, mesh, u, m).toarray()
         assert np.array_equal(b, b.T)
 
 
@@ -95,9 +98,53 @@ def test_residual_is_energy_gradient(case):
 def test_system_matrix_is_residual_derivative(case):
     spec, mesh, u, w, mu = case
     for m in (0.0, mu):
-        bw = assemble_jacobian(spec, mesh, u, m).jacobian @ w
+        bw = assemble_jacobian(spec, mesh, u, m) @ w
         fd = (
             assemble_residual(spec, mesh, u + FD_STEP * w, m)
             - assemble_residual(spec, mesh, u - FD_STEP * w, m)
         ) / (2 * FD_STEP)
         assert np.linalg.norm(fd - bw) <= 1e-5 * np.linalg.norm(bw)
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.randoms(use_true_random=False))
+def test_energy_invariant_under_vertex_permutation(case, random):
+    """Renumbering the vertices, with the state renumbered alike, leaves
+    the energy unchanged at mu = 0 and mu > 0."""
+    spec, mesh, u, _, mu = case
+    perm = np.array(random.sample(range(mesh.num_vertices), mesh.num_vertices))
+    new_index = np.argsort(perm)  # old vertex perm[i] becomes vertex i
+    permuted = SimplicialMesh(
+        mesh.dim,
+        mesh.vertices[perm],
+        new_index[mesh.cells],
+        [(marker, tuple(new_index[list(idx)])) for marker, idx in mesh.boundary_facets],
+    )
+    for m in (0.0, mu):
+        energy = compute_energy(spec, mesh, u, m)
+        assert abs(compute_energy(spec, permuted, u[perm], m) - energy) <= 1e-12 * max(
+            1.0, abs(energy)
+        )
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 30).flatmap(lambda n: st.tuples(
+        arrays(float, n, elements=st.floats(1e-6, 1e3)),
+        arrays(float, n, elements=st.floats(-1e3, 1e3)),
+        arrays(bool, n),
+        arrays(float, n, elements=st.floats(-2.0, 2.0)),
+    )),
+    st.lists(st.floats(0.0, 1.0), max_size=5),
+)
+def test_step_to_boundary_keeps_free_dofs_positive(vectors, fractions):
+    """For every alpha up to the cap, u + alpha w > 0 on the free dofs;
+    the fixed dofs, of any sign, do not limit the step."""
+    u, w, free, fixed_values = vectors
+    u = np.where(free, u, fixed_values)
+    cap = step_to_boundary(u, w, free=free)
+    assert 0 < cap <= 1
+    for alpha in [cap] + [cap * t for t in fractions]:
+        assert np.all((u + alpha * w)[free] > 0)
+    if not np.any(w[free] < 0):
+        assert cap == 1.0

@@ -277,16 +277,20 @@ def test_barrier_counts_on_refinement2_shell(example, mu0, iterations, stages):
     assert (report.total_newton_iterations, len(report.stages)) == (iterations, stages)
 
 
-def test_barrier_assembles_residuals_only_for_trials_and_final(interval_robin, monkeypatch):
-    """Each residual assembly of a barrier solve is a line-search trial or
-    the final unbarriered residual: the merit after a step and a stage's
-    starting residual come from assemblies the loop already made."""
-    calls, depth = {"line search": 0, "other": 0}, [0]
-    real_residual, real_armijo = solvers.assemble_residual, solvers.armijo_backtrack
+def _count_assemblies(monkeypatch):
+    """Count solvers' residual assemblies inside and outside armijo_backtrack,
+    its Jacobian assemblies and its linear solves."""
+    calls = {"line search": 0, "other": 0, "jacobian": 0, "cg": 0}
+    depth = [0]
 
-    def residual(*args, **kwargs):
-        calls["line search" if depth[0] else "other"] += 1
-        return real_residual(*args, **kwargs)
+    def counted(name, fn, key=None):
+        def wrapper(*args, **kwargs):
+            calls[key or ("line search" if depth[0] else "other")] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, name, wrapper)
+
+    real_armijo = solvers.armijo_backtrack
 
     def armijo(*args, **kwargs):
         depth[0] += 1
@@ -295,8 +299,18 @@ def test_barrier_assembles_residuals_only_for_trials_and_final(interval_robin, m
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(solvers, "assemble_residual", residual)
+    counted("assemble_residual", solvers.assemble_residual)
+    counted("assemble_jacobian", solvers.assemble_jacobian, "jacobian")
+    counted("cg_solve", solvers.cg_solve, "cg")
     monkeypatch.setattr(solvers, "armijo_backtrack", armijo)
+    return calls
+
+
+def test_barrier_assembles_residuals_for_trials_stages_and_final(interval_robin, monkeypatch):
+    """Each residual assembly of a barrier solve is a line-search trial, a
+    stage's starting residual or the final unbarriered residual: every
+    later iterate takes its residual and merit from its accepted trial."""
+    calls = _count_assemblies(monkeypatch)
     report = barrier_solve(
         builtin_example(2), interval_robin, FeFunction.constant(interval_robin, 1.0),
         SolverConfig(mu0=50.0),
@@ -304,7 +318,44 @@ def test_barrier_assembles_residuals_only_for_trials_and_final(interval_robin, m
     # alpha = alpha_bar * 0.5^k after k rejected trials
     trials = sum(round(np.log2(r.alpha_bar / r.alpha)) + 1 for r in report.iterations)
     assert trials > report.total_newton_iterations > 0  # some steps backtracked
-    assert calls == {"line search": trials, "other": 1}
+    assert calls["line search"] == trials
+    assert calls["other"] == len(report.stages) + 1
+
+
+@pytest.mark.parametrize("solve", [newton_standard, newton_safeguarded, barrier_solve])
+def test_jacobian_assembled_only_for_a_linear_solve(interval_robin, monkeypatch, solve):
+    """No matrix is built for an iterate that converged or stopped."""
+    calls = _count_assemblies(monkeypatch)
+    report = solve(builtin_example(1), interval_robin, FeFunction.constant(interval_robin, 1.0))
+    assert report.converged
+    assert calls["jacobian"] == calls["cg"] == report.total_newton_iterations > 0
+    if solve is newton_standard:  # every iterate, plus the final residual
+        assert calls["other"] == report.total_newton_iterations + 2
+
+
+def test_merit_chain_within_a_stage(interval_robin):
+    """Replay the merit chain of a backtracking barrier solve: within one
+    stage, each step's phi_before is the previous step's phi_after bit for
+    bit, and every step meets its Armijo and descent certificates."""
+    config = SolverConfig(mu0=50.0)
+    report = barrier_solve(
+        builtin_example(2), interval_robin, FeFunction.constant(interval_robin, 1.0), config
+    )
+    assert report.converged
+    records = iter(report.iterations)
+    links = 0
+    for stage in report.stages:
+        steps = [next(records) for _ in range(stage.newton_iterations)]
+        assert all(rec.mu == stage.mu for rec in steps)
+        for prev, rec in zip(steps, steps[1:]):
+            assert rec.phi_before == prev.phi_after
+            links += 1
+        for rec in steps:
+            assert rec.grad_dot_dir < 0
+            assert rec.phi_after <= rec.phi_before + config.eta * rec.alpha * rec.grad_dot_dir
+    assert next(records, None) is None
+    assert any(rec.alpha < rec.alpha_bar for rec in report.iterations)  # backtracked
+    assert links > 0
 
 
 class TestClassicalBarrier:
@@ -378,7 +429,7 @@ class TestRegularization:
         mesh = generate_interval_mesh(0.1, 10, 50, left=Marker.ROBIN, right=Marker.ROBIN)
         spec = builtin_example(1)
         u = FeFunction(np.linspace(0.5, 2.0, mesh.num_vertices))
-        b = {mu: assemble_jacobian(spec, mesh, u, mu).jacobian.toarray()
+        b = {mu: assemble_jacobian(spec, mesh, u, mu).toarray()
              for mu in (0.0, 0.01, 0.1, 1.0, 10.0)}
         assert np.linalg.eigvalsh(b[1.0] - b[0.0]).min() > 0
         mins = [np.linalg.eigvalsh(matrix).min() for matrix in b.values()]
