@@ -14,7 +14,9 @@ f = G - mu H and the Jacobian B = J + mu M, with H_i = int u_h^-1 phi_i
 and M_ij = int u_h^-2 phi_j phi_i.  assemble_residual builds f from k
 and assemble_jacobian builds B from k', each at mu with one power_sum
 pass and one scatter, so a caller pays for the matrix only when it
-takes a Newton step.
+takes a Newton step.  At a fixed u, f is affine in mu, and
+assemble_barrier_gradient builds H alone (one product and one bincount,
+no power_sum), so f at a second mu costs f(mu1) + (mu1 - mu2) H.
 
 Dirichlet constraints are imposed by row/column reduction: constrained
 rows and columns of the Jacobian become identity and constrained
@@ -147,10 +149,11 @@ class _Workspace:
         diff = np.asarray(spec.diffusion(self.xq_flat), dtype=float)
         if np.any(diff <= 0):
             raise CoefficientViolation("diffusion must be > 0 at quadrature points")
-        coeffs = [
-            (p, np.asarray(c(self.xq_flat), dtype=float).reshape(shape))
-            for p, c in spec.power_terms
-        ]
+        coeffs = []
+        for p, c in spec.power_terms:
+            c = np.asarray(c(self.xq_flat), dtype=float).reshape(shape)
+            # a constant coefficient is kept as a scalar: power_sum broadcasts it
+            coeffs.append((p, c.flat[0] if np.all(c == c.flat[0]) else c))
         source = (
             np.asarray(spec.source(self.xq_flat), dtype=float).reshape(shape)
             if spec.source is not None
@@ -185,16 +188,15 @@ def workspace_for(mesh):
     return ws
 
 
-def _check_state(mesh, u, mu):
+def _check_state(mesh, u, positive):
     u = as_coefficients(u)
     if len(u) != mesh.num_vertices:
         raise DimensionMismatch(
             f"state has {len(u)} coefficients, mesh has {mesh.num_vertices} vertices"
         )
-    if mu > 0 and np.any(u <= 0):
+    if positive and np.any(u <= 0):
         raise NonpositiveState(
-            "state must be strictly positive at every vertex "
-            f"(min = {u.min():.3e}, mu = {mu})"
+            f"state must be strictly positive at every vertex (min = {u.min():.3e})"
         )
     return u
 
@@ -202,7 +204,7 @@ def _check_state(mesh, u, mu):
 def _at_quadrature(spec, mesh, u, mu):
     """(u, workspace, spec fields, power terms at mu, u at the cell vertices, u at the
     quadrature points); the barrier -mu int ln u is the power term -mu u^-1 of k."""
-    u = _check_state(mesh, u, mu)
+    u = _check_state(mesh, u, mu > 0)
     ws = workspace_for(mesh)
     fields = ws.fields_for(spec)
     coeffs = fields["coeffs"] + [(-1, -mu)] if mu > 0 else fields["coeffs"]
@@ -232,6 +234,17 @@ def assemble_residual(spec, mesh, u, mu=0.0):
         residual += np.bincount(ws.robin_idx.ravel(), weights=local.ravel(), minlength=n)
     residual[ws.dirichlet_mask] = 0.0
     return residual
+
+
+def assemble_barrier_gradient(mesh, u):
+    """H_i = int u_h^-1 phi_i with Dirichlet entries zeroed, so that
+    f(u, mu2) = f(u, mu1) + (mu1 - mu2) H(u); u must be > 0."""
+    u = _check_state(mesh, u, True)
+    ws = workspace_for(mesh)
+    local = (ws.wq / (u[ws.cells] @ ws.lam.T)) @ ws.lam
+    barrier = np.bincount(ws.cells.ravel(), weights=local.ravel(), minlength=ws.num_vertices)
+    barrier[ws.dirichlet_mask] = 0.0
+    return barrier
 
 
 def assemble_jacobian(spec, mesh, u, mu=0.0):

@@ -31,7 +31,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import LineSearchFailure, NonpositiveState
-from .fem import apply_dirichlet, assemble_jacobian, assemble_residual, workspace_for
+from .fem import (
+    apply_dirichlet,
+    assemble_barrier_gradient,
+    assemble_jacobian,
+    assemble_residual,
+    workspace_for,
+)
 from .linalg import cg_solve
 from .problem import as_coefficients
 
@@ -187,15 +193,28 @@ class _FemProblem:
     A Newton step solves B w = -f with B = A + mu M, assembled at mu
     only for that step, by truncated CG; the merit slope along w is
     (B w).f, since grad phi = B f.
+
+    f is assembled once per point.  The adapter keeps its last evaluation
+    (a copy of v, mu, f); at that same v, f at another mu is
+    f + (mu_last - mu) H(v), since f is affine in mu.  So a later stage
+    starts from the previous stage's last residual, and the final ||G||
+    of a polished solve is the polish's last residual.
     """
 
     def __init__(self, spec, mesh):
         self.spec, self.mesh = spec, mesh
         self.free = ~workspace_for(mesh).dirichlet_mask
+        self._last = None
 
     def evaluate(self, v, mu):
         """(f, phi) at v; raises NonpositiveState for v <= 0 somewhere at mu > 0."""
-        f = assemble_residual(self.spec, self.mesh, v, mu)
+        if self._last is not None and np.array_equal(v, self._last[0]):
+            _, last_mu, f = self._last
+            if mu != last_mu:
+                f = f + (last_mu - mu) * assemble_barrier_gradient(self.mesh, v)
+        else:
+            f = assemble_residual(self.spec, self.mesh, v, mu)
+        self._last = (np.array(v, dtype=float), mu, f)
         return f, 0.5 * float(np.dot(f, f))
 
     def direction(self, u, mu, f):
@@ -205,11 +224,8 @@ class _FemProblem:
         return result.x, result.status.value, lambda w: float(np.dot(matrix @ w, f))
 
     def final_residual(self, u):
-        """||G(u)||, the unbarriered residual; inf where G is undefined."""
-        try:
-            return float(np.linalg.norm(assemble_residual(self.spec, self.mesh, u, 0.0)))
-        except NonpositiveState:
-            return np.inf
+        """||G(u)||, the unbarriered residual."""
+        return float(np.linalg.norm(self.evaluate(u, 0.0)[0]))
 
 
 class _DenseProblem:
@@ -351,6 +367,8 @@ def _continuation(problem, u, config, report, polish):
 
 
 def _finalize(report, problem, u, t0):
+    """Record the last iterate, its sign and ||G(u)||; the FEM adapter
+    reuses its last residual when that was taken at u."""
     report.solution = u.copy()
     report.sign = classify_sign(u)
     report.total_newton_iterations = len(report.iterations)

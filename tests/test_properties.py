@@ -1,13 +1,22 @@
 """Property tests of the assembled system at mu, B(mu) = J + mu M and
-f = G - mu H, and of the energy on small random meshes with mixed
-boundary markers; and of the positivity cap of the safeguarded step."""
+f = G - mu H, of the barrier gradient H and of the energy on small
+random meshes with mixed boundary markers; and of the positivity cap of
+the safeguarded step."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from barrierfem.fem import apply_dirichlet, assemble_jacobian, assemble_residual, compute_energy
+from barrierfem.errors import NonpositiveState
+from barrierfem.fem import (
+    apply_dirichlet,
+    assemble_barrier_gradient,
+    assemble_jacobian,
+    assemble_residual,
+    compute_energy,
+)
 from barrierfem.mesh import (
     Marker,
     SimplicialMesh,
@@ -104,6 +113,32 @@ def test_system_matrix_is_residual_derivative(case):
             - assemble_residual(spec, mesh, u - FD_STEP * w, m)
         ) / (2 * FD_STEP)
         assert np.linalg.norm(fd - bw) <= 1e-5 * np.linalg.norm(bw)
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.floats(0.0, 10.0))
+def test_residual_shifts_in_mu_by_the_barrier_gradient(case, mu2):
+    """f(u, mu2) = f(u, mu1) + (mu1 - mu2) H(u), within 1e-12 of sum|terms|;
+    H is zero on the Dirichlet entries and positive on the free ones."""
+    spec, mesh, u, _, mu1 = case
+    barrier = assemble_barrier_gradient(mesh, u)
+    fixed = np.zeros(mesh.num_vertices, dtype=bool)
+    fixed[mesh.dirichlet_vertices()] = True
+    assert np.all(barrier[fixed] == 0.0) and np.all(barrier[~fixed] > 0)
+    f1 = assemble_residual(spec, mesh, u, mu1)
+    shifted = f1 + (mu1 - mu2) * barrier
+    terms = np.sum(np.abs(f1) + np.abs((mu1 - mu2) * barrier))
+    assert np.max(np.abs(shifted - assemble_residual(spec, mesh, u, mu2))) <= 1e-12 * terms
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.data())
+def test_barrier_gradient_rejects_nonpositive_state(case, data):
+    _, mesh, u, _, _ = case
+    u = u.copy()
+    u[data.draw(st.integers(0, len(u) - 1))] = data.draw(st.floats(-2.0, 0.0))
+    with pytest.raises(NonpositiveState):
+        assemble_barrier_gradient(mesh, u)
 
 
 @PROPERTY_SETTINGS

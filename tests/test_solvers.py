@@ -306,10 +306,12 @@ def _count_assemblies(monkeypatch):
     return calls
 
 
-def test_barrier_assembles_residuals_for_trials_stages_and_final(interval_robin, monkeypatch):
-    """Each residual assembly of a barrier solve is a line-search trial, a
-    stage's starting residual or the final unbarriered residual: every
-    later iterate takes its residual and merit from its accepted trial."""
+def test_barrier_assembles_residuals_for_trials_and_first_stage(interval_robin, monkeypatch):
+    """Each residual assembly of a barrier solve is a line-search trial or
+    the first stage's starting residual: every later iterate takes its
+    residual and merit from its accepted trial, every later stage shifts
+    the residual at its start point in mu, and the final ||G|| is the
+    polish's last residual."""
     calls = _count_assemblies(monkeypatch)
     report = barrier_solve(
         builtin_example(2), interval_robin, FeFunction.constant(interval_robin, 1.0),
@@ -319,7 +321,7 @@ def test_barrier_assembles_residuals_for_trials_stages_and_final(interval_robin,
     trials = sum(round(np.log2(r.alpha_bar / r.alpha)) + 1 for r in report.iterations)
     assert trials > report.total_newton_iterations > 0  # some steps backtracked
     assert calls["line search"] == trials
-    assert calls["other"] == len(report.stages) + 1
+    assert calls["other"] == 1
 
 
 @pytest.mark.parametrize("solve", [newton_standard, newton_safeguarded, barrier_solve])
@@ -329,8 +331,57 @@ def test_jacobian_assembled_only_for_a_linear_solve(interval_robin, monkeypatch,
     report = solve(builtin_example(1), interval_robin, FeFunction.constant(interval_robin, 1.0))
     assert report.converged
     assert calls["jacobian"] == calls["cg"] == report.total_newton_iterations > 0
-    if solve is newton_standard:  # every iterate, plus the final residual
-        assert calls["other"] == report.total_newton_iterations + 2
+    if solve is newton_standard:  # every iterate; the final ||G|| is the last one's
+        assert calls["other"] == report.total_newton_iterations + 1
+
+
+def test_stage_start_residual_matches_fresh_assembly(interval_robin, monkeypatch):
+    """Every stage but the first starts from a residual shifted in mu; its
+    norm equals that of a residual assembled afresh at the stage's (u, mu),
+    up to roundoff on the scale of the solve's first residual (a late
+    stage's residual is a millionth of the terms it sums)."""
+    spec = builtin_example(2)
+    starts = []
+    real_newton = solvers._newton
+
+    def newton(problem, u, mu, *args, **kwargs):
+        starts.append((u.copy(), mu))
+        return real_newton(problem, u, mu, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_newton", newton)
+    report = barrier_solve(
+        spec, interval_robin, FeFunction.constant(interval_robin, 1.0), SolverConfig(mu0=50.0)
+    )
+    assert report.converged and len(report.stages) == len(starts) > 2
+    scale = report.stages[0].initial_residual_norm
+    for k, (stage, (u, mu)) in enumerate(zip(report.stages, starts)):
+        fresh = np.linalg.norm(assemble_residual(spec, interval_robin, u, mu))
+        assert stage.mu == mu
+        assert abs(stage.initial_residual_norm - fresh) <= (1e-12 * scale if k else 0.0)
+
+
+def test_evaluation_memo_never_serves_a_stale_residual(interval_robin, monkeypatch):
+    """The adapter reuses its last residual only at the very point it was
+    assembled at: another point, or the caller's array changed in place
+    after the evaluation, is assembled afresh."""
+    calls = _count_assemblies(monkeypatch)
+    spec = builtin_example(1)
+    problem = solvers._FemProblem(spec, interval_robin)
+    u = np.linspace(0.5, 2.0, interval_robin.num_vertices)
+    problem.evaluate(u, 0.3)
+    f_shifted, _ = problem.evaluate(u, 0.1)
+    f_again, _ = problem.evaluate(u, 0.1)
+    assert calls["other"] == 1
+    assert f_again is f_shifted
+    np.testing.assert_allclose(
+        f_shifted, assemble_residual(spec, interval_robin, u, 0.1), rtol=0, atol=1e-12
+    )
+    u[3] += 0.25  # in place: the adapter kept a copy of the old u
+    for v in (u, 1.5 * u):
+        before = calls["other"]
+        f, _ = problem.evaluate(v, 0.1)
+        assert calls["other"] == before + 1
+        np.testing.assert_array_equal(f, assemble_residual(spec, interval_robin, v, 0.1))
 
 
 def test_merit_chain_within_a_stage(interval_robin):
