@@ -1,19 +1,25 @@
 """P1 Galerkin assembly of residuals, Jacobians and energies.
 
-For a state u_h = sum_i u_i phi_i and a barrier parameter mu >= 0 the
+The Galerkin system is a linear part plus a power-law part.  For a
+state u_h = sum_i u_i phi_i and a barrier parameter mu >= 0 the
 assembled objects are
 
-    residual_i  = int [ a grad(u_h).grad(phi_i) + k_mu(u_h) phi_i ]
-                  + int_Robin (c u_h - g) phi_i - int source phi_i
-    jacobian_ij = int [ a grad(phi_j).grad(phi_i) + k_mu'(u_h) phi_j phi_i ]
-                  + int_Robin c phi_j phi_i
+    residual  = A u - b + [int k_mu(u_h) phi_i]_i
+    jacobian  = A + [int k_mu'(u_h) phi_j phi_i]_ij
+    energy    = 0.5 u.A u - b.u + int K(u_h) - mu int ln u_h
 
-with k_mu(u) = k(u) - mu u^-1: the barrier -mu int ln u of the energy is
+with the linear operator A_ij = int a grad(phi_j).grad(phi_i) +
+int_Robin c phi_j phi_i, the load b_i = int source phi_i +
+int_Robin g phi_i, and K' = k.  A and b do not depend on u: the mesh
+workspace assembles them once per spec (`_Workspace.fields_for`), so
+each state costs the power terms only.
+
+k_mu(u) = k(u) - mu u^-1: the barrier -mu int ln u of the energy is
 one more power term, p = -1 with coefficient -mu.  So the residual is
 f = G - mu H and the Jacobian B = J + mu M, with H_i = int u_h^-1 phi_i
 and M_ij = int u_h^-2 phi_j phi_i.  assemble_residual builds f from k
 and assemble_jacobian builds B from k', each at mu with one power_sum
-pass and one scatter, so a caller pays for the matrix only when it
+pass and one bincount, so a caller pays for the matrix only when it
 takes a Newton step.  At a fixed u, f is affine in mu, and
 assemble_barrier_gradient builds H alone (one product and one bincount,
 no power_sum), so f at a second mu costs f(mu1) + (mu1 - mu2) H.
@@ -54,16 +60,20 @@ def _pair_tables(k):
 
 
 class _Workspace:
-    """Per-mesh geometry, quadrature tables and the CSR sparsity pattern.
+    """What assembly keeps per mesh and, through fields_for, per spec.
+
+    Per mesh: geometry, quadrature tables of the cells and of the Robin
+    facets, and two CSR patterns from one symbolic pass.  The full P1
+    pattern (cell pairs and Robin facet pairs) carries the linear
+    operator A; `slots` maps each entry of every local cell (then
+    facet) matrix to its slot there.  The Dirichlet-reduced pattern
+    (`indptr`, `indices`: free-free pairs and every diagonal) carries
+    the Jacobian; `cell_slots` maps each local cell entry to its slot
+    there, or to the dummy slot `nnz` when the reduction drops it, so
+    the power part of a Jacobian is one bincount.
 
     Holds no reference to the mesh itself, so a mesh and its workspace
     are freed together once the mesh is no longer used.
-
-    The pattern is that of the Dirichlet-reduced operator: free-free
-    cell pairs, Robin facet pairs and the diagonal of every fixed
-    vertex.  Each entry of every local cell (then facet) matrix has a
-    slot in the CSR data array, or the dummy slot `nnz` when the
-    reduction drops it, so numeric assembly is one bincount.
     """
 
     def __init__(self, mesh):
@@ -79,7 +89,6 @@ class _Workspace:
         grads = np.empty((len(cells), d + 1, d))
         grads[:, 1:, :] = inv_t
         grads[:, 0, :] = -inv_t.sum(axis=1)
-        self.grads = grads                               # (M, d+1, d)
         # local matrices are computed on the upper triangle only and
         # scattered to (i, j) and (j, i) alike, so A == A.T exactly
         iu, ju, self.sym, rr, cc = _pair_tables(d + 1)
@@ -91,88 +100,103 @@ class _Workspace:
 
         markers, fidx = mesh.facet_arrays
         robin = np.array([m == Marker.ROBIN for m in markers], dtype=bool)
-        self.robin_idx = fidx[robin]
-        rows, cols = [cells[:, rr].ravel()], [cells[:, cc].ravel()]
-        if len(self.robin_idx):
-            self.flam, fqw = simplex_rule(d - 1)         # (Qf, d), (Qf,)
-            fiu, fju, self.fsym, frr, fcc = _pair_tables(d)
-            self.fphi2 = self.flam[:, fiu] * self.flam[:, fju]
-            fscale = mesh.facet_measures[robin] / REFERENCE_MEASURE[d - 1]
-            self.fwq = fscale[:, None] * fqw             # (B, Qf)
-            fpts = verts[self.robin_idx]                 # (B, d, dim)
-            self.fxq_flat = np.einsum("qk,fkd->fqd", self.flam, fpts).reshape(-1, d)
-            rows.append(self.robin_idx[:, frr].ravel())
-            cols.append(self.robin_idx[:, fcc].ravel())
+        self.robin_idx = fidx[robin]                     # (B, d)
+        self.flam, fqw = simplex_rule(d - 1)             # (Qf, d), (Qf,)
+        fiu, fju, self.fsym, frr, fcc = _pair_tables(d)
+        self.fphi2 = self.flam[:, fiu] * self.flam[:, fju]
+        fscale = mesh.facet_measures[robin] / REFERENCE_MEASURE[d - 1]
+        self.fwq = fscale[:, None] * fqw                 # (B, Qf)
+        fpts = verts[self.robin_idx]                     # (B, d, dim)
+        self.fxq_flat = np.einsum("qk,fkd->fqd", self.flam, fpts).reshape(-1, d)
 
-        dv = mesh.dirichlet_vertices()
         self.dirichlet_mask = np.zeros(n, dtype=bool)
-        self.dirichlet_mask[dv] = True
-        self._build_pattern(np.concatenate(rows), np.concatenate(cols), dv)
+        self.dirichlet_mask[mesh.dirichlet_vertices()] = True
+        rows = np.concatenate([cells[:, rr].ravel(), self.robin_idx[:, frr].ravel()])
+        cols = np.concatenate([cells[:, cc].ravel(), self.robin_idx[:, fcc].ravel()])
+        self._build_patterns(rows, cols)
         self.spec_fields = WeakKeyDictionary()
 
-    def _build_pattern(self, rows, cols, fixed):
+    def _build_patterns(self, rows, cols):
         n = self.num_vertices
-        mask = self.dirichlet_mask
-        free = ~(mask[rows] | mask[cols])
-        keys = np.concatenate([rows[free] * n + cols[free], fixed * n + fixed])
+        fixed = np.flatnonzero(self.dirichlet_mask)
+        keys = np.concatenate([rows * n + cols, fixed * (n + 1)])
         unique, slot = np.unique(keys, return_inverse=True)
-        self.nnz = len(unique)
-        self.indptr = np.searchsorted(unique, np.arange(n + 1) * n).astype(np.int32)
-        self.indices = (unique % n).astype(np.int32)
-        n_free = int(free.sum())
-        self.slots = np.full(len(rows), self.nnz, dtype=np.int32)
-        self.slots[free] = slot[:n_free]
-        self.cell_slots = self.slots[: self.cells.size * self.cells.shape[1]]
-        self.fixed_slots = slot[n_free:]
+        urows, ucols = np.divmod(unique, n)
+        self.full_indptr = np.searchsorted(unique, np.arange(n + 1) * n).astype(np.int32)
+        self.full_indices = ucols.astype(np.int32)
+        self.slots = slot[: len(rows)].astype(np.int32)
+        # the reduced pattern: the full slots that are free-free or diagonal
+        free = ~self.dirichlet_mask
+        free_pair = free[urows] & free[ucols]
+        self.reduced = free_pair | (urows == ucols)
+        self.fixed_diagonal = ~free_pair[self.reduced]
+        self.nnz = int(self.reduced.sum())
+        self.indptr = np.searchsorted(unique[self.reduced], np.arange(n + 1) * n).astype(np.int32)
+        self.indices = self.full_indices[self.reduced]
+        reduced_slot = np.where(free_pair, np.cumsum(self.reduced) - 1, self.nnz).astype(np.int32)
+        self.cell_slots = reduced_slot[self.slots[: self.cells.size * self.cells.shape[1]]]
 
-    def scatter(self, local, facet_vals=None):
-        """CSR data of the pattern from upper-triangle local matrices.
-
-        `local` is (M, K) for the cells; `facet_vals` the expanded Robin
-        facet entries (see fields_for).  Entries are summed in cell order,
-        then facet order, so the (i, j) and (j, i) slots see identical
-        additions.
-        """
+    def scatter(self, local):
+        """Data on the reduced pattern from (M, K) upper-triangle local cell
+        matrices, summed in cell order, so the (i, j) and (j, i) slots see
+        identical additions; the fixed diagonal receives nothing."""
         vals = local[:, self.sym].ravel()
-        slots = self.cell_slots
-        if facet_vals is not None:
-            vals = np.concatenate([vals, facet_vals])
-            slots = self.slots
-        return np.bincount(slots, weights=vals, minlength=self.nnz + 1)[:-1]
+        return np.bincount(self.cell_slots, weights=vals, minlength=self.nnz + 1)[:-1]
+
+    def vertex_sum(self, local, offset=0.0):
+        """offset plus the (M, d+1) local cell vectors summed at their
+        vertices, with the Dirichlet entries zeroed."""
+        total = offset + np.bincount(
+            self.cells.ravel(), weights=local.ravel(), minlength=self.num_vertices
+        )
+        total[self.dirichlet_mask] = 0.0
+        return total
 
     def fields_for(self, spec):
-        """Evaluate the u-independent coefficient fields once per spec."""
+        """The u-independent part of the system, assembled once per spec.
+
+        A dict of "coeffs", the (p, c_p) power terms with c_p at the
+        quadrature points (a scalar when constant); "operator", the
+        linear operator A (stiffness plus Robin mass) on the full
+        pattern; "reduced_operator", A's data on the reduced pattern
+        with the fixed diagonal set to 1; and "load", the vector b
+        (source plus Robin data).
+        """
         cached = self.spec_fields.get(spec)
         if cached is not None:
             return cached
-        shape = self.wq.shape
-        diff = np.asarray(spec.diffusion(self.xq_flat), dtype=float)
-        if np.any(diff <= 0):
-            raise CoefficientViolation("diffusion must be > 0 at quadrature points")
+
+        def at(field, facets=False):
+            """A field at the cell (or Robin facet) quadrature points."""
+            pts, wq = (self.fxq_flat, self.fwq) if facets else (self.xq_flat, self.wq)
+            return np.asarray(field(pts), dtype=float).reshape(wq.shape)
+
+        diff = at(spec.diffusion)
+        if not np.all((diff > 0) & (diff < np.inf)):
+            raise CoefficientViolation("diffusion must be > 0 and finite at quadrature points")
         coeffs = []
         for p, c in spec.power_terms:
-            c = np.asarray(c(self.xq_flat), dtype=float).reshape(shape)
+            c = at(c)
             # a constant coefficient is kept as a scalar: power_sum broadcasts it
             coeffs.append((p, c.flat[0] if np.all(c == c.flat[0]) else c))
-        source = (
-            np.asarray(spec.source(self.xq_flat), dtype=float).reshape(shape)
-            if spec.source is not None
-            else None
-        )
+
+        stiffness = (self.scale * (diff @ self.qw))[:, None] * self.grad_gram
+        robin_mass = (self.fwq * at(spec.robin_coeff, True)) @ self.fphi2
+        local = [stiffness[:, self.sym].ravel(), robin_mass[:, self.fsym].ravel()]
+        data = np.bincount(self.slots, np.concatenate(local), minlength=len(self.full_indices))
+        reduced = data[self.reduced]
+        reduced[self.fixed_diagonal] = 1.0
+        source = at(spec.source) if spec.source is not None else np.zeros(self.wq.shape)
+        load = [(self.wq * source) @ self.lam, (self.fwq * at(spec.robin_data, True)) @ self.flam]
+        vertices = np.concatenate([self.cells.ravel(), self.robin_idx.ravel()])
         fields = {
-            "diffusion_w": self.scale * (diff.reshape(shape) @ self.qw),
             "coeffs": coeffs,
-            "source": source,
+            "operator": SparseMatrix.from_pattern(self.full_indptr, self.full_indices, data),
+            "reduced_operator": reduced,
+            "load": np.bincount(
+                vertices, np.concatenate([v.ravel() for v in load]), minlength=self.num_vertices
+            ),
         }
-        if len(self.robin_idx):
-            fshape = self.fwq.shape
-            cf = np.asarray(spec.robin_coeff(self.fxq_flat), dtype=float).reshape(fshape)
-            fields["robin_coeff"] = cf
-            fields["robin_data"] = np.asarray(
-                spec.robin_data(self.fxq_flat), dtype=float
-            ).reshape(fshape)
-            # the Robin matrix does not depend on u
-            fields["robin_matrix"] = ((self.fwq * cf) @ self.fphi2)[:, self.fsym].ravel()
         self.spec_fields[spec] = fields
         return fields
 
@@ -202,38 +226,21 @@ def _check_state(mesh, u, positive):
 
 
 def _at_quadrature(spec, mesh, u, mu):
-    """(u, workspace, spec fields, power terms at mu, u at the cell vertices, u at the
-    quadrature points); the barrier -mu int ln u is the power term -mu u^-1 of k."""
+    """(u, workspace, spec fields, power terms at mu, u at the quadrature
+    points); the barrier -mu int ln u is the power term -mu u^-1 of k."""
     u = _check_state(mesh, u, mu > 0)
     ws = workspace_for(mesh)
     fields = ws.fields_for(spec)
     coeffs = fields["coeffs"] + [(-1, -mu)] if mu > 0 else fields["coeffs"]
-    u_cells = u[ws.cells]                                # (M, d+1)
-    return u, ws, fields, coeffs, u_cells, u_cells @ ws.lam.T
+    return u, ws, fields, coeffs, u[ws.cells] @ ws.lam.T
 
 
 def assemble_residual(spec, mesh, u, mu=0.0):
-    """Residual vector f = G - mu*H with Dirichlet entries zeroed."""
-    u, ws, fields, coeffs, u_cells, uq = _at_quadrature(spec, mesh, u, mu)
-    n = ws.num_vertices
-    gradu = np.einsum("mk,mkd->md", u_cells, ws.grads)   # (M, d)
-    kq = power_sum(coeffs, uq)
-    if fields["source"] is not None:
-        kq -= fields["source"]
-    local_res = np.einsum(
-        "md,mkd->mk", fields["diffusion_w"][:, None] * gradu, ws.grads
-    )
-    local_res += (ws.wq * kq) @ ws.lam
-    residual = np.bincount(ws.cells.ravel(), weights=local_res.ravel(), minlength=n)
-
-    # Robin boundary terms
-    if len(ws.robin_idx):
-        uqf = u[ws.robin_idx] @ ws.flam.T                # (B, Qf)
-        cf, gf = fields["robin_coeff"], fields["robin_data"]
-        local = (ws.fwq * (cf * uqf - gf)) @ ws.flam
-        residual += np.bincount(ws.robin_idx.ravel(), weights=local.ravel(), minlength=n)
-    residual[ws.dirichlet_mask] = 0.0
-    return residual
+    """Residual vector f = A u - b + int k_mu(u_h) phi_i = G - mu*H with
+    Dirichlet entries zeroed."""
+    u, ws, fields, coeffs, uq = _at_quadrature(spec, mesh, u, mu)
+    linear = fields["operator"] @ u - fields["load"]
+    return ws.vertex_sum((ws.wq * power_sum(coeffs, uq)) @ ws.lam, linear)
 
 
 def assemble_barrier_gradient(mesh, u):
@@ -241,42 +248,25 @@ def assemble_barrier_gradient(mesh, u):
     f(u, mu2) = f(u, mu1) + (mu1 - mu2) H(u); u must be > 0."""
     u = _check_state(mesh, u, True)
     ws = workspace_for(mesh)
-    local = (ws.wq / (u[ws.cells] @ ws.lam.T)) @ ws.lam
-    barrier = np.bincount(ws.cells.ravel(), weights=local.ravel(), minlength=ws.num_vertices)
-    barrier[ws.dirichlet_mask] = 0.0
-    return barrier
+    return ws.vertex_sum((ws.wq / (u[ws.cells] @ ws.lam.T)) @ ws.lam)
 
 
 def assemble_jacobian(spec, mesh, u, mu=0.0):
-    """Jacobian B = J + mu*M at the state u, on the mesh's CSR pattern."""
-    _, ws, fields, coeffs, _, uq = _at_quadrature(spec, mesh, u, mu)
-    local_jac = fields["diffusion_w"][:, None] * ws.grad_gram
-    local_jac += (ws.wq * power_sum(coeffs, uq, derivative=1)) @ ws.phi2
-    data = ws.scatter(local_jac, fields.get("robin_matrix"))
-    data[ws.fixed_slots] = 1.0
+    """Jacobian B = J + mu*M at the state u, on the mesh's reduced CSR pattern."""
+    _, ws, fields, coeffs, uq = _at_quadrature(spec, mesh, u, mu)
+    local = (ws.wq * power_sum(coeffs, uq, derivative=1)) @ ws.phi2
+    data = fields["reduced_operator"] + ws.scatter(local)
     return SparseMatrix.from_pattern(ws.indptr, ws.indices, data)
 
 
 def compute_energy(spec, mesh, u, mu=0.0):
-    """Total energy, including the -mu*int(ln u) barrier term when mu > 0."""
-    u, ws, fields, _, u_cells, uq = _at_quadrature(spec, mesh, u, mu)
-    gradu = np.einsum("mk,mkd->md", u_cells, ws.grads)
-    grad_sq = np.einsum("md,md->m", gradu, gradu)
-    total = 0.5 * float(fields["diffusion_w"] @ grad_sq)
-
+    """0.5 u.Au - b.u + int K(u_h), and the barrier -mu*int(ln u_h) when mu > 0."""
+    u, ws, fields, _, uq = _at_quadrature(spec, mesh, u, mu)
     density = power_sum(fields["coeffs"], uq, derivative=-1)
-    if fields["source"] is not None:
-        density = density - fields["source"] * uq
     if mu > 0:
-        with np.errstate(divide="ignore"):
-            density = density - mu * np.log(uq)
-    total += float(np.einsum("mq,mq->", ws.wq, density))
-
-    if len(ws.robin_idx):
-        uqf = u[ws.robin_idx] @ ws.flam.T
-        cf, gf = fields["robin_coeff"], fields["robin_data"]
-        total += float(np.einsum("fq,fq->", ws.fwq, 0.5 * cf * uqf**2 - gf * uqf))
-    return total
+        density -= mu * np.log(uq)
+    linear = 0.5 * (fields["operator"] @ u) - fields["load"]
+    return float(u @ linear) + float(np.einsum("mq,mq->", ws.wq, density))
 
 
 def apply_dirichlet(u, mesh, spec):

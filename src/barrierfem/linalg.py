@@ -79,10 +79,7 @@ def cg_solve(a, b):
     max_iters = 10 * n
 
     d = a.diagonal()
-    inv_diag = 1.0 / d if np.all(d > 0) else None
-
-    def apply_precond(r):
-        return r * inv_diag if inv_diag is not None else r
+    inv_diag = 1.0 / d if np.all(d > 0) else np.ones(n)
 
     b_norm = np.linalg.norm(b)
     x = np.zeros(n)
@@ -90,7 +87,7 @@ def cg_solve(a, b):
         return CgResult(x, CgStatus.CONVERGED, 0)
 
     r = b.copy()
-    z = apply_precond(r)
+    z = r * inv_diag
     p = z.copy()
     rz = float(np.dot(r, z))
     for k in range(max_iters):
@@ -106,7 +103,7 @@ def cg_solve(a, b):
             if np.linalg.norm(true_res) <= CG_REL_TOL * b_norm:
                 return CgResult(x, CgStatus.CONVERGED, k + 1)
             r = true_res  # recurrence drifted; continue with the true residual
-        z = apply_precond(r)
+        z = r * inv_diag
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new

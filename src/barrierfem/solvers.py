@@ -76,10 +76,10 @@ class SolverConfig:
     final_polish_mu_zero: bool = True
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
-        if self.mu0 < 0:
-            raise ValueError("mu0 must be >= 0")
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be > 0 and finite")
+        if not 0 <= self.mu0 < np.inf:
+            raise ValueError("mu0 must be >= 0 and finite")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0 < self.eta < 0.5:
@@ -190,7 +190,7 @@ def subproblem_tolerance(mu, initial_residual_norm, eps):
 class _FemProblem:
     """The P1 system f = G(u) - mu H(u) with merit phi = 0.5 ||f||^2.
 
-    A Newton step solves B w = -f with B = A + mu M, assembled at mu
+    A Newton step solves B w = -f with B = J + mu M, assembled at mu
     only for that step, by truncated CG; the merit slope along w is
     (B w).f, since grad phi = B f.
 
@@ -223,10 +223,6 @@ class _FemProblem:
         result = cg_solve(matrix, -f)
         return result.x, result.status.value, lambda w: float(np.dot(matrix @ w, f))
 
-    def final_residual(self, u):
-        """||G(u)||, the unbarriered residual."""
-        return float(np.linalg.norm(self.evaluate(u, 0.0)[0]))
-
 
 class _DenseProblem:
     """Stationarity of B_mu(x) = f(x) - mu sum(ln x) on the positive orthant.
@@ -255,10 +251,6 @@ class _DenseProblem:
         except np.linalg.LinAlgError:
             p = -g
         return p, "dense", lambda w: float(np.dot(g, w))
-
-    def final_residual(self, x):
-        """||grad f(x)||, the unbarriered gradient."""
-        return float(np.linalg.norm(np.asarray(self.grad(x), dtype=float)))
 
 
 def _newton(problem, u, mu, config, report, safeguarded):
@@ -367,12 +359,12 @@ def _continuation(problem, u, config, report, polish):
 
 
 def _finalize(report, problem, u, t0):
-    """Record the last iterate, its sign and ||G(u)||; the FEM adapter
-    reuses its last residual when that was taken at u."""
+    """Record the last iterate, its sign and ||evaluate(u, 0)||: ||G(u)||
+    (the FEM adapter's last residual when taken at u), or ||grad f(x)||."""
     report.solution = u.copy()
     report.sign = classify_sign(u)
     report.total_newton_iterations = len(report.iterations)
-    report.final_residual = problem.final_residual(u)
+    report.final_residual = float(np.linalg.norm(problem.evaluate(u, 0.0)[0]))
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -398,7 +390,7 @@ def _solve_fem(method, spec, mesh, u0, config):
 
 
 def newton_standard(spec, mesh, u0, config=None):
-    """Plain Newton: full steps A(u) w = -G(u), no positivity safeguard.
+    """Plain Newton: full steps G'(u) w = -G(u), no positivity safeguard.
 
     Stops when ||G|| <= eps, or unconverged after max_inner steps or
     five negligible steps in a row.
@@ -409,7 +401,7 @@ def newton_standard(spec, mesh, u0, config=None):
 def newton_safeguarded(spec, mesh, u0, config=None):
     """Newton with the 99% positivity cap and Armijo backtracking.
 
-    Solves A w = -G; the step is capped by step_to_boundary and then
+    Solves G' w = -G; the step is capped by step_to_boundary and then
     backtracked on phi = 0.5||G||^2.  Converged means ||G|| <= eps.
     """
     return _solve_fem("safeguarded", spec, mesh, u0, config)
@@ -419,7 +411,7 @@ def barrier_solve(spec, mesh, u0, config=None):
     """Primal barrier energy method with mu-continuation.
 
     Runs safeguarded Newton on each barrier subproblem
-    [A + mu M] w = -[G - mu H], shrinking mu by gamma whenever the
+    [G' + mu M] w = -[G - mu H], shrinking mu by gamma whenever the
     subproblem tolerance is met and warm-starting from the previous
     solution; once mu drops below eps a final subproblem with mu = 0
     polishes to ||G|| <= eps (the reported, unbarriered convergence

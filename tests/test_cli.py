@@ -220,6 +220,7 @@ class TestMainEntry:
             ("mesh.kind = interval\nsolver.gamma = 2\n", "line 3: gamma must lie in (0, 1)"),
             ("mesh.kind = interval\nsolver.max_inner = -3\n", "line 3: max_inner must be >= 0"),
             ("mesh.kind = interval\nsolver.mu0 = -1\n", "line 3: mu0 must be >= 0"),
+            ("mesh.kind = interval\nsolver.eps = inf\n", "line 3: eps must be > 0 and finite"),
             (None, "No such file or directory"),
             ("mesh.kind = file\nmesh.path = {tmp}/none.mesh\n", "none.mesh"),
             ("mesh.kind = interval\nu0.file = {tmp}/none.txt\n", "none.txt"),
@@ -238,7 +239,7 @@ class TestMainEntry:
                 "line 4: key 'mesh.inner_marker' is unknown or does not apply",
             ),
         ],
-        ids=["gamma", "max_inner", "mu0", "config_file", "mesh_path", "u0_file",
+        ids=["gamma", "max_inner", "mu0", "eps_inf", "config_file", "mesh_path", "u0_file",
              "u0_file_short", "u0_file_not_numeric", "shells_outer_marker",
              "file_inner_marker"],
     )

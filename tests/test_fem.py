@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,24 +179,40 @@ PATTERN_SPEC = ProblemSpec(
 )
 
 
+def _reference_gradients(mesh):
+    """(M, d+1, d) gradients of the barycentric coordinates: row i of the
+    inverse of [1 | x_j] holds the affine coefficients of lambda_i."""
+    pts = mesh.vertices[mesh.cells]
+    aug = np.concatenate([np.ones(pts.shape[:2] + (1,)), pts], axis=2)
+    return np.transpose(np.linalg.inv(aug)[:, 1:, :], (0, 2, 1))
+
+
+def _reference_local(spec, mesh):
+    """Full local stiffness matrices (M, k, k) and Robin mass matrices
+    (B, k-1, k-1), with the Robin coefficient read from the spec."""
+    ws = workspace_for(mesh)
+    grads = _reference_gradients(mesh)
+    diffusion = spec.diffusion(ws.xq_flat).reshape(ws.wq.shape)
+    diff_w = np.einsum("mq,mq->m", ws.wq, diffusion)
+    stiffness = np.einsum("m,mid,mjd->mij", diff_w, grads, grads)
+    fphi = np.einsum("qi,qj->qij", ws.flam, ws.flam)
+    robin_coeff = spec.robin_coeff(ws.fxq_flat).reshape(ws.fwq.shape)
+    return stiffness, np.einsum("fq,qij->fij", ws.fwq * robin_coeff, fphi)
+
+
 def _reference_matrices(spec, mesh, u):
     """J and M from full local matrices, summed by scipy's COO -> CSR build
     and reduced as D J D + I_fixed, D M D (D zeroes the Dirichlet part)."""
     ws = workspace_for(mesh)
-    fields = ws.fields_for(spec)
     cells, n, k = mesh.cells, mesh.num_vertices, mesh.dim + 1
     uq = u[cells] @ ws.lam.T
     phi = np.einsum("qi,qj->qij", ws.lam, ws.lam)
-    diffusion = spec.diffusion(ws.xq_flat).reshape(ws.wq.shape)
-    diff_w = np.einsum("mq,mq->m", ws.wq, diffusion)
-    jac = np.einsum("m,mid,mjd->mij", diff_w, ws.grads, ws.grads)
+    jac, fjac = _reference_local(spec, mesh)
     jac += np.einsum("mq,qij->mij", ws.wq * (1.0 - 1.5 * uq**-4), phi)
     bar = np.einsum("mq,qij->mij", ws.wq / uq**2, phi)
     rows = np.repeat(cells, k, axis=1).ravel()
     cols = np.tile(cells, (1, k)).ravel()
     facets = ws.robin_idx
-    fphi = np.einsum("qi,qj->qij", ws.flam, ws.flam)
-    fjac = np.einsum("fq,qij->fij", ws.fwq * fields["robin_coeff"], fphi)
     jrows = np.concatenate([rows, np.repeat(facets, k - 1, axis=1).ravel()])
     jcols = np.concatenate([cols, np.tile(facets, (1, k - 1)).ravel()])
     jvals = np.concatenate([jac.ravel(), fjac.ravel()])
@@ -204,6 +221,26 @@ def _reference_matrices(spec, mesh, u):
     free = ~ws.dirichlet_mask
     keep = np.outer(free, free)
     return np.where(keep, a, 0.0) + np.diag((~free).astype(float)), np.where(keep, m, 0.0)
+
+
+def _reference_residual(spec, mesh, u, mu):
+    """f from full local matrices times the local state, the power terms
+    u + 0.5 u^-3 - mu u^-1 and a source and a Robin load, each summed at
+    the vertices with np.add.at; the Dirichlet entries are zeroed."""
+    ws = workspace_for(mesh)
+    stiffness, robin_mass = _reference_local(spec, mesh)
+    uq = u[mesh.cells] @ ws.lam.T
+    source = spec.source(ws.xq_flat).reshape(uq.shape)
+    power = ws.wq * (uq + 0.5 * uq**-3 - mu / uq - source)
+    robin_data = spec.robin_data(ws.fxq_flat).reshape(ws.fwq.shape)
+    residual = np.zeros(mesh.num_vertices)
+    np.add.at(residual, mesh.cells, np.einsum("mij,mj->mi", stiffness, u[mesh.cells]))
+    np.add.at(residual, mesh.cells, power @ ws.lam)
+    facets = ws.robin_idx
+    np.add.at(residual, facets, np.einsum("fij,fj->fi", robin_mass, u[facets]))
+    np.add.at(residual, facets, -(ws.fwq * robin_data) @ ws.flam)
+    residual[ws.dirichlet_mask] = 0.0
+    return residual
 
 
 class TestAssemblyPattern:
@@ -236,6 +273,18 @@ class TestAssemblyPattern:
         for mu, matrix in matrices.items():
             ref = ref_j + mu * ref_m
             err = np.abs(matrix.toarray() - ref).max()
+            assert err <= 1e-13 * np.abs(ref).max()
+
+    def test_residual_matches_reference(self, case):
+        mesh, u, _ = case
+        spec = replace(
+            PATTERN_SPEC,
+            robin_data=lambda x: 1.0 - 0.5 * np.atleast_2d(x)[:, 0],
+            source=lambda x: 3.0 + np.sum(np.atleast_2d(x), axis=1),
+        )
+        for mu in (0.0, 0.7):
+            ref = _reference_residual(spec, mesh, u.coefficients, mu)
+            err = np.abs(assemble_residual(spec, mesh, u, mu) - ref).max()
             assert err <= 1e-13 * np.abs(ref).max()
 
     def test_dirichlet_rows_and_columns(self, case):
@@ -324,6 +373,13 @@ class TestGuards:
         spec = ProblemSpec(diffusion=lambda x: np.atleast_2d(x)[:, 0] - 0.5)
         with pytest.raises(CoefficientViolation):
             assemble_residual(spec, mesh, FeFunction.constant(mesh, 1.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_diffusion_is_a_coefficient_violation(self, value):
+        # nan fails every comparison: it must not pass the > 0 check
+        mesh = generate_interval_mesh(0, 1, 4, left=Marker.ROBIN, right=Marker.ROBIN)
+        with pytest.raises(CoefficientViolation, match="finite"):
+            assemble_jacobian(ProblemSpec(diffusion=value), mesh, FeFunction.constant(mesh, 1.0))
 
     def test_length_mismatch(self):
         mesh = generate_interval_mesh(0, 1, 4)

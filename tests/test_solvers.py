@@ -505,6 +505,14 @@ def test_solver_config_rejects_negative_counts_and_mu0(field):
     assert getattr(SolverConfig(**{field: 0}), field) == 0
 
 
+@pytest.mark.parametrize("field", ["eps", "mu0"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_solver_config_rejects_nonfinite_eps_and_mu0(field, value):
+    # nan fails every comparison: it must not slip past the checks
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        SolverConfig(**{field: value})
+
+
 def test_reports_carry_wall_time(ex1_interval_reports):
     for report in ex1_interval_reports.values():
         assert report.wall_time >= 0.0
