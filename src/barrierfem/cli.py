@@ -65,6 +65,19 @@ MESH_KINDS = {
                ("refinement", BUILTIN_SHELL_REFINEMENT, int), ("n_layers", None, int))),
 }
 
+#: config key problem.<name> -> (lichnerowicz_spec argument, default,
+#: bound that the value must meet besides being finite)
+_PROBLEM_KEYS = {
+    "diffusion": ("diffusion", 1.0, "> 0"),
+    "scalar_curvature": ("scalar_curvature", 0.0, ""),
+    "tau": ("tau", 0.0, ""),
+    "sigma": ("sigma", 0.0, ">= 0"),
+    "rho": ("rho", 0.0, ">= 0"),
+    "robin_c": ("robin_coeff", 0.0, ""),
+    "robin_g": ("robin_data", 0.0, ""),
+    "dirichlet_g": ("dirichlet_data", 0.0, ""),
+}
+
 #: mesh-gen flag --<name> -> type, one per parameter name of MESH_KINDS
 _MESH_FLAGS = {name: type_ for _, _, params in MESH_KINDS.values() for name, _, type_ in params}
 
@@ -177,16 +190,15 @@ def load_experiment(path):
         spec = builtin_example(example)
         default_marker = example_marker(example)
     else:
-        spec = lichnerowicz_spec(
-            diffusion=ent.take("problem.diffusion", 1.0, float),
-            scalar_curvature=ent.take("problem.scalar_curvature", 0.0, float),
-            tau=ent.take("problem.tau", 0.0, float),
-            sigma=ent.take("problem.sigma", 0.0, float),
-            rho=ent.take("problem.rho", 0.0, float),
-            robin_coeff=ent.take("problem.robin_c", 0.0, float),
-            robin_data=ent.take("problem.robin_g", 0.0, float),
-            dirichlet_data=ent.take("problem.dirichlet_g", 0.0, float),
-        )
+        args = {}
+        for name, (arg, default, bound) in _PROBLEM_KEYS.items():
+            key = "problem." + name
+            args[arg] = value = ent.take(key, default, float)
+            in_bound = {"> 0": value > 0, ">= 0": value >= 0}.get(bound, True)
+            if not (np.isfinite(value) and in_bound):
+                need = f"finite and {bound}" if bound else "finite"
+                raise ConfigError(f"{key} must be {need}, got {value}", line=ent.line_of(key))
+        spec = lichnerowicz_spec(**args)
         default_marker = Marker.ROBIN
 
     kind = ent.take("mesh.kind")

@@ -40,7 +40,6 @@ import numpy as np
 from .errors import CoefficientViolation, DimensionMismatch, NonpositiveState
 # add_scaled is unused here; the traced benchmark run wraps fem.add_scaled
 from .linalg import SparseMatrix, add_scaled  # noqa: F401
-from .mesh import Marker
 from .problem import FeFunction, as_coefficients, power_sum
 from .quadrature import REFERENCE_MEASURE, simplex_rule
 
@@ -98,13 +97,11 @@ class _Workspace:
         self.wq = self.scale[:, None] * self.qw          # (M, Q)
         self.xq_flat = np.einsum("qk,mkd->mqd", self.lam, cell_pts).reshape(-1, d)
 
-        markers, fidx = mesh.facet_arrays
-        robin = np.array([m == Marker.ROBIN for m in markers], dtype=bool)
-        self.robin_idx = fidx[robin]                     # (B, d)
+        self.robin_idx = mesh.facets[mesh.robin]         # (B, d)
         self.flam, fqw = simplex_rule(d - 1)             # (Qf, d), (Qf,)
         fiu, fju, self.fsym, frr, fcc = _pair_tables(d)
         self.fphi2 = self.flam[:, fiu] * self.flam[:, fju]
-        fscale = mesh.facet_measures[robin] / REFERENCE_MEASURE[d - 1]
+        fscale = mesh.facet_measures[mesh.robin] / REFERENCE_MEASURE[d - 1]
         self.fwq = fscale[:, None] * fqw                 # (B, Qf)
         fpts = verts[self.robin_idx]                     # (B, d, dim)
         self.fxq_flat = np.einsum("qk,fkd->fqd", self.flam, fpts).reshape(-1, d)

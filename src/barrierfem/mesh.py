@@ -4,6 +4,11 @@ Meshes are treated as immutable once constructed; cell orientation is
 fixed at construction time (a transposition of two vertices whenever the
 signed measure is negative), so downstream gradient formulas can rely on
 positive signed volumes.
+
+The boundary is two arrays: `facets`, the vertex indices of each
+boundary facet, and `robin`, True where that facet carries a Robin
+condition and False where it carries a Dirichlet one.  Every module
+that needs the boundary conditions reads these two arrays.
 """
 
 import math
@@ -43,15 +48,20 @@ class SimplicialMesh:
         Spatial dimension, 1, 2 or 3.
     vertices : (N, dim) array of vertex coordinates.
     cells : (M, dim+1) integer array of vertex indices per cell.
-    boundary_facets : sequence of (Marker, index-tuple)
-        Each facet is a (dim-1)-simplex given by `dim` vertex indices
-        (a single vertex in 1D).
+    facets : (B, dim) integer array
+        Each boundary facet is a (dim-1)-simplex given by `dim` vertex
+        indices (a single vertex in 1D).
+    markers : B Markers, or their names "dirichlet" and "robin"
+        The boundary condition of each facet.
     fix_orientation : bool
         When True (default), cells with negative signed measure get two
         vertices swapped so every cell measure is positive.
+
+    The read-only arrays `facets` (B, dim), int64, and `robin` (B,),
+    bool, hold the boundary; `robin[i]` is False for a Dirichlet facet.
     """
 
-    def __init__(self, dim, vertices, cells, boundary_facets, fix_orientation=True):
+    def __init__(self, dim, vertices, cells, facets=(), markers=(), fix_orientation=True):
         if dim not in (1, 2, 3):
             raise InvalidGeometry(f"dimension must be 1, 2 or 3, got {dim}")
         self.dim = int(dim)
@@ -71,18 +81,23 @@ class SimplicialMesh:
                     self.cells[flip, -2],
                 )
                 self.cells = cells
-        self.cells.setflags(write=False)
-        self.vertices.setflags(write=False)
-        facets = []
-        for marker, idx in boundary_facets:
-            marker = Marker(marker)
-            idx = tuple(int(i) for i in (idx if hasattr(idx, "__len__") else (idx,)))
-            if len(idx) != self.dim:
-                raise InvalidGeometry(
-                    f"boundary facet {idx} has {len(idx)} vertices, expected {self.dim}"
-                )
-            facets.append((marker, idx))
-        self.boundary_facets = tuple(facets)
+        try:
+            self.facets = np.array(facets, dtype=np.int64)
+            self.robin = np.array([Marker(m) is Marker.ROBIN for m in markers], dtype=bool)
+        except ValueError as exc:  # a ragged facet list or an unknown marker
+            raise InvalidGeometry(f"bad boundary: {exc}") from None
+        if self.facets.size == 0:
+            self.facets = self.facets.reshape(0, self.dim)
+        if self.facets.ndim != 2 or self.facets.shape[1] != self.dim:
+            raise InvalidGeometry(
+                f"boundary facets have shape {self.facets.shape}, expected (B, {dim})"
+            )
+        if len(self.robin) != len(self.facets):
+            raise InvalidGeometry(
+                f"{len(self.robin)} boundary markers for {len(self.facets)} facets"
+            )
+        for array in (self.vertices, self.cells, self.facets, self.robin):
+            array.setflags(write=False)
 
     @property
     def num_vertices(self):
@@ -99,57 +114,44 @@ class SimplicialMesh:
         return _signed_measures(self.dim, self.vertices, self.cells)
 
     @cached_property
-    def facet_arrays(self):
-        """(markers, indices) with indices shaped (B, dim)."""
-        if not self.boundary_facets:
-            return np.array([], dtype=object), np.zeros((0, self.dim), dtype=np.int64)
-        markers = np.array([m for m, _ in self.boundary_facets], dtype=object)
-        idx = np.array([f for _, f in self.boundary_facets], dtype=np.int64)
-        return markers, idx
-
-    @cached_property
     def facet_measures(self):
         """Length/area of each boundary facet (1.0 for 1D point facets)."""
-        _, idx = self.facet_arrays
         if self.dim == 1:
-            return np.ones(len(idx))
-        pts = self.vertices[idx]
+            return np.ones(len(self.facets))
+        pts = self.vertices[self.facets]
         if self.dim == 2:
             return np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
         cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
         return 0.5 * np.linalg.norm(cross, axis=1)
 
-    @cached_property
-    def _facet_owner_counts(self):
-        """Number of cells that have each boundary facet as a face."""
-        d = self.dim
-        _, idx = self.facet_arrays
-        # face r of a cell drops its local vertex r
-        keep = np.array([[j for j in range(d + 1) if j != r] for r in range(d + 1)])
-        faces = np.sort(self.cells[:, keep], axis=-1).reshape(-1, d)
-        rows = np.concatenate([faces, np.sort(idx, axis=1)])
-        order = np.lexsort(rows.T[::-1])
-        ranked = rows[order]
-        starts = np.ones(len(rows), dtype=bool)
-        starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-        group = np.empty(len(rows), dtype=np.int64)
-        group[order] = np.cumsum(starts) - 1
-        counts = np.bincount(group[: len(faces)], minlength=int(starts.sum()))
-        return counts[group[len(faces):]]
-
     def dirichlet_vertices(self):
         """Sorted indices of vertices lying on Dirichlet-marked facets."""
-        markers, idx = self.facet_arrays
-        if len(idx) == 0:
-            return np.zeros(0, dtype=np.int64)
-        sel = np.array([m == Marker.DIRICHLET for m in markers], dtype=bool)
-        return np.unique(idx[sel].ravel()) if sel.any() else np.zeros(0, dtype=np.int64)
+        return np.unique(self.facets[~self.robin])
 
     def __repr__(self):
         return (
             f"SimplicialMesh(dim={self.dim}, vertices={self.num_vertices}, "
-            f"cells={self.num_cells}, facets={len(self.boundary_facets)})"
+            f"cells={self.num_cells}, facets={len(self.facets)})"
         )
+
+
+def _facet_groups(mesh):
+    """(owners, group) per boundary facet: the number of cells that have
+    it as a face, and an id that facets on the same vertices share."""
+    d = mesh.dim
+    # face r of a cell drops its local vertex r
+    keep = np.array([[j for j in range(d + 1) if j != r] for r in range(d + 1)])
+    faces = np.sort(mesh.cells[:, keep], axis=-1).reshape(-1, d)
+    rows = np.concatenate([faces, np.sort(mesh.facets, axis=1)])
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    group = np.empty(len(rows), dtype=np.int64)
+    group[order] = np.cumsum(starts) - 1
+    counts = np.bincount(group[: len(faces)], minlength=int(starts.sum()))
+    facet_group = group[len(faces):]
+    return counts[facet_group], facet_group
 
 
 def validate(mesh):
@@ -158,8 +160,7 @@ def validate(mesh):
     n = mesh.num_vertices
     if mesh.cells.size and (mesh.cells.min() < 0 or mesh.cells.max() >= n):
         violations.append("cell vertex index out of range")
-    _, fidx = mesh.facet_arrays
-    if fidx.size and (fidx.min() < 0 or fidx.max() >= n):
+    if mesh.facets.size and (mesh.facets.min() < 0 or mesh.facets.max() >= n):
         violations.append("facet vertex index out of range")
     if violations:
         return violations
@@ -169,19 +170,19 @@ def validate(mesh):
     for c in bad:
         violations.append(f"cell {c} has nonpositive measure {measures[c]:.3e}")
 
-    seen = {}
-    owner_counts = mesh._facet_owner_counts
-    for (marker, facet), owners in zip(mesh.boundary_facets, owner_counts.tolist()):
-        key = tuple(sorted(facet))
-        if key in seen:
+    owners, group = _facet_groups(mesh)
+    _, first, inverse = np.unique(group, return_index=True, return_inverse=True)
+    first = first[inverse]  # the first facet listed on the same vertices
+    repeated = first != np.arange(len(group))
+    names = np.where(mesh.robin, Marker.ROBIN.value, Marker.DIRICHLET.value)
+    for i in np.flatnonzero(repeated | (owners != 1)).tolist():
+        facet = tuple(mesh.facets[i].tolist())
+        if repeated[i]:
+            markers = f"{names[first[i]]}, {names[i]}"
+            violations.append(f"facet {facet} listed more than once (markers {markers})")
+        if owners[i] != 1:
             violations.append(
-                f"facet {facet} listed more than once (markers {seen[key].value}, {marker.value})"
-            )
-        else:
-            seen[key] = marker
-        if owners != 1:
-            violations.append(
-                f"facet {facet} is a face of {owners} cells, expected exactly 1"
+                f"facet {facet} is a face of {owners[i]} cells, expected exactly 1"
             )
     return violations
 
@@ -204,8 +205,7 @@ def generate_interval_mesh(a, b, n_cells, left=Marker.DIRICHLET, right=Marker.DI
         raise InvalidGeometry("n_cells must be >= 1")
     x = np.linspace(a, b, n_cells + 1)
     cells = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
-    facets = [(Marker(left), (0,)), (Marker(right), (n_cells,))]
-    return _require_valid(SimplicialMesh(1, x[:, None], cells, facets))
+    return _require_valid(SimplicialMesh(1, x[:, None], cells, [[0], [n_cells]], [left, right]))
 
 
 def generate_annulus_mesh(
@@ -223,25 +223,18 @@ def generate_annulus_mesh(
         raise InvalidGeometry("need n_radial >= 1 and n_angular >= 3")
     radii = np.linspace(r_in, r_out, n_radial + 1)
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    verts = np.empty((len(radii) * n_angular, 2))
-    for i, r in enumerate(radii):
-        verts[i * n_angular : (i + 1) * n_angular, 0] = r * np.cos(theta)
-        verts[i * n_angular : (i + 1) * n_angular, 1] = r * np.sin(theta)
+    verts = np.stack([np.outer(radii, np.cos(theta)), np.outer(radii, np.sin(theta))], axis=-1)
+    verts = verts.reshape(-1, 2)
 
-    cells = []
-    for i in range(n_radial):
-        base, top = i * n_angular, (i + 1) * n_angular
-        for j in range(n_angular):
-            jn = (j + 1) % n_angular
-            cells.append((base + j, base + jn, top + j))
-            cells.append((base + jn, top + jn, top + j))
-    facets = []
+    j = np.arange(n_angular)
+    jn = (j + 1) % n_angular
+    lo = n_angular * np.arange(n_radial)[:, None]  # first vertex of each ring but the last
+    hi = lo + n_angular
+    # two triangles per quad, in (ring, angle) order
+    cells = np.stack([lo + j, lo + jn, hi + j, lo + jn, hi + jn, hi + j], axis=-1).reshape(-1, 3)
     last = n_radial * n_angular
-    for j in range(n_angular):
-        jn = (j + 1) % n_angular
-        facets.append((Marker(inner), (j, jn)))
-        facets.append((Marker(outer), (last + j, last + jn)))
-    return _require_valid(SimplicialMesh(2, verts, np.array(cells), facets))
+    facets = np.stack([j, jn, last + j, last + jn], axis=-1).reshape(-1, 2)  # inner, outer edge
+    return _require_valid(SimplicialMesh(2, verts, cells, facets, [inner, outer] * n_angular))
 
 
 def _icosphere(subdivisions):
@@ -307,23 +300,14 @@ def generate_shell_mesh(
     radii = r_in * (r_out / r_in) ** (np.arange(layers + 1) / layers)
     verts = np.concatenate([r * surf_v for r in radii], axis=0)
 
-    cells = []
-    for layer in range(layers):
-        lo, hi = layer * ns, (layer + 1) * ns
-        for tri in surf_f:
-            g = sorted(tri)  # global surface ids fix the diagonal pattern
-            p = [lo + v for v in g]
-            q = [hi + v for v in g]
-            cells.append((p[0], p[1], p[2], q[2]))
-            cells.append((p[0], p[1], q[2], q[1]))
-            cells.append((p[0], q[1], q[2], q[0]))
-
-    facets = []
-    last = layers * ns
-    for tri in surf_f:
-        facets.append((Marker(inner), tuple(int(v) for v in tri)))
-        facets.append((Marker(outer), tuple(int(last + v) for v in tri)))
-    return _require_valid(SimplicialMesh(3, verts, np.array(cells), facets))
+    # p: a triangle's sorted vertices (global surface ids fix the diagonal
+    # pattern) on the inner sphere of a layer, q: the same on its outer one
+    p = np.sort(surf_f, axis=1) + ns * np.arange(layers)[:, None, None]
+    (p0, p1, p2), (q0, q1, q2) = np.moveaxis(p, -1, 0), np.moveaxis(p + ns, -1, 0)
+    # three tetrahedra per prism, in (layer, triangle) order
+    cells = np.stack([p0, p1, p2, q2, p0, p1, q2, q1, p0, q1, q2, q0], axis=-1).reshape(-1, 4)
+    facets = np.stack([surf_f, layers * ns + surf_f], axis=1).reshape(-1, 3)  # inner, outer
+    return _require_valid(SimplicialMesh(3, verts, cells, facets, [inner, outer] * len(surf_f)))
 
 
 def save_mesh(mesh, path):
@@ -334,9 +318,10 @@ def save_mesh(mesh, path):
     lines.append(f"cells {mesh.num_cells}")
     for cell in mesh.cells:
         lines.append(" ".join(str(int(i)) for i in cell))
-    lines.append(f"boundary_facets {len(mesh.boundary_facets)}")
-    for marker, facet in mesh.boundary_facets:
-        lines.append(marker.value + " " + " ".join(str(int(i)) for i in facet))
+    lines.append(f"boundary_facets {len(mesh.facets)}")
+    names = np.where(mesh.robin, Marker.ROBIN.value, Marker.DIRICHLET.value)
+    for name, facet in zip(names.tolist(), mesh.facets.tolist()):
+        lines.append(name + " " + " ".join(map(str, facet)))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -396,19 +381,19 @@ def load_mesh(path):
             raise ParseError("bad vertex index", line=line) from None
 
     nb, _ = expect_header("boundary_facets")
-    facets = []
+    facets, markers = [], []
     for _ in range(nb):
         fields, line = reader.next_fields()
         if len(fields) != dim + 1:
             raise ParseError(f"expected marker plus {dim} indices", line=line)
         try:
-            marker = Marker(fields[0])
+            markers.append(Marker(fields[0]))
         except ValueError:
             raise ParseError(f"unknown marker {fields[0]!r}", line=line) from None
         try:
-            facets.append((marker, tuple(int(f) for f in fields[1:])))
+            facets.append([int(f) for f in fields[1:]])
         except ValueError:
             raise ParseError("bad facet index", line=line) from None
 
-    mesh = SimplicialMesh(dim, verts, cells, facets, fix_orientation=False)
+    mesh = SimplicialMesh(dim, verts, cells, facets, markers, fix_orientation=False)
     return _require_valid(mesh)

@@ -191,7 +191,7 @@ class TestMainEntry:
         assert code == 0
         mesh = load_mesh(out)
         assert mesh.dim == 2
-        assert mesh.boundary_facets[0][0] == Marker.DIRICHLET
+        assert not mesh.robin[0]
 
     def test_solve_from_mesh_file(self, tmp_path):
         mesh_path = tmp_path / "iv.mesh"
@@ -257,6 +257,28 @@ class TestMainEntry:
         assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("problem.diffusion = nan\n", "line 2: problem.diffusion must be finite and > 0"),
+            ("problem.diffusion = 0\n", "line 2: problem.diffusion must be finite and > 0"),
+            ("problem.robin_c = inf\n", "line 2: problem.robin_c must be finite, got inf"),
+            ("problem.tau = nan\n", "line 2: problem.tau must be finite, got nan"),
+            ("problem.sigma = -1\n", "line 2: problem.sigma must be finite and >= 0, got -1.0"),
+            ("problem.rho = -inf\n", "line 2: problem.rho must be finite and >= 0"),
+        ],
+        ids=["diffusion_nan", "diffusion_zero", "robin_c_inf", "tau_nan", "sigma_negative",
+             "rho_negative"],
+    )
+    def test_bad_problem_value_is_an_error_line(self, tmp_path, capsys, text, message):
+        # without problem.example, the problem.* keys set the coefficients
+        cfg = write_cfg(tmp_path, "mesh.kind = interval\n" + text)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize(
         "kind, flags, message",
         [
             ("shell", ["--a", "5"], "--a does not apply to --kind shell"),
@@ -281,9 +303,8 @@ class TestMainEntry:
         assert label == kind
         assert np.array_equal(generated.vertices, configured.vertices)
         assert np.array_equal(generated.cells, configured.cells)
-        assert [(m, tuple(f)) for m, f in generated.boundary_facets] == [
-            (m, tuple(f)) for m, f in configured.boundary_facets
-        ]
+        assert np.array_equal(generated.facets, configured.facets)
+        assert np.array_equal(generated.robin, configured.robin)
 
 
 @pytest.fixture(scope="module")

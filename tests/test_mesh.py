@@ -7,6 +7,7 @@ from barrierfem.errors import InvalidGeometry, ParseError, ValidationError
 from barrierfem.mesh import (
     Marker,
     SimplicialMesh,
+    _icosphere,
     generate_annulus_mesh,
     generate_interval_mesh,
     generate_shell_mesh,
@@ -23,6 +24,62 @@ def shoelace(tri):
 
 def tet_volume(pts):
     return abs(np.linalg.det(pts[1:] - pts[0])) / 6.0
+
+
+def reference_annulus(r_in, r_out, n_radial, n_angular, inner, outer):
+    """The annulus built one ring, quad and edge at a time."""
+    radii = np.linspace(r_in, r_out, n_radial + 1)
+    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    verts = np.empty((len(radii) * n_angular, 2))
+    for i, r in enumerate(radii):
+        verts[i * n_angular : (i + 1) * n_angular, 0] = r * np.cos(theta)
+        verts[i * n_angular : (i + 1) * n_angular, 1] = r * np.sin(theta)
+    cells = []
+    for i in range(n_radial):
+        base, top = i * n_angular, (i + 1) * n_angular
+        for j in range(n_angular):
+            jn = (j + 1) % n_angular
+            cells.append((base + j, base + jn, top + j))
+            cells.append((base + jn, top + jn, top + j))
+    facets, markers = [], []
+    last = n_radial * n_angular
+    for j in range(n_angular):
+        jn = (j + 1) % n_angular
+        facets += [(j, jn), (last + j, last + jn)]
+        markers += [inner, outer]
+    return SimplicialMesh(2, verts, np.array(cells), facets, markers)
+
+
+def reference_shell(r_in, r_out, refinement, inner, outer, n_layers=None):
+    """The shell built one prism and triangle at a time."""
+    layers = refinement + 1 if n_layers is None else n_layers
+    surf_v, surf_f = _icosphere(refinement)
+    ns = len(surf_v)
+    radii = r_in * (r_out / r_in) ** (np.arange(layers + 1) / layers)
+    verts = np.concatenate([r * surf_v for r in radii], axis=0)
+    cells = []
+    for layer in range(layers):
+        lo, hi = layer * ns, (layer + 1) * ns
+        for tri in surf_f:
+            g = sorted(tri)
+            p = [lo + v for v in g]
+            q = [hi + v for v in g]
+            cells.append((p[0], p[1], p[2], q[2]))
+            cells.append((p[0], p[1], q[2], q[1]))
+            cells.append((p[0], q[1], q[2], q[0]))
+    facets, markers = [], []
+    last = layers * ns
+    for tri in surf_f:
+        facets += [tuple(int(v) for v in tri), tuple(int(last + v) for v in tri)]
+        markers += [inner, outer]
+    return SimplicialMesh(3, verts, np.array(cells), facets, markers)
+
+
+def assert_same_mesh(mesh, reference):
+    for name in ("vertices", "cells", "facets", "robin"):
+        got, want = getattr(mesh, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
 
 
 class TestInterval:
@@ -48,8 +105,8 @@ class TestInterval:
 
     def test_markers(self):
         mesh = generate_interval_mesh(0, 1, 3, left=Marker.ROBIN, right=Marker.DIRICHLET)
-        markers = {facet: marker for marker, facet in mesh.boundary_facets}
-        assert markers == {(0,): Marker.ROBIN, (3,): Marker.DIRICHLET}
+        assert mesh.facets.tolist() == [[0], [3]]
+        assert mesh.robin.tolist() == [True, False]
 
 
 class TestAnnulus:
@@ -81,6 +138,11 @@ class TestAnnulus:
         assert validate(mesh) == []
         assert np.all(mesh.cell_volumes > 0)
 
+    @pytest.mark.parametrize("grid", [(1, 2, 1, 4), (1, 2, 2, 64), (0.5, 3, 3, 10), (1, 2, 1, 5)])
+    def test_matches_reference_construction(self, grid):
+        args = (*grid, Marker.DIRICHLET, Marker.ROBIN)
+        assert_same_mesh(generate_annulus_mesh(*args), reference_annulus(*args))
+
 
 class TestShell:
     @pytest.mark.parametrize("r_in,r_out,refinement", [(1, 100, 2), (50, 100, 1), (10, 100, 0)])
@@ -94,8 +156,7 @@ class TestShell:
         # the scaled polyhedra, so total volume = V_poly(1) * (R^3 - r^3)
         # with V_poly(1) recovered from the inner boundary facets
         mesh = generate_shell_mesh(2, 5, 1)
-        markers, fidx = mesh.facet_arrays
-        inner = [f for m, f in mesh.boundary_facets if np.linalg.norm(mesh.vertices[f[0]]) < 3]
+        inner = [f for f in mesh.facets if np.linalg.norm(mesh.vertices[f[0]]) < 3]
         v_inner = sum(
             abs(np.linalg.det(mesh.vertices[list(f)])) / 6.0 for f in inner
         )
@@ -113,6 +174,17 @@ class TestShell:
         mesh = generate_shell_mesh(1, 100, 2, n_layers=8)
         assert mesh.num_vertices == 162 * 9
 
+    @pytest.mark.parametrize(
+        "r_in, refinement, n_layers",
+        [(50, 0, None), (10, 1, None), (1, 2, None), (1, 3, None), (10, 2, 5)],
+    )
+    @pytest.mark.parametrize("inner", [Marker.ROBIN, Marker.DIRICHLET])
+    def test_matches_reference_construction(self, r_in, refinement, n_layers, inner):
+        args = (r_in, 100, refinement, inner, Marker.DIRICHLET)
+        assert_same_mesh(
+            generate_shell_mesh(*args, n_layers=n_layers), reference_shell(*args, n_layers)
+        )
+
     def test_invalid(self):
         with pytest.raises(InvalidGeometry):
             generate_shell_mesh(100, 1, 1)
@@ -127,29 +199,49 @@ class TestValidate:
             1,
             mesh.vertices,
             mesh.cells,
-            [(Marker.DIRICHLET, (0,)), (Marker.ROBIN, (0,)), (Marker.DIRICHLET, (2,))],
+            [[0], [0], [2]],
+            [Marker.DIRICHLET, Marker.ROBIN, Marker.DIRICHLET],
         )
-        assert any("more than once" in v for v in validate(bad))
+        assert "facet (0,) listed more than once (markers dirichlet, robin)" in validate(bad)
 
     def test_inverted_cell(self):
         bad = SimplicialMesh(
-            1, [[0.0], [1.0]], [[1, 0]], [(Marker.DIRICHLET, (0,))], fix_orientation=False
+            1, [[0.0], [1.0]], [[1, 0]], [[0]], [Marker.DIRICHLET], fix_orientation=False
         )
         assert any("nonpositive measure" in v for v in validate(bad))
 
     def test_orientation_fix(self):
-        fixed = SimplicialMesh(1, [[0.0], [1.0]], [[1, 0]], [])
+        fixed = SimplicialMesh(1, [[0.0], [1.0]], [[1, 0]])
         assert fixed.cell_volumes[0] > 0
 
     def test_interior_facet_rejected(self):
         mesh = generate_interval_mesh(0, 1, 2)
         bad = SimplicialMesh(
-            1, mesh.vertices, mesh.cells, [(Marker.DIRICHLET, (1,))]
+            1, mesh.vertices, mesh.cells, [[1]], [Marker.DIRICHLET]
         )  # vertex 1 is shared by both cells
         assert any("expected exactly 1" in v for v in validate(bad))
 
+    @pytest.mark.parametrize(
+        "facets, markers",
+        [
+            ([[0, 1]], ["dirichlet"]),
+            ([[0], [1, 0]], ["dirichlet", "robin"]),
+            ([[0], [1]], [Marker.DIRICHLET]),
+            ([[0]], ["periodic"]),
+        ],
+        ids=["facet_width", "ragged_facets", "marker_count", "marker_name"],
+    )
+    def test_constructor_rejects_bad_boundary(self, facets, markers):
+        with pytest.raises(InvalidGeometry):
+            SimplicialMesh(1, [[0.0], [1.0]], [[0, 1]], facets, markers)
+
+    def test_markers_by_name(self):
+        mesh = SimplicialMesh(1, [[0.0], [1.0]], [[0, 1]], [[0], [1]], ["robin", "dirichlet"])
+        assert mesh.robin.tolist() == [True, False]
+        assert mesh.dirichlet_vertices().tolist() == [1]
+
     def test_index_out_of_range(self):
-        bad = SimplicialMesh(1, [[0.0], [1.0]], [[0, 5]], [], fix_orientation=False)
+        bad = SimplicialMesh(1, [[0.0], [1.0]], [[0, 5]], fix_orientation=False)
         assert any("out of range" in v for v in validate(bad))
 
 
@@ -170,13 +262,23 @@ class TestMeshIO:
         assert loaded.dim == mesh.dim
         assert np.array_equal(loaded.vertices, mesh.vertices)
         assert np.array_equal(loaded.cells, mesh.cells)
-        assert loaded.boundary_facets == mesh.boundary_facets
+        assert np.array_equal(loaded.facets, mesh.facets)
+        assert np.array_equal(loaded.robin, mesh.robin)
 
     def test_cell_index_out_of_range(self, tmp_path):
         path = tmp_path / "bad.mesh"
         path.write_text("dim 1\nvertices 2\n0.0\n1.0\ncells 1\n0 7\nboundary_facets 0\n")
         with pytest.raises(ValidationError):
             load_mesh(path)
+
+    def test_facet_index_out_of_range(self, tmp_path):
+        path = tmp_path / "bad.mesh"
+        path.write_text(
+            "dim 1\nvertices 2\n0.0\n1.0\ncells 1\n0 1\nboundary_facets 1\nrobin 2\n"
+        )
+        with pytest.raises(ValidationError) as err:
+            load_mesh(path)
+        assert err.value.violations == ["facet vertex index out of range"]
 
     def test_unsupported_dimension(self, tmp_path):
         path = tmp_path / "bad.mesh"
@@ -208,4 +310,4 @@ class TestMeshIO:
         )
         mesh = load_mesh(path)
         assert mesh.num_cells == 1
-        assert mesh.boundary_facets[1][0] == Marker.ROBIN
+        assert mesh.robin.tolist() == [False, True]

@@ -153,7 +153,8 @@ def test_energy_invariant_under_vertex_permutation(case, random):
         mesh.dim,
         mesh.vertices[perm],
         new_index[mesh.cells],
-        [(marker, tuple(new_index[list(idx)])) for marker, idx in mesh.boundary_facets],
+        new_index[mesh.facets],
+        np.where(mesh.robin, "robin", "dirichlet"),
     )
     for m in (0.0, mu):
         energy = compute_energy(spec, mesh, u, m)
