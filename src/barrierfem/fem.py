@@ -183,8 +183,8 @@ class _Workspace:
         data = np.bincount(self.slots, np.concatenate(local), minlength=len(self.full_indices))
         reduced = data[self.reduced]
         reduced[self.fixed_diagonal] = 1.0
-        source = at(spec.source) if spec.source is not None else np.zeros(self.wq.shape)
-        load = [(self.wq * source) @ self.lam, (self.fwq * at(spec.robin_data, True)) @ self.flam]
+        load = [(self.wq * at(spec.source)) @ self.lam,
+                (self.fwq * at(spec.robin_data, True)) @ self.flam]
         vertices = np.concatenate([self.cells.ravel(), self.robin_idx.ravel()])
         fields = {
             "coeffs": coeffs,
@@ -209,15 +209,18 @@ def workspace_for(mesh):
     return ws
 
 
-def _check_state(mesh, u, positive):
+def _check_state(ws, u, positive):
+    """u as coefficients; with `positive`, u must be > 0 at every free
+    vertex and >= 0 at every vertex (zero Dirichlet data is allowed)."""
     u = as_coefficients(u)
-    if len(u) != mesh.num_vertices:
+    if len(u) != ws.num_vertices:
         raise DimensionMismatch(
-            f"state has {len(u)} coefficients, mesh has {mesh.num_vertices} vertices"
+            f"state has {len(u)} coefficients, mesh has {ws.num_vertices} vertices"
         )
-    if positive and np.any(u <= 0):
+    if positive and np.any((u < 0) | ((u == 0) & ~ws.dirichlet_mask)):
         raise NonpositiveState(
-            f"state must be strictly positive at every vertex (min = {u.min():.3e})"
+            "state must be > 0 at every free vertex and >= 0 at every vertex "
+            f"(min = {u.min():.3e})"
         )
     return u
 
@@ -225,8 +228,8 @@ def _check_state(mesh, u, positive):
 def _at_quadrature(spec, mesh, u, mu):
     """(u, workspace, spec fields, power terms at mu, u at the quadrature
     points); the barrier -mu int ln u is the power term -mu u^-1 of k."""
-    u = _check_state(mesh, u, mu > 0)
     ws = workspace_for(mesh)
+    u = _check_state(ws, u, mu > 0)
     fields = ws.fields_for(spec)
     coeffs = fields["coeffs"] + [(-1, -mu)] if mu > 0 else fields["coeffs"]
     return u, ws, fields, coeffs, u[ws.cells] @ ws.lam.T
@@ -242,9 +245,9 @@ def assemble_residual(spec, mesh, u, mu=0.0):
 
 def assemble_barrier_gradient(mesh, u):
     """H_i = int u_h^-1 phi_i with Dirichlet entries zeroed, so that
-    f(u, mu2) = f(u, mu1) + (mu1 - mu2) H(u); u must be > 0."""
-    u = _check_state(mesh, u, True)
+    f(u, mu2) = f(u, mu1) + (mu1 - mu2) H(u); u must pass _check_state."""
     ws = workspace_for(mesh)
+    u = _check_state(ws, u, True)
     return ws.vertex_sum((ws.wq / (u[ws.cells] @ ws.lam.T)) @ ws.lam)
 
 

@@ -65,22 +65,15 @@ class SimplicialMesh:
         if dim not in (1, 2, 3):
             raise InvalidGeometry(f"dimension must be 1, 2 or 3, got {dim}")
         self.dim = int(dim)
-        self.vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
+        self.vertices = np.atleast_2d(np.array(vertices, dtype=float))
         if self.vertices.shape[1] != self.dim:
             raise InvalidGeometry(
                 f"vertex coordinates have {self.vertices.shape[1]} components, expected {dim}"
             )
-        self.cells = np.asarray(cells, dtype=np.int64).reshape(-1, self.dim + 1)
+        self.cells = np.array(cells, dtype=np.int64).reshape(-1, self.dim + 1)
         if fix_orientation and len(self.cells):
-            signed = _signed_measures(self.dim, self.vertices, self.cells)
-            flip = signed < 0
-            if np.any(flip):
-                cells = self.cells.copy()
-                cells[flip, -2], cells[flip, -1] = (
-                    self.cells[flip, -1],
-                    self.cells[flip, -2],
-                )
-                self.cells = cells
+            flip = _signed_measures(self.dim, self.vertices, self.cells) < 0
+            self.cells[flip, -2:] = self.cells[flip, -1:-3:-1]  # swap the last two
         try:
             self.facets = np.array(facets, dtype=np.int64)
             self.robin = np.array([Marker(m) is Marker.ROBIN for m in markers], dtype=bool)

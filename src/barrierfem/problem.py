@@ -54,7 +54,8 @@ class ProblemSpec:
         u = dirichlet_data                                        on Dirichlet part
 
     power_terms maps odd integer exponents p (p != -1) to coefficient
-    fields c_p.
+    fields c_p.  A field is a callable of position or a number; source,
+    robin_coeff, robin_data and dirichlet_data default to 0, diffusion to 1.
     """
 
     diffusion: object = field(default_factory=lambda: constant_field(1.0))
@@ -62,7 +63,7 @@ class ProblemSpec:
     robin_coeff: object = field(default_factory=lambda: constant_field(0.0))
     robin_data: object = field(default_factory=lambda: constant_field(0.0))
     dirichlet_data: object = field(default_factory=lambda: constant_field(0.0))
-    source: object = None
+    source: object = field(default_factory=lambda: constant_field(0.0))
 
     def __post_init__(self):
         terms = []
@@ -78,10 +79,8 @@ class ProblemSpec:
             seen.add(p)
             terms.append((p, _as_field(coeff)))
         object.__setattr__(self, "power_terms", tuple(terms))
-        for name in ("diffusion", "robin_coeff", "robin_data", "dirichlet_data"):
+        for name in ("diffusion", "robin_coeff", "robin_data", "dirichlet_data", "source"):
             object.__setattr__(self, name, _as_field(getattr(self, name)))
-        if self.source is not None:
-            object.__setattr__(self, "source", _as_field(self.source))
 
 
 @dataclass

@@ -93,7 +93,8 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
-    """One accepted Newton/backtracking step."""
+    """One accepted Newton/backtracking step; grad_dot_dir < 0 certifies a
+    safeguarded step's descent (a standard step records nan there)."""
 
     mu: float
     residual_norm: float        # ||G - mu H|| before the step
@@ -102,7 +103,6 @@ class IterationRecord:
     alpha_bar: float
     alpha: float
     grad_dot_dir: float         # slope of the merit along the step
-    dir_dot_residual: float     # w.(G - mu H) descent test value
     fallback_used: bool
     min_free_coeff: float       # min of u on unconstrained dofs after the step
     cg_status: str
@@ -155,11 +155,13 @@ def step_to_boundary(u, w, free=None):
     return min(0.99 * alpha_max, 1.0)
 
 
-def armijo_backtrack(merit, grad_dot_dir, u, w, alpha_bar, eta=1.0e-4, backtrack=0.5):
+def armijo_backtrack(evaluate, phi0, grad_dot_dir, u, w, alpha_bar, eta=1.0e-4, backtrack=0.5):
     """Largest alpha in {alpha_bar * backtrack^k} with sufficient decrease.
 
-    merit(v) is evaluated at trial points v = u + alpha*w; the returned
-    alpha satisfies merit(u + alpha*w) <= merit(u) + eta*alpha*grad_dot_dir.
+    evaluate(v) returns (value, merit) at a trial point v = u + alpha*w;
+    a trial that raises NonpositiveState has infinite merit.  phi0 is the
+    merit at u, which is not evaluated.  Returns (alpha, evaluate(u + alpha*w))
+    for the first alpha with merit <= phi0 + eta*alpha*grad_dot_dir.
     Raises LineSearchFailure once alpha_bar and 40 halvings are all rejected.
     """
     if not grad_dot_dir < 0:
@@ -168,12 +170,14 @@ def armijo_backtrack(merit, grad_dot_dir, u, w, alpha_bar, eta=1.0e-4, backtrack
         raise ValueError(f"alpha_bar must be positive, got {alpha_bar}")
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    phi0 = merit(u)
     alpha = float(alpha_bar)
     for _ in range(41):
-        trial = merit(u + alpha * w)
-        if np.isfinite(trial) and trial <= phi0 + eta * alpha * grad_dot_dir:
-            return alpha
+        try:
+            trial = evaluate(u + alpha * w)
+        except NonpositiveState:
+            trial = (None, np.inf)
+        if np.isfinite(trial[1]) and trial[1] <= phi0 + eta * alpha * grad_dot_dir:
+            return alpha, trial
         alpha *= backtrack
     raise LineSearchFailure(
         f"no sufficient decrease after 40 halvings (phi0={phi0:.3e})"
@@ -265,8 +269,9 @@ def _newton(problem, u, mu, config, report, safeguarded):
     eps at mu = 0.  Both step policies stop on a nonfinite residual,
     after max_inner steps and after five negligible steps in a row.  A
     standard step is the full Newton step.  A safeguarded step falls
-    back to -f unless w.f < 0, is capped by step_to_boundary and
-    backtracked on phi, which is infinite at a nonpositive trial.
+    back to -f unless phi's slope along w is negative, stops unless the
+    slope along the step is then negative, is capped by step_to_boundary
+    and backtracked on phi, which is infinite at a nonpositive trial.
     Returns (u, stage, reason): the last iterate, its StageRecord (None
     if the start state is nonpositive) and "" on convergence, else why
     the iteration stopped.
@@ -288,37 +293,26 @@ def _newton(problem, u, mu, config, report, safeguarded):
             if stage.newton_iterations >= config.max_inner:
                 return u, stage, f"no convergence in {config.max_inner} iterations at mu={mu:g}"
             w, cg_status, slope_along = problem.direction(u, mu, f)
-            w_dot_f = float(np.dot(w, f))
-            alpha, alpha_bar, slope, phi_after, fallback = 1.0, np.nan, np.nan, np.nan, False
+            alpha, alpha_bar, slope, trial, fallback = 1.0, np.nan, np.nan, (None, np.nan), False
             if safeguarded:
-                if not w_dot_f < 0:
-                    w, w_dot_f, fallback = -f, -fn * fn, True
                 slope = slope_along(w)
+                if not slope < 0:
+                    w, fallback = -f, True
+                    slope = slope_along(w)
                 if not slope < 0:
                     return u, stage, f"no descent direction at mu={mu:g}"
                 alpha_bar = step_to_boundary(u, w, free=problem.free)
-                start, trials = u, []
-
-                def merit(v):
-                    if v is start:  # the merit at u is known: no assembly
-                        return phi
-                    try:
-                        trials.append(problem.evaluate(v, mu))
-                    except NonpositiveState:
-                        trials.append((None, np.inf))
-                    return trials[-1][1]
-
                 try:
-                    alpha = armijo_backtrack(
-                        merit, slope, u, w, alpha_bar, eta=config.eta, backtrack=config.backtrack
+                    alpha, trial = armijo_backtrack(
+                        lambda v: problem.evaluate(v, mu), phi, slope, u, w, alpha_bar,
+                        eta=config.eta, backtrack=config.backtrack,
                     )
                 except LineSearchFailure as exc:
                     return u, stage, f"line search failure at mu={mu:g}: {exc}"
-                phi_after = trials[-1][1]  # the accepted trial is the last one
 
             u = u + alpha * w
             report.iterations.append(IterationRecord(
-                mu, fn, phi, phi_after, alpha_bar, alpha, slope, w_dot_f, fallback,
+                mu, fn, phi, trial[1], alpha_bar, alpha, slope, fallback,
                 float(u[problem.free].min()), cg_status,
             ))
             stage.newton_iterations += 1
@@ -328,7 +322,7 @@ def _newton(problem, u, mu, config, report, safeguarded):
             if stagnant >= 5:
                 return u, stage, f"stagnation: negligible steps at mu={mu:g}"
             # the accepted trial u + alpha*w is the new iterate, bit for bit
-            f, phi = trials[-1] if safeguarded else problem.evaluate(u, mu)
+            f, phi = trial if safeguarded else problem.evaluate(u, mu)
     except NonpositiveState as exc:
         return u, stage, f"nonpositive state: {exc}"
 
@@ -337,9 +331,9 @@ def _continuation(problem, u, config, report, polish):
     """Safeguarded Newton on the stages mu0, gamma*mu0, ... >= eps (at
     most max_outer), each warm-started, then with `polish` on mu = 0.
 
-    Multiplier estimates are mu/u after the last positive stage, empty
-    after the polish.  Returns (u, reason); reason is "" when every stage
-    converged and, without the polish, the schedule reached mu < eps.
+    Multiplier estimates are mu/u on the free dofs after the last positive
+    stage, empty after the polish.  Returns (u, reason); reason is "" when
+    every stage converged and, without the polish, the schedule reached mu < eps.
     """
     mu = float(config.mu0)
     schedule = []
@@ -352,17 +346,17 @@ def _continuation(problem, u, config, report, polish):
             report.stages.append(stage)
         if reason:
             return u, reason
-        report.multiplier_estimates = stage_mu / u if stage_mu > 0 else np.zeros(0)
+        report.multiplier_estimates = stage_mu / u[problem.free] if stage_mu > 0 else np.zeros(0)
     if mu >= config.eps and not polish:
         return u, f"max_outer = {config.max_outer} stages ended the schedule at mu={mu:g} >= eps"
     return u, ""
 
 
 def _finalize(report, problem, u, t0):
-    """Record the last iterate, its sign and ||evaluate(u, 0)||: ||G(u)||
-    (the FEM adapter's last residual when taken at u), or ||grad f(x)||."""
+    """Record the last iterate, its sign on the free dofs and ||evaluate(u, 0)||:
+    ||G(u)|| (the FEM adapter's last residual when at u), or ||grad f(x)||."""
     report.solution = u.copy()
-    report.sign = classify_sign(u)
+    report.sign = classify_sign(u[problem.free])
     report.total_newton_iterations = len(report.iterations)
     report.final_residual = float(np.linalg.norm(problem.evaluate(u, 0.0)[0]))
     report.wall_time = time.perf_counter() - t0

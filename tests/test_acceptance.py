@@ -278,7 +278,6 @@ def test_criterion_07_feasibility_and_certificates(ex1_shell_reports, ex4_shell_
             assert rec.min_free_coeff > 0, "iterate left the positive orthant"
             assert rec.grad_dot_dir < 0
             assert rec.phi_after <= rec.phi_before + config.eta * rec.alpha * rec.grad_dot_dir
-            assert rec.dir_dot_residual < 0 or rec.fallback_used
             checked_steps += 1
         mus = [stage.mu for stage in report.stages]
         positive = [m for m in mus if m > 0]

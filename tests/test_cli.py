@@ -204,6 +204,26 @@ class TestMainEntry:
         )
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
+    def test_zero_dirichlet_data(self, tmp_path):
+        # example 1 has u = 0 on its Dirichlet boundary: the barrier needs
+        # u > 0 only at the free vertices, and the sign is taken there
+        mesh_path = tmp_path / "annulus.mesh"
+        main(["mesh-gen", "--kind", "annulus", "--inner-marker", "dirichlet",
+              "--out", str(mesh_path)])
+        cfg = write_cfg(
+            tmp_path,
+            f"problem.example = 1\nmesh.kind = file\nmesh.path = {mesh_path}\n"
+            "methods = newton, safeguarded, barrier\n",
+        )
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out / "results.csv")
+        assert [(row[0], row[2], row[4], row[5]) for row in rows] == [
+            ("newton", "8", "+", "true"),
+            ("safeguarded", "8", "+", "true"),
+            ("barrier", "12", "+", "true"),
+        ]
+
     def test_plot_subcommand(self, tmp_path):
         out = tmp_path / "fig.csv"
         code = main(["plot-integrand", "--R", "-1000", "--min", "0.4", "--max", "3",

@@ -214,6 +214,13 @@ class TestValidate:
         fixed = SimplicialMesh(1, [[0.0], [1.0]], [[1, 0]])
         assert fixed.cell_volumes[0] > 0
 
+    def test_caller_arrays_are_copied(self):
+        v, c = np.array([[0.0], [1.0]]), np.array([[1, 0]])
+        mesh = SimplicialMesh(1, v, c)
+        assert v.flags.writeable and not mesh.vertices.flags.writeable
+        assert c.tolist() == [[1, 0]] and mesh.cells.tolist() == [[0, 1]]
+        assert not np.shares_memory(c, mesh.cells)
+
     def test_interior_facet_rejected(self):
         mesh = generate_interval_mesh(0, 1, 2)
         bad = SimplicialMesh(

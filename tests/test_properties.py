@@ -134,11 +134,17 @@ def test_residual_shifts_in_mu_by_the_barrier_gradient(case, mu2):
 @PROPERTY_SETTINGS
 @given(cases(), st.data())
 def test_barrier_gradient_rejects_nonpositive_state(case, data):
+    """u < 0 at any vertex, or u = 0 at a free vertex, raises; u = 0 at a
+    Dirichlet vertex (zero boundary data) gives a finite H."""
     _, mesh, u, _, _ = case
     u = u.copy()
-    u[data.draw(st.integers(0, len(u) - 1))] = data.draw(st.floats(-2.0, 0.0))
-    with pytest.raises(NonpositiveState):
-        assemble_barrier_gradient(mesh, u)
+    i = data.draw(st.integers(0, len(u) - 1))
+    u[i] = data.draw(st.just(0.0) | st.floats(-2.0, 0.0))
+    if u[i] == 0 and i in mesh.dirichlet_vertices():
+        assert np.all(np.isfinite(assemble_barrier_gradient(mesh, u)))
+    else:
+        with pytest.raises(NonpositiveState):
+            assemble_barrier_gradient(mesh, u)
 
 
 @PROPERTY_SETTINGS

@@ -6,7 +6,12 @@ import pytest
 
 from barrierfem.errors import LineSearchFailure, NonpositiveState
 from barrierfem.fem import assemble_jacobian, assemble_residual
-from barrierfem.mesh import Marker, generate_interval_mesh, generate_shell_mesh
+from barrierfem.mesh import (
+    Marker,
+    generate_annulus_mesh,
+    generate_interval_mesh,
+    generate_shell_mesh,
+)
 from barrierfem.problem import FeFunction, ProblemSpec, builtin_example
 from barrierfem import solvers
 from barrierfem.solvers import (
@@ -92,45 +97,125 @@ class TestStepToBoundary:
                 assert alpha == 1.0
 
 
+def _trials(merit, points=None):
+    """An armijo_backtrack evaluate: (x, merit(x)), logging each x in points."""
+
+    def evaluate(x):
+        if points is not None:
+            points.append(float(x[0]))
+        return x, merit(x)
+
+    return evaluate
+
+
 class TestArmijo:
     def test_quadratic_full_step(self):
         # oracle: 0.5 (1-a)^2 <= 0.5 - 1e-4 a holds at a = 1
         merit = lambda x: 0.5 * float(x[0] ** 2)
-        alpha = armijo_backtrack(merit, -1.0, np.array([1.0]), np.array([-1.0]), 1.0)
+        alpha, (x, phi) = armijo_backtrack(
+            _trials(merit), 0.5, -1.0, np.array([1.0]), np.array([-1.0]), 1.0
+        )
         assert alpha == 1.0
+        assert x.tolist() == [0.0] and phi == 0.0  # the accepted trial
 
     def test_quartic_backtracks(self):
         merit = lambda x: float(x[0] ** 4)
         grad = 4.0 * 1.0**3 * (-1.0)
-        alpha = armijo_backtrack(merit, grad, np.array([1.0]), np.array([-1.0]), 2.0)
+        points = []
+        alpha, (x, phi) = armijo_backtrack(
+            _trials(merit, points), 1.0, grad, np.array([1.0]), np.array([-1.0]), 2.0
+        )
         assert 0 < alpha < 2.0
         # recheck the inequality at the returned step
         assert merit(np.array([1.0 - alpha])) <= 1.0 + 1e-4 * alpha * grad
+        assert points[-1] == x[0] == 1.0 - alpha and phi == merit(x)
 
     def test_nondescent_rejected(self):
         merit = lambda x: float(x[0] ** 2)
         with pytest.raises(ValueError):
-            armijo_backtrack(merit, 0.0, np.array([1.0]), np.array([1.0]), 1.0)
+            armijo_backtrack(_trials(merit), 1.0, 0.0, np.array([1.0]), np.array([1.0]), 1.0)
 
     def test_failure_after_max_halvings(self):
         # merit increases along w but the supplied slope claims descent
         points = []
-
-        def merit(x):
-            points.append(float(x[0]))
-            return abs(points[-1])
-
         with pytest.raises(LineSearchFailure):
-            armijo_backtrack(merit, -1.0, np.array([1.0]), np.array([1.0]), 1.0)
-        # merit(u), then alpha_bar and 40 halvings
-        assert len(points) == 42 and points[-1] == 1.0 + 0.5**40
+            armijo_backtrack(
+                _trials(lambda x: abs(float(x[0])), points),
+                1.0, -1.0, np.array([1.0]), np.array([1.0]), 1.0,
+            )
+        # alpha_bar and 40 halvings; the merit at u is phi0, not evaluated
+        assert len(points) == 41 and points[-1] == 1.0 + 0.5**40
 
     def test_infinite_merit_treated_as_reject(self):
         # decreasing toward 0.3 but undefined past 0.5: the search must
         # skate past the infinite trials and settle inside the domain
         merit = lambda x: np.inf if x[0] > 0.5 else float((x[0] - 0.3) ** 2)
-        alpha = armijo_backtrack(merit, -0.2, np.array([0.2]), np.array([1.0]), 1.0)
+        alpha, _ = armijo_backtrack(
+            _trials(merit), 0.01, -0.2, np.array([0.2]), np.array([1.0]), 1.0
+        )
         assert 0.2 + alpha * 1.0 <= 0.5
+
+    def test_nonpositive_trial_rejected(self):
+        # a trial the merit cannot be taken at counts as an infinite merit
+        def merit(x):
+            if x[0] > 0.5:
+                raise NonpositiveState("outside the domain")
+            return float((x[0] - 0.3) ** 2)
+
+        points = []
+        alpha, (x, phi) = armijo_backtrack(
+            _trials(merit, points), 0.01, -0.2, np.array([0.2]), np.array([1.0]), 1.0
+        )
+        # 1.2 and 0.7 raise, 0.45 has merit 0.0225 > 0.01: 0.325 is accepted
+        assert points == [1.2, 0.7, 0.45, 0.325]
+        assert alpha == 0.125 and x[0] == 0.325 and phi == merit(x)
+
+
+class _LinearStub:
+    """Newton adapter for f(v) = B (v - 1) with a diagonal, possibly
+    indefinite B, merit 0.5||f||^2 (slope (B w).f) and a fixed direction."""
+
+    def __init__(self, diagonal, w):
+        self.b = np.diag(np.asarray(diagonal, dtype=float))
+        self.w = np.asarray(w, dtype=float)
+        self.free = np.ones(len(self.w), dtype=bool)
+
+    def evaluate(self, v, mu):
+        f = self.b @ (v - 1.0)
+        return f, 0.5 * float(f @ f)
+
+    def direction(self, u, mu, f):
+        return self.w, "stub", lambda w: float((self.b @ w) @ f)
+
+
+def _one_safeguarded_step(problem, u):
+    report = solvers.SolveReport(method="stub")
+    config = SolverConfig(max_inner=1)
+    _, _, reason = solvers._newton(problem, np.asarray(u, dtype=float), 0.0, config, report, True)
+    return report, reason
+
+
+class TestDescentTest:
+    """The safeguarded step certifies descent on the merit's own slope."""
+
+    def test_merit_descent_direction_is_taken(self):
+        # at u = (2, 2): f = (1, -1), w.f = 2 > 0 but (B w).f = -4 < 0
+        report, reason = _one_safeguarded_step(_LinearStub([1.0, -1.0], [-1.0, -3.0]), [2.0, 2.0])
+        assert reason.startswith("no convergence in 1 iterations")
+        (rec,) = report.iterations
+        assert not rec.fallback_used and rec.grad_dot_dir == -4.0
+        assert rec.alpha == rec.alpha_bar == 0.99 * (2.0 / 3.0)  # full capped step
+        assert rec.phi_after <= rec.phi_before + 1e-4 * rec.alpha * rec.grad_dot_dir
+
+    def test_merit_ascent_direction_falls_back(self):
+        # at u = (2, 2): f = (2, -1), w.f = -7 < 0 but (B w).f = 1 > 0;
+        # along -f the slope is -(B f).f = -7
+        report, reason = _one_safeguarded_step(_LinearStub([2.0, -1.0], [-1.0, 5.0]), [2.0, 2.0])
+        assert reason.startswith("no convergence in 1 iterations")
+        (rec,) = report.iterations
+        assert rec.fallback_used and rec.grad_dot_dir == -7.0
+        assert rec.alpha_bar == 0.99 and rec.alpha == 0.495
+        assert rec.phi_after <= rec.phi_before + 1e-4 * rec.alpha * rec.grad_dot_dir
 
 
 class TestNewtonStandard:
@@ -182,7 +267,7 @@ class TestNewtonSafeguarded:
 
     def test_descent_certificate(self, ex1_interval_reports):
         for rec in ex1_interval_reports["safeguarded"].iterations:
-            assert rec.dir_dot_residual < 0 or rec.fallback_used
+            assert rec.grad_dot_dir < 0
 
     def test_rejects_nonpositive_start(self, interval_robin):
         with pytest.raises(NonpositiveState):
@@ -237,6 +322,18 @@ class TestBarrier:
         estimates = report.multiplier_estimates
         assert estimates.size == interval_robin.num_vertices
         assert np.all(estimates > 0)
+
+    def test_multipliers_on_free_dofs_with_zero_dirichlet_data(self):
+        # example 1 has u = 0 on the Dirichlet circle: mu/u is taken where
+        # u > 0, and no division by zero occurs
+        mesh = generate_annulus_mesh(1.0, 2.0, 4, 16, inner=Marker.DIRICHLET, outer=Marker.ROBIN)
+        config = SolverConfig(mu0=1.0, final_polish_mu_zero=False)
+        report = barrier_solve(builtin_example(1), mesh, FeFunction.constant(mesh, 1.0), config)
+        assert report.converged and report.sign == Sign.POSITIVE
+        free = mesh.num_vertices - len(mesh.dirichlet_vertices())
+        assert report.multiplier_estimates.size == free
+        assert np.all(np.isfinite(report.multiplier_estimates))
+        assert np.all(report.multiplier_estimates > 0)
 
     def test_mu0_zero_equals_standard_newton(self, interval_robin, ex1_interval_reports):
         config = SolverConfig(mu0=0.0)
