@@ -17,12 +17,21 @@ each state costs the power terms only.
 k_mu(u) = k(u) - mu u^-1: the barrier -mu int ln u of the energy is
 one more power term, p = -1 with coefficient -mu.  So the residual is
 f = G - mu H and the Jacobian B = J + mu M, with H_i = int u_h^-1 phi_i
-and M_ij = int u_h^-2 phi_j phi_i.  assemble_residual builds f from k
-and assemble_jacobian builds B from k', each at mu with one power_sum
-pass and one bincount, so a caller pays for the matrix only when it
-takes a Newton step.  At a fixed u, f is affine in mu, and
-assemble_barrier_gradient builds H alone (one product and one bincount,
-no power_sum), so f at a second mu costs f(mu1) + (mu1 - mu2) H.
+and M_ij = int u_h^-2 phi_j phi_i.
+
+One power pass (problem.power_sums) over the quadrature points serves
+both.  assemble_residual sums k_mu and, in the same loop over the
+terms, k' of the spec's terms, and keeps k' and u^-2 in a one-entry
+memo keyed on (workspace, spec, a copy of u).  assemble_jacobian at
+that u, at any mu, adds the barrier's mu u^-2 to k' and needs no pass
+of its own; at another u it runs the pass.  A Newton step takes its
+matrix at the state of its last residual, so each step makes one pass,
+and a caller pays for the matrix only when it takes a step.  The
+Jacobian's local matrices go into the canonical (upper) slots with one
+bincount and are mirrored with one gather.  At a fixed u, f is affine
+in mu, and assemble_barrier_gradient builds H alone (one product and
+one bincount, no power pass), so f at a second mu costs
+f(mu1) + (mu1 - mu2) H.
 
 Dirichlet constraints are imposed by row/column reduction: constrained
 rows and columns of the Jacobian become identity and constrained
@@ -33,14 +42,14 @@ negative-power and logarithm integrands are thereby approximated by a
 finite sum with fixed positive weights.
 """
 
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
 import numpy as np
 
 from .errors import CoefficientViolation, DimensionMismatch, NonpositiveState
 # add_scaled is unused here; the traced benchmark run wraps fem.add_scaled
 from .linalg import SparseMatrix, add_scaled  # noqa: F401
-from .problem import FeFunction, as_coefficients, power_sum
+from .problem import FeFunction, as_coefficients, barrier_slope, power_sum, power_sums
 from .quadrature import REFERENCE_MEASURE, simplex_rule
 
 
@@ -67,9 +76,11 @@ class _Workspace:
     operator A; `slots` maps each entry of every local cell (then
     facet) matrix to its slot there.  The Dirichlet-reduced pattern
     (`indptr`, `indices`: free-free pairs and every diagonal) carries
-    the Jacobian; `cell_slots` maps each local cell entry to its slot
-    there, or to the dummy slot `nnz` when the reduction drops it, so
-    the power part of a Jacobian is one bincount.
+    the Jacobian; `upper_slots` maps each upper-triangle local cell
+    entry to the canonical slot of its pair there (row <= col), or to
+    the dummy slot `nnz` when the reduction drops it, and `mirror` maps
+    every slot to its canonical one, so the power part of a Jacobian is
+    one bincount and one gather.
 
     Holds no reference to the mesh itself, so a mesh and its workspace
     are freed together once the mesh is no longer used.
@@ -128,17 +139,27 @@ class _Workspace:
         self.reduced = free_pair | (urows == ucols)
         self.fixed_diagonal = ~free_pair[self.reduced]
         self.nnz = int(self.reduced.sum())
-        self.indptr = np.searchsorted(unique[self.reduced], np.arange(n + 1) * n).astype(np.int32)
+        reduced_keys = unique[self.reduced]
+        self.indptr = np.searchsorted(reduced_keys, np.arange(n + 1) * n).astype(np.int32)
         self.indices = self.full_indices[self.reduced]
-        reduced_slot = np.where(free_pair, np.cumsum(self.reduced) - 1, self.nnz).astype(np.int32)
-        self.cell_slots = reduced_slot[self.slots[: self.cells.size * self.cells.shape[1]]]
+        # in row-major order the slot of (i, j) with i <= j is the smaller
+        # of a mirror pair, and the fixed diagonal is its own canonical slot
+        mirror_keys = ucols[self.reduced] * n + urows[self.reduced]
+        self.mirror = np.minimum(np.arange(self.nnz), np.searchsorted(reduced_keys, mirror_keys))
+        canonical = np.append(self.mirror, self.nnz)
+        reduced_slot = np.where(free_pair, np.cumsum(self.reduced) - 1, self.nnz)
+        k = self.cells.shape[1]
+        iu, ju = np.triu_indices(k)
+        upper = self.slots[: self.cells.size * k].reshape(-1, k * k)[:, iu * k + ju]
+        self.upper_slots = canonical[reduced_slot[upper]].ravel().astype(np.int32)
 
     def scatter(self, local):
         """Data on the reduced pattern from (M, K) upper-triangle local cell
-        matrices, summed in cell order, so the (i, j) and (j, i) slots see
-        identical additions; the fixed diagonal receives nothing."""
-        vals = local[:, self.sym].ravel()
-        return np.bincount(self.cell_slots, weights=vals, minlength=self.nnz + 1)[:-1]
+        matrices: one bincount into the canonical slots, in cell order, then
+        one gather, so the (i, j) and (j, i) slots hold identical sums; the
+        fixed diagonal receives nothing."""
+        upper = np.bincount(self.upper_slots, weights=local.ravel(), minlength=self.nnz + 1)
+        return upper[self.mirror]
 
     def vertex_sum(self, local, offset=0.0):
         """offset plus the (M, d+1) local cell vectors summed at their
@@ -225,22 +246,34 @@ def _check_state(ws, u, positive):
     return u
 
 
-def _at_quadrature(spec, mesh, u, mu):
-    """(u, workspace, spec fields, power terms at mu, u at the quadrature
-    points); the barrier -mu int ln u is the power term -mu u^-1 of k."""
+def _state_fields(spec, mesh, u, mu):
+    """(u, workspace, spec fields); u passes _check_state at mu."""
     ws = workspace_for(mesh)
     u = _check_state(ws, u, mu > 0)
-    fields = ws.fields_for(spec)
-    coeffs = fields["coeffs"] + [(-1, -mu)] if mu > 0 else fields["coeffs"]
-    return u, ws, fields, coeffs, u[ws.cells] @ ws.lam.T
+    return u, ws, ws.fields_for(spec)
+
+
+# The last power pass: (workspace, spec, a copy of u, k' of the spec's
+# terms and u^-2 at u's quadrature points), with the workspace and spec
+# held weakly.  One entry, emptied before the next pass allocates.
+_last_pass = [None]
+
+
+def _power_pass(ws, spec, fields, u, mu):
+    """k_mu at u's quadrature points; keeps k' and u^-2 for the Jacobian
+    at u, which then needs no pass of its own at any mu."""
+    _last_pass[0] = None
+    (k, slope), inv_u2 = power_sums(fields["coeffs"], u[ws.cells] @ ws.lam.T, (0, 1), mu)
+    _last_pass[0] = (ref(ws), ref(spec), u.copy(), slope, inv_u2)
+    return k
 
 
 def assemble_residual(spec, mesh, u, mu=0.0):
     """Residual vector f = A u - b + int k_mu(u_h) phi_i = G - mu*H with
     Dirichlet entries zeroed."""
-    u, ws, fields, coeffs, uq = _at_quadrature(spec, mesh, u, mu)
+    u, ws, fields = _state_fields(spec, mesh, u, mu)
     linear = fields["operator"] @ u - fields["load"]
-    return ws.vertex_sum((ws.wq * power_sum(coeffs, uq)) @ ws.lam, linear)
+    return ws.vertex_sum((ws.wq * _power_pass(ws, spec, fields, u, mu)) @ ws.lam, linear)
 
 
 def assemble_barrier_gradient(mesh, u):
@@ -252,16 +285,26 @@ def assemble_barrier_gradient(mesh, u):
 
 
 def assemble_jacobian(spec, mesh, u, mu=0.0):
-    """Jacobian B = J + mu*M at the state u, on the mesh's reduced CSR pattern."""
-    _, ws, fields, coeffs, uq = _at_quadrature(spec, mesh, u, mu)
-    local = (ws.wq * power_sum(coeffs, uq, derivative=1)) @ ws.phi2
+    """Jacobian B = J + mu*M at the state u, on the mesh's reduced CSR pattern.
+
+    Takes k' and u^-2 from the last power pass when that was at u (the
+    residual of a Newton step is), else runs the pass."""
+    u, ws, fields = _state_fields(spec, mesh, u, mu)
+    last = _last_pass[0]
+    hit = (last is not None and last[0]() is ws and last[1]() is spec
+           and np.array_equal(last[2], u) and (last[4] is not None or not mu > 0))
+    if not hit:
+        _power_pass(ws, spec, fields, u, mu)
+    *_, slope, inv_u2 = _last_pass[0]
+    local = (ws.wq * barrier_slope(slope, inv_u2, mu)) @ ws.phi2
     data = fields["reduced_operator"] + ws.scatter(local)
     return SparseMatrix.from_pattern(ws.indptr, ws.indices, data)
 
 
 def compute_energy(spec, mesh, u, mu=0.0):
     """0.5 u.Au - b.u + int K(u_h), and the barrier -mu*int(ln u_h) when mu > 0."""
-    u, ws, fields, _, uq = _at_quadrature(spec, mesh, u, mu)
+    u, ws, fields = _state_fields(spec, mesh, u, mu)
+    uq = u[ws.cells] @ ws.lam.T
     density = power_sum(fields["coeffs"], uq, derivative=-1)
     if mu > 0:
         density -= mu * np.log(uq)

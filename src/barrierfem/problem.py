@@ -4,7 +4,8 @@ A problem is described by a scalar diffusion field and a sum of power
 terms sum_p c_p(x) u^p with odd integer exponents; the Hamiltonian
 constraint uses p in {1, 5, -3, -7} and the Yamabe examples use subsets
 of {1, 5}.  power_sum evaluates k(u), its derivative k'(u) and its
-antiderivative (the energy density) from the same representation.  The
+antiderivative (the energy density) from the same representation, and
+power_sums evaluates several of them in one pass over the terms.  The
 assembly adds the barrier -mu ln u to k as the term (p, c) = (-1, -mu);
 no ProblemSpec holds it, since it has no power-law antiderivative.
 
@@ -105,12 +106,16 @@ def as_coefficients(u):
 
 
 def _power_into(out, base, e):
-    """out[...] = base**e for an integer e >= 1, by left-to-right binary powering."""
-    out[...] = base
+    """out[...] = base**e for an integer e >= 1, by left-to-right binary
+    powering whose first squaring reads base directly."""
+    square = base
     for bit in bin(e)[3:]:
-        out *= out
+        np.multiply(square, square, out=out)
+        square = out
         if bit == "1":
             out *= base
+    if square is base:
+        out[...] = base
 
 
 def power_sum(coeffs, u, derivative=0):
@@ -125,31 +130,59 @@ def power_sum(coeffs, u, derivative=0):
     by repeated multiplication: k = u sum c_p u^(p-1), k' = sum p c_p
     u^(p-1), and the antiderivative is u^2 sum c_p u^(p-1)/(p+1).
     """
-    if derivative not in (-1, 0, 1):
-        raise ValueError(f"derivative must be -1, 0 or 1, got {derivative}")
-    if derivative == -1 and any(p == -1 for p, _ in coeffs):
+    return power_sums(coeffs, u, (derivative,))[0][0]
+
+
+def power_sums(coeffs, u, derivatives, mu=0.0):
+    """power_sum of each order in `derivatives`, from one pass over the terms.
+
+    `derivatives` is one order, or (0, 1).  With mu > 0 the
+    barrier -mu ln u joins k (order 0) as the term (-1, -mu), added
+    after the others.  Returns (sums, inv_u2): one array per order, and
+    u^-2 when a term or the barrier needs it, else None.  barrier_slope
+    turns k' and u^-2 at one state into k'_mu there at any mu, so a
+    single pass serves k_mu and every k'_mu.
+    """
+    if tuple(derivatives) not in ((-1,), (0,), (1,), (0, 1)):
+        raise ValueError(f"derivative must be -1, 0 or 1, or (0, 1); got {derivatives}")
+    if -1 in derivatives and any(p == -1 for p, _ in coeffs):
         raise ValueError("exponent -1 has no power-law antiderivative")
     u = np.asarray(u, dtype=float)
     shape = np.broadcast_shapes(u.shape, *(np.shape(c) for _, c in coeffs))
-    total = np.zeros(shape)
-    term = np.empty(shape)
+    totals = [np.zeros(shape) for _ in derivatives]
+    power = np.empty(shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u2 = u * u
-        inv_u2 = 1.0 / u2 if any(p < 0 for p, _ in coeffs) else None
+        inv_u2 = 1.0 / u2 if mu > 0 or any(p < 0 for p, _ in coeffs) else None
         for p, c in coeffs:
             if p == 1:
-                term[...] = c
+                term = c  # c u^0, never scaled in place: k' scales it by 1
             else:
-                _power_into(term, u2 if p > 0 else inv_u2, abs(p - 1) // 2)
-                term *= c
-            if derivative == 1:
-                term *= p
-            elif derivative == -1:
-                term /= p + 1
-            total += term
-        if derivative != 1:
-            total *= u2 if derivative == -1 else u
-    return total
+                _power_into(power, u2 if p > 0 else inv_u2, abs(p - 1) // 2)
+                power *= c
+                term = power
+            # order 0 comes first, so order 1 can scale term in place
+            for total, derivative in zip(totals, derivatives):
+                if derivative == -1:
+                    term = term / (p + 1)
+                elif derivative == 1 and p != 1:
+                    term *= p
+                total += term
+        for total, derivative in zip(totals, derivatives):
+            if derivative == 0 and mu > 0:
+                total += inv_u2 * -mu
+            if derivative != 1:
+                total *= u2 if derivative == -1 else u
+    return totals, inv_u2
+
+
+def barrier_slope(slope, inv_u2, mu):
+    """k'_mu = k' + mu u^-2 from k' and u^-2 of power_sums: the slope of
+    the barrier term (-1, -mu), added after the others as in power_sum."""
+    if not mu > 0:
+        return slope
+    with np.errstate(invalid="ignore", over="ignore"):
+        return slope + mu * inv_u2
 
 
 def lichnerowicz_spec(

@@ -348,8 +348,42 @@ def suite_dir(suite_run):
     return suite_run[0]
 
 
+# (example, method): iterations on shell_r50, shell_r10 and shell_r1, then
+# the sign, converged flag and mu_steps of all three rows
+SUITE_ROWS = {
+    (1, "newton"): ((6, 6, 6), "+", "true", 0),
+    (1, "safeguarded"): ((6, 6, 6), "+", "true", 0),
+    (1, "barrier@mu0=0"): ((6, 6, 6), "+", "true", 1),
+    (1, "barrier@mu0=1"): ((18, 19, 18), "+", "true", 9),
+    (2, "newton"): ((5, 5, 5), "+", "false", 0),
+    (2, "safeguarded"): ((0, 0, 0), "+", "false", 0),
+    (2, "barrier@mu0=50"): ((12, 12, 12), "+", "true", 10),
+    (3, "newton"): ((1, 2, 3), "+", "true", 0),
+    (3, "safeguarded"): ((1, 2, 3), "+", "true", 0),
+    (3, "barrier@mu0=1"): ((13, 18, 20), "+", "true", 9),
+    (4, "newton"): ((5, 5, 5), "+", "false", 0),
+    (4, "safeguarded"): ((0, 0, 0), "+", "false", 0),
+    (4, "barrier@mu0=10"): ((14, 13, 16), "+", "true", 10),
+}
+
+
 @pytest.mark.slow
 class TestPaperSuite:
+
+    def test_rows_pinned(self, suite_dir):
+        """Every row's method, mesh, iterations, sign, converged flag and
+        mu_steps: a change that moves one must say why."""
+        for example in range(1, 5):
+            header, rows = read_rows(suite_dir / f"example{example}.csv")
+            assert header[:7] == ["method", "mesh", "iterations", "residual", "sign",
+                                  "converged", "mu_steps"]
+            expected = [
+                [method, mesh, str(iterations), sign, converged, str(mu_steps)]
+                for (ex, method), (counts, sign, converged, mu_steps) in SUITE_ROWS.items()
+                if ex == example
+                for mesh, iterations in zip(("shell_r50", "shell_r10", "shell_r1"), counts)
+            ]
+            assert [row[:3] + row[4:7] for row in rows] == expected
 
     def test_each_shell_set_built_once(self, suite_run):
         # examples 1-2 share the Robin shells, 3-4 the Dirichlet shells

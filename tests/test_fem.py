@@ -223,6 +223,23 @@ def _reference_matrices(spec, mesh, u):
     return np.where(keep, a, 0.0) + np.diag((~free).astype(float)), np.where(keep, m, 0.0)
 
 
+def _full_scatter(ws, local):
+    """Reduced-pattern data from (M, K) upper-triangle local cell matrices
+    by one bincount of every (i, j) and (j, i) entry of the full local
+    matrices, each to its own slot (dropped entries to a dummy slot)."""
+    k = ws.cells.shape[1]
+    iu, ju = np.triu_indices(k)
+    sym = np.empty((k, k), dtype=np.intp)
+    sym[iu, ju] = sym[ju, iu] = np.arange(len(iu))
+    rows = np.repeat(np.arange(ws.num_vertices), np.diff(ws.full_indptr))
+    free = ~ws.dirichlet_mask
+    free_pair = free[rows] & free[ws.full_indices]
+    reduced_slot = np.where(free_pair, np.cumsum(ws.reduced) - 1, ws.nnz)
+    cell_slots = reduced_slot[ws.slots[: ws.cells.size * k]]
+    vals = local[:, sym.ravel()].ravel()
+    return np.bincount(cell_slots, weights=vals, minlength=ws.nnz + 1)[:-1]
+
+
 def _reference_residual(spec, mesh, u, mu):
     """f from full local matrices times the local state, the power terms
     u + 0.5 u^-3 - mu u^-1 and a source and a Robin load, each summed at
@@ -287,6 +304,13 @@ class TestAssemblyPattern:
             err = np.abs(assemble_residual(spec, mesh, u, mu) - ref).max()
             assert err <= 1e-13 * np.abs(ref).max()
 
+    def test_scatter_matches_full_bincount(self, case):
+        mesh, _, _ = case
+        ws = workspace_for(mesh)
+        k = mesh.dim + 1
+        local = np.random.default_rng(3).standard_normal((len(mesh.cells), k * (k + 1) // 2))
+        assert np.array_equal(ws.scatter(local), _full_scatter(ws, local))
+
     def test_dirichlet_rows_and_columns(self, case):
         mesh, _, matrices = case
         mask = workspace_for(mesh).dirichlet_mask
@@ -299,7 +323,10 @@ class TestAssemblyPattern:
 
 
 def test_workspace_freed_with_mesh():
+    """The last power pass, which the residual keeps for the Jacobian,
+    does not keep a mesh's workspace alive."""
     mesh = generate_annulus_mesh(1, 2, 2, 8, inner=Marker.DIRICHLET, outer=Marker.ROBIN)
+    assemble_residual(PATTERN_SPEC, mesh, FeFunction.constant(mesh, 1.0), mu=0.5)
     assemble_jacobian(PATTERN_SPEC, mesh, FeFunction.constant(mesh, 1.0), mu=0.5)
     mesh_ref = weakref.ref(mesh)
     ws_ref = weakref.ref(workspace_for(mesh))

@@ -1,7 +1,8 @@
 """Property tests of the assembled system at mu, B(mu) = J + mu M and
-f = G - mu H, of the barrier gradient H and of the energy on small
-random meshes with mixed boundary markers; and of the positivity cap of
-the safeguarded step."""
+f = G - mu H, of the Jacobian's reuse of the residual's power pass, of
+the barrier gradient H and of the energy on small random meshes with
+mixed boundary markers; and of the positivity cap of the safeguarded
+step."""
 
 import numpy as np
 import pytest
@@ -86,6 +87,29 @@ def test_system_matrix_exactly_symmetric(case):
     for m in (0.0, mu):
         b = assemble_jacobian(spec, mesh, u, m).toarray()
         assert np.array_equal(b, b.T)
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_jacobian_after_residual_equals_a_cold_one(case):
+    """A Jacobian at the state of the last residual, at that residual's mu
+    or another, reuses the residual's power pass and equals, bit for bit,
+    one whose last pass was at another state; so does a Jacobian at a
+    state the caller changed in place after the residual."""
+    spec, mesh, u, w, mu = case
+
+    def cold(v, m):
+        assemble_residual(spec, mesh, 2.0 * v)
+        return assemble_jacobian(spec, mesh, v, m).data
+
+    for residual_mu in (0.0, mu):
+        for m in (residual_mu, 0.1 * mu, 0.0, mu):
+            assemble_residual(spec, mesh, u, residual_mu)
+            assert np.array_equal(assemble_jacobian(spec, mesh, u, m).data, cold(u, m))
+    v = u.copy()
+    assemble_residual(spec, mesh, v, mu)
+    v += 0.25 * w
+    assert np.array_equal(assemble_jacobian(spec, mesh, v, mu).data, cold(v, mu))
 
 
 @PROPERTY_SETTINGS
