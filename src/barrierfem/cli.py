@@ -244,6 +244,8 @@ def load_experiment(path):
             u0_vector = np.loadtxt(u0_file).ravel()
         except ValueError as exc:
             raise ConfigError(f"u0.file {u0_file}: {exc}", line=line) from None
+        if not np.all(np.isfinite(u0_vector)):
+            raise ConfigError(f"u0.file {u0_file}: every value must be finite", line=line)
         for label, mesh in meshes:
             if u0_vector.size != mesh.num_vertices:
                 raise ConfigError(
@@ -251,6 +253,9 @@ def load_experiment(path):
                     f"{mesh.num_vertices} vertices", line=line,
                 )
     u0_value = ent.take("u0.constant", 1.0, float)
+    if not np.isfinite(u0_value):
+        raise ConfigError(f"u0.constant must be finite, got {u0_value}",
+                          line=ent.line_of("u0.constant"))
 
     # key solver.<name> sets the field <name>, solver.final_polish the
     # field final_polish_mu_zero; defaults are SolverConfig's own

@@ -26,12 +26,16 @@ memo keyed on (workspace, spec, a copy of u).  assemble_jacobian at
 that u, at any mu, adds the barrier's mu u^-2 to k' and needs no pass
 of its own; at another u it runs the pass.  A Newton step takes its
 matrix at the state of its last residual, so each step makes one pass,
-and a caller pays for the matrix only when it takes a step.  The
-Jacobian's local matrices go into the canonical (upper) slots with one
-bincount and are mirrored with one gather.  At a fixed u, f is affine
-in mu, and assemble_barrier_gradient builds H alone (one product and
-one bincount, no power pass), so f at a second mu costs
+and a caller pays for the matrix only when it takes a step.  At a fixed
+u, f is affine in mu, and assemble_barrier_gradient builds H alone (one
+product and one bincount, no power pass), so f at a second mu costs
 f(mu1) + (mu1 - mu2) H.
+
+A and the Jacobian share one scatter.  The upper triangle of every
+local matrix goes into the canonical (row <= col) slots of the mesh's
+full pattern with one bincount, and one gather mirrors the sums onto a
+pattern: the full one for A, the Dirichlet-reduced one for the
+Jacobian, whose sums are A's plus its power part's.
 
 Dirichlet constraints are imposed by row/column reduction: constrained
 rows and columns of the Jacobian become identity and constrained
@@ -53,34 +57,20 @@ from .problem import FeFunction, as_coefficients, barrier_slope, power_sum, powe
 from .quadrature import REFERENCE_MEASURE, simplex_rule
 
 
-def _pair_tables(k):
-    """Local index pairs of a k-vertex simplex.
-
-    Returns (iu, ju, sym, rows, cols): the upper-triangle pairs, the map
-    from each entry of the row-major k*k local matrix to its
-    upper-triangle column, and the row/column index of each entry.
-    """
-    iu, ju = np.triu_indices(k)
-    sym = np.empty((k, k), dtype=np.intp)
-    sym[iu, ju] = sym[ju, iu] = np.arange(len(iu))
-    rows, cols = np.divmod(np.arange(k * k), k)
-    return iu, ju, sym.ravel(), rows, cols
-
-
 class _Workspace:
     """What assembly keeps per mesh and, through fields_for, per spec.
 
     Per mesh: geometry, quadrature tables of the cells and of the Robin
-    facets, and two CSR patterns from one symbolic pass.  The full P1
-    pattern (cell pairs and Robin facet pairs) carries the linear
-    operator A; `slots` maps each entry of every local cell (then
-    facet) matrix to its slot there.  The Dirichlet-reduced pattern
-    (`indptr`, `indices`: free-free pairs and every diagonal) carries
-    the Jacobian; `upper_slots` maps each upper-triangle local cell
-    entry to the canonical slot of its pair there (row <= col), or to
-    the dummy slot `nnz` when the reduction drops it, and `mirror` maps
-    every slot to its canonical one, so the power part of a Jacobian is
-    one bincount and one gather.
+    facets, and two CSR patterns from one symbolic pass: the full P1
+    pattern (`full_indptr`, `full_indices`) carries the linear operator
+    A, the Dirichlet-reduced one (`indptr`, `indices`: free-free pairs
+    and every diagonal) the Jacobian.  Local matrices are kept on their
+    upper triangle.  `upper_slots` sends each upper entry, cells then
+    Robin facets, to the canonical slot (row <= col) of its pair in the
+    full pattern; `full_mirror` and `mirror` send each full and each
+    reduced slot to its canonical one, and the reduced pattern's fixed
+    diagonal to the slot one past the full pattern.  So a symmetric
+    operator is one bincount and one gather, and A == A.T bit for bit.
 
     Holds no reference to the mesh itself, so a mesh and its workspace
     are freed together once the mesh is no longer used.
@@ -99,9 +89,7 @@ class _Workspace:
         grads = np.empty((len(cells), d + 1, d))
         grads[:, 1:, :] = inv_t
         grads[:, 0, :] = -inv_t.sum(axis=1)
-        # local matrices are computed on the upper triangle only and
-        # scattered to (i, j) and (j, i) alike, so A == A.T exactly
-        iu, ju, self.sym, rr, cc = _pair_tables(d + 1)
+        iu, ju = np.triu_indices(d + 1)
         self.grad_gram = np.einsum("mkd,mkd->mk", grads[:, iu], grads[:, ju])
         self.phi2 = self.lam[:, iu] * self.lam[:, ju]    # (Q, K)
         self.scale = mesh.cell_volumes / REFERENCE_MEASURE[d]
@@ -110,7 +98,7 @@ class _Workspace:
 
         self.robin_idx = mesh.facets[mesh.robin]         # (B, d)
         self.flam, fqw = simplex_rule(d - 1)             # (Qf, d), (Qf,)
-        fiu, fju, self.fsym, frr, fcc = _pair_tables(d)
+        fiu, fju = np.triu_indices(d)
         self.fphi2 = self.flam[:, fiu] * self.flam[:, fju]
         fscale = mesh.facet_measures[mesh.robin] / REFERENCE_MEASURE[d - 1]
         self.fwq = fscale[:, None] * fqw                 # (B, Qf)
@@ -119,47 +107,37 @@ class _Workspace:
 
         self.dirichlet_mask = np.zeros(n, dtype=bool)
         self.dirichlet_mask[mesh.dirichlet_vertices()] = True
-        rows = np.concatenate([cells[:, rr].ravel(), self.robin_idx[:, frr].ravel()])
-        cols = np.concatenate([cells[:, cc].ravel(), self.robin_idx[:, fcc].ravel()])
+        rows = np.concatenate([cells[:, iu].ravel(), self.robin_idx[:, fiu].ravel()])
+        cols = np.concatenate([cells[:, ju].ravel(), self.robin_idx[:, fju].ravel()])
         self._build_patterns(rows, cols)
         self.spec_fields = WeakKeyDictionary()
 
     def _build_patterns(self, rows, cols):
-        n = self.num_vertices
+        n, m = self.num_vertices, len(rows)
         fixed = np.flatnonzero(self.dirichlet_mask)
-        keys = np.concatenate([rows * n + cols, fixed * (n + 1)])
+        keys = np.concatenate([rows * n + cols, cols * n + rows, fixed * (n + 1)])
         unique, slot = np.unique(keys, return_inverse=True)
         urows, ucols = np.divmod(unique, n)
         self.full_indptr = np.searchsorted(unique, np.arange(n + 1) * n).astype(np.int32)
         self.full_indices = ucols.astype(np.int32)
-        self.slots = slot[: len(rows)].astype(np.int32)
-        # the reduced pattern: the full slots that are free-free or diagonal
+        # in row-major order the slot of (i, j), i <= j, is the smaller of a mirror pair
+        self.upper_slots = np.minimum(slot[:m], slot[m : 2 * m]).astype(np.int32)
+        self.full_mirror = np.arange(len(unique))
+        self.full_mirror[slot[:m]] = self.full_mirror[slot[m : 2 * m]] = self.upper_slots
         free = ~self.dirichlet_mask
         free_pair = free[urows] & free[ucols]
-        self.reduced = free_pair | (urows == ucols)
-        self.fixed_diagonal = ~free_pair[self.reduced]
-        self.nnz = int(self.reduced.sum())
-        reduced_keys = unique[self.reduced]
-        self.indptr = np.searchsorted(reduced_keys, np.arange(n + 1) * n).astype(np.int32)
-        self.indices = self.full_indices[self.reduced]
-        # in row-major order the slot of (i, j) with i <= j is the smaller
-        # of a mirror pair, and the fixed diagonal is its own canonical slot
-        mirror_keys = ucols[self.reduced] * n + urows[self.reduced]
-        self.mirror = np.minimum(np.arange(self.nnz), np.searchsorted(reduced_keys, mirror_keys))
-        canonical = np.append(self.mirror, self.nnz)
-        reduced_slot = np.where(free_pair, np.cumsum(self.reduced) - 1, self.nnz)
-        k = self.cells.shape[1]
-        iu, ju = np.triu_indices(k)
-        upper = self.slots[: self.cells.size * k].reshape(-1, k * k)[:, iu * k + ju]
-        self.upper_slots = canonical[reduced_slot[upper]].ravel().astype(np.int32)
+        reduced = free_pair | (urows == ucols)
+        self.indptr = np.searchsorted(unique[reduced], np.arange(n + 1) * n).astype(np.int32)
+        self.indices = self.full_indices[reduced]
+        self.mirror = np.where(free_pair, self.full_mirror, len(unique))[reduced]
 
-    def scatter(self, local):
-        """Data on the reduced pattern from (M, K) upper-triangle local cell
-        matrices: one bincount into the canonical slots, in cell order, then
-        one gather, so the (i, j) and (j, i) slots hold identical sums; the
-        fixed diagonal receives nothing."""
-        upper = np.bincount(self.upper_slots, weights=local.ravel(), minlength=self.nnz + 1)
-        return upper[self.mirror]
+    def scatter(self, local, sums):
+        """Reduced-pattern data: `sums` (A's "operator_sums", or 0.0) plus
+        one bincount of the (M, K) upper-triangle local cell matrices, whose
+        slots lead `upper_slots`, gathered by `mirror`."""
+        power = np.bincount(self.upper_slots[: local.size], weights=local.ravel(),
+                            minlength=len(self.full_indices) + 1)
+        return (sums + power)[self.mirror]
 
     def vertex_sum(self, local, offset=0.0):
         """offset plus the (M, d+1) local cell vectors summed at their
@@ -176,9 +154,9 @@ class _Workspace:
         A dict of "coeffs", the (p, c_p) power terms with c_p at the
         quadrature points (a scalar when constant); "operator", the
         linear operator A (stiffness plus Robin mass) on the full
-        pattern; "reduced_operator", A's data on the reduced pattern
-        with the fixed diagonal set to 1; and "load", the vector b
-        (source plus Robin data).
+        pattern; "operator_sums", A's sums in the canonical slots and a
+        trailing 1.0 for the fixed diagonal, which `scatter` takes; and
+        "load", the vector b (source plus Robin data).
         """
         cached = self.spec_fields.get(spec)
         if cached is not None:
@@ -200,17 +178,18 @@ class _Workspace:
 
         stiffness = (self.scale * (diff @ self.qw))[:, None] * self.grad_gram
         robin_mass = (self.fwq * at(spec.robin_coeff, True)) @ self.fphi2
-        local = [stiffness[:, self.sym].ravel(), robin_mass[:, self.fsym].ravel()]
-        data = np.bincount(self.slots, np.concatenate(local), minlength=len(self.full_indices))
-        reduced = data[self.reduced]
-        reduced[self.fixed_diagonal] = 1.0
+        local = np.concatenate([stiffness.ravel(), robin_mass.ravel()])
+        sums = np.bincount(self.upper_slots, local, minlength=len(self.full_indices) + 1)
+        sums[-1] = 1.0
         load = [(self.wq * at(spec.source)) @ self.lam,
                 (self.fwq * at(spec.robin_data, True)) @ self.flam]
         vertices = np.concatenate([self.cells.ravel(), self.robin_idx.ravel()])
         fields = {
             "coeffs": coeffs,
-            "operator": SparseMatrix.from_pattern(self.full_indptr, self.full_indices, data),
-            "reduced_operator": reduced,
+            "operator": SparseMatrix.from_pattern(
+                self.full_indptr, self.full_indices, sums[self.full_mirror]
+            ),
+            "operator_sums": sums,
             "load": np.bincount(
                 vertices, np.concatenate([v.ravel() for v in load]), minlength=self.num_vertices
             ),
@@ -297,7 +276,7 @@ def assemble_jacobian(spec, mesh, u, mu=0.0):
         _power_pass(ws, spec, fields, u, mu)
     *_, slope, inv_u2 = _last_pass[0]
     local = (ws.wq * barrier_slope(slope, inv_u2, mu)) @ ws.phi2
-    data = fields["reduced_operator"] + ws.scatter(local)
+    data = ws.scatter(local, fields["operator_sums"])
     return SparseMatrix.from_pattern(ws.indptr, ws.indices, data)
 
 

@@ -158,9 +158,10 @@ def validate(mesh):
     if violations:
         return violations
 
+    for v in np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1)):
+        violations.append(f"vertex {v} has nonfinite coordinates")
     measures = mesh.cell_volumes
-    bad = np.flatnonzero(measures <= 0)
-    for c in bad:
+    for c in np.flatnonzero(~(measures > 0)):  # NaN is not > 0 either
         violations.append(f"cell {c} has nonpositive measure {measures[c]:.3e}")
 
     owners, group = _facet_groups(mesh)
@@ -320,18 +321,22 @@ def save_mesh(mesh, path):
 
 
 class _LineReader:
+    """The fields of a file's nonblank lines, comments removed, each with
+    its 1-based line number."""
+
     def __init__(self, path):
         with open(path) as fh:
-            self.raw = fh.readlines()
+            raw = fh.readlines()
+        self.lines = [(fields, i) for i, line in enumerate(raw, 1)
+                      if (fields := line.split("#", 1)[0].split())]
+        self.num_raw = len(raw)
         self.pos = 0
 
     def next_fields(self):
-        while self.pos < len(self.raw):
-            self.pos += 1
-            text = self.raw[self.pos - 1].split("#", 1)[0].strip()
-            if text:
-                return text.split(), self.pos
-        raise ParseError("unexpected end of file", line=len(self.raw))
+        if self.pos == len(self.lines):
+            raise ParseError("unexpected end of file", line=self.num_raw)
+        self.pos += 1
+        return self.lines[self.pos - 1]
 
 
 def load_mesh(path):
@@ -347,11 +352,18 @@ def load_mesh(path):
         except ValueError:
             raise ParseError(f"bad count {fields[1]!r}", line=line) from None
 
+    def expect_count(keyword):
+        """A section's row count, checked before its rows are allocated."""
+        count, line = expect_header(keyword)
+        if not 0 <= count <= len(reader.lines) - reader.pos:
+            raise ParseError(f"{keyword} {count} is negative or exceeds the lines left", line=line)
+        return count
+
     dim, line = expect_header("dim")
     if dim not in (1, 2, 3):
         raise ParseError(f"unsupported dimension {dim}", line=line)
 
-    nv, _ = expect_header("vertices")
+    nv = expect_count("vertices")
     verts = np.empty((nv, dim))
     for i in range(nv):
         fields, line = reader.next_fields()
@@ -362,7 +374,7 @@ def load_mesh(path):
         except ValueError:
             raise ParseError("bad coordinate", line=line) from None
 
-    nc, _ = expect_header("cells")
+    nc = expect_count("cells")
     cells = np.empty((nc, dim + 1), dtype=np.int64)
     for i in range(nc):
         fields, line = reader.next_fields()
@@ -373,7 +385,7 @@ def load_mesh(path):
         except ValueError:
             raise ParseError("bad vertex index", line=line) from None
 
-    nb, _ = expect_header("boundary_facets")
+    nb = expect_count("boundary_facets")
     facets, markers = [], []
     for _ in range(nb):
         fields, line = reader.next_fields()
@@ -387,6 +399,9 @@ def load_mesh(path):
             facets.append([int(f) for f in fields[1:]])
         except ValueError:
             raise ParseError("bad facet index", line=line) from None
+    if reader.pos < len(reader.lines):
+        line = reader.lines[reader.pos][1]
+        raise ParseError("content after the last boundary facet", line=line)
 
     mesh = SimplicialMesh(dim, verts, cells, facets, markers, fix_orientation=False)
     return _require_valid(mesh)

@@ -251,6 +251,12 @@ class TestMainEntry:
             ),
             ("mesh.kind = interval\nu0.file = {tmp}/words.txt\n", "line 3: u0.file"),
             (
+                "mesh.kind = interval\nmesh.n_cells = 2\nu0.file = {tmp}/short_inf.txt\n",
+                "short_inf.txt: every value must be finite",
+            ),
+            ("mesh.kind = interval\nu0.constant = nan\n", "line 3: u0.constant must be finite"),
+            ("mesh.kind = interval\nu0.constant = -inf\n", "line 3: u0.constant must be finite"),
+            (
                 "mesh.kind = shells\nmesh.outer_marker = dirichlet\n",
                 "line 3: key 'mesh.outer_marker' is unknown or does not apply",
             ),
@@ -260,12 +266,13 @@ class TestMainEntry:
             ),
         ],
         ids=["gamma", "max_inner", "mu0", "eps_inf", "config_file", "mesh_path", "u0_file",
-             "u0_file_short", "u0_file_not_numeric", "shells_outer_marker",
-             "file_inner_marker"],
+             "u0_file_short", "u0_file_not_numeric", "u0_file_inf", "u0_constant_nan",
+             "u0_constant_inf", "shells_outer_marker", "file_inner_marker"],
     )
     def test_bad_input_is_an_error_line(self, tmp_path, capsys, text, message):
         (tmp_path / "short.txt").write_text("1.0\n1.0\n1.0\n")
         (tmp_path / "words.txt").write_text("one\ntwo\n")
+        (tmp_path / "short_inf.txt").write_text("1.0\ninf\n1.0\n")
         save_mesh(generate_interval_mesh(0.1, 10, 4), tmp_path / "iv.mesh")
         cfg = tmp_path / "exp.cfg"
         if text is not None:
@@ -348,22 +355,48 @@ def suite_dir(suite_run):
     return suite_run[0]
 
 
-# (example, method): iterations on shell_r50, shell_r10 and shell_r1, then
-# the sign, converged flag and mu_steps of all three rows
+# (example, method): iterations and the CSV residual on shell_r50, shell_r10
+# and shell_r1, then the sign, converged flag and mu_steps of all three rows
 SUITE_ROWS = {
-    (1, "newton"): ((6, 6, 6), "+", "true", 0),
-    (1, "safeguarded"): ((6, 6, 6), "+", "true", 0),
-    (1, "barrier@mu0=0"): ((6, 6, 6), "+", "true", 1),
-    (1, "barrier@mu0=1"): ((18, 19, 18), "+", "true", 9),
-    (2, "newton"): ((5, 5, 5), "+", "false", 0),
-    (2, "safeguarded"): ((0, 0, 0), "+", "false", 0),
-    (2, "barrier@mu0=50"): ((12, 12, 12), "+", "true", 10),
-    (3, "newton"): ((1, 2, 3), "+", "true", 0),
-    (3, "safeguarded"): ((1, 2, 3), "+", "true", 0),
-    (3, "barrier@mu0=1"): ((13, 18, 20), "+", "true", 9),
-    (4, "newton"): ((5, 5, 5), "+", "false", 0),
-    (4, "safeguarded"): ((0, 0, 0), "+", "false", 0),
-    (4, "barrier@mu0=10"): ((14, 13, 16), "+", "true", 10),
+    (1, "newton"): (
+        (6, 6, 6), ("5.504920e-12", "6.353504e-12", "7.835153e-12"), "+", "true", 0
+    ),
+    (1, "safeguarded"): (
+        (6, 6, 6), ("5.504920e-12", "6.353504e-12", "7.835153e-12"), "+", "true", 0
+    ),
+    (1, "barrier@mu0=0"): (
+        (6, 6, 6), ("5.504920e-12", "6.353504e-12", "7.835153e-12"), "+", "true", 1
+    ),
+    (1, "barrier@mu0=1"): (
+        (18, 19, 18), ("9.885174e-10", "1.573721e-09", "1.864794e-09"), "+", "true", 9
+    ),
+    (2, "newton"): (
+        (5, 5, 5), ("1.672850e+07", "2.583612e+07", "3.013931e+07"), "+", "false", 0
+    ),
+    (2, "safeguarded"): (
+        (0, 0, 0), ("1.672850e+07", "2.583612e+07", "3.013931e+07"), "+", "false", 0
+    ),
+    (2, "barrier@mu0=50"): (
+        (12, 12, 12), ("4.195434e-09", "7.247537e-09", "7.739751e-09"), "+", "true", 10
+    ),
+    (3, "newton"): (
+        (1, 2, 3), ("1.989829e-08", "2.114156e-12", "3.340871e-12"), "+", "true", 0
+    ),
+    (3, "safeguarded"): (
+        (1, 2, 3), ("1.989829e-08", "2.114156e-12", "3.340871e-12"), "+", "true", 0
+    ),
+    (3, "barrier@mu0=1"): (
+        (13, 18, 20), ("2.652744e-11", "1.188977e-09", "4.887557e-09"), "+", "true", 9
+    ),
+    (4, "newton"): (
+        (5, 5, 5), ("1.458568e+04", "1.821253e+04", "1.722521e+04"), "+", "false", 0
+    ),
+    (4, "safeguarded"): (
+        (0, 0, 0), ("1.458568e+04", "1.821253e+04", "1.722521e+04"), "+", "false", 0
+    ),
+    (4, "barrier@mu0=10"): (
+        (14, 13, 16), ("4.715801e-11", "4.519916e-11", "4.562246e-11"), "+", "true", 10
+    ),
 }
 
 
@@ -371,19 +404,20 @@ SUITE_ROWS = {
 class TestPaperSuite:
 
     def test_rows_pinned(self, suite_dir):
-        """Every row's method, mesh, iterations, sign, converged flag and
-        mu_steps: a change that moves one must say why."""
+        """Every row's method, mesh, iterations, residual, sign, converged
+        flag and mu_steps: a change that moves one must say why."""
         for example in range(1, 5):
             header, rows = read_rows(suite_dir / f"example{example}.csv")
             assert header[:7] == ["method", "mesh", "iterations", "residual", "sign",
                                   "converged", "mu_steps"]
             expected = [
-                [method, mesh, str(iterations), sign, converged, str(mu_steps)]
-                for (ex, method), (counts, sign, converged, mu_steps) in SUITE_ROWS.items()
-                if ex == example
-                for mesh, iterations in zip(("shell_r50", "shell_r10", "shell_r1"), counts)
+                [method, mesh, str(iterations), residual, sign, converged, str(mu_steps)]
+                for (ex, method), (counts, residuals, sign, converged, mu_steps)
+                in SUITE_ROWS.items() if ex == example
+                for mesh, iterations, residual
+                in zip(("shell_r50", "shell_r10", "shell_r1"), counts, residuals)
             ]
-            assert [row[:3] + row[4:7] for row in rows] == expected
+            assert [row[:7] for row in rows] == expected
 
     def test_each_shell_set_built_once(self, suite_run):
         # examples 1-2 share the Robin shells, 3-4 the Dirichlet shells

@@ -223,21 +223,42 @@ def _reference_matrices(spec, mesh, u):
     return np.where(keep, a, 0.0) + np.diag((~free).astype(float)), np.where(keep, m, 0.0)
 
 
+def _pattern_keys(ws, indptr, indices):
+    """Row-major keys i * n + j of a CSR pattern's slots, in slot order."""
+    rows = np.repeat(np.arange(ws.num_vertices), np.diff(indptr))
+    return rows * ws.num_vertices + indices
+
+
+def _full_bincount(ws, local, vertex_sets):
+    """Full-pattern data of the upper-triangle local matrices local[s],
+    (E, K), on the simplices vertex_sets[s], (E, k): every (i, j) and
+    (j, i) entry of the full k x k local matrices, in the order given,
+    goes to its own slot, found by searchsorted, in one bincount."""
+    keys, vals = [], []
+    for upper, verts in zip(local, vertex_sets):
+        k = verts.shape[1]
+        iu, ju = np.triu_indices(k)
+        sym = np.empty((k, k), dtype=np.intp)
+        sym[iu, ju] = sym[ju, iu] = np.arange(len(iu))
+        rows, cols = np.divmod(np.arange(k * k), k)
+        keys.append((verts[:, rows] * ws.num_vertices + verts[:, cols]).ravel())
+        vals.append(upper[:, sym.ravel()].ravel())
+    full_keys = _pattern_keys(ws, ws.full_indptr, ws.full_indices)
+    slots = np.searchsorted(full_keys, np.concatenate(keys))
+    assert np.array_equal(full_keys[slots], np.concatenate(keys))
+    return np.bincount(slots, weights=np.concatenate(vals), minlength=len(full_keys))
+
+
 def _full_scatter(ws, local):
-    """Reduced-pattern data from (M, K) upper-triangle local cell matrices
-    by one bincount of every (i, j) and (j, i) entry of the full local
-    matrices, each to its own slot (dropped entries to a dummy slot)."""
-    k = ws.cells.shape[1]
-    iu, ju = np.triu_indices(k)
-    sym = np.empty((k, k), dtype=np.intp)
-    sym[iu, ju] = sym[ju, iu] = np.arange(len(iu))
-    rows = np.repeat(np.arange(ws.num_vertices), np.diff(ws.full_indptr))
+    """Reduced-pattern data from (M, K) upper-triangle local cell matrices:
+    the full bincount, restricted to the free-free slots of the reduced
+    pattern (its fixed diagonal receives nothing)."""
+    data = _full_bincount(ws, [local], [ws.cells])
+    full_keys = _pattern_keys(ws, ws.full_indptr, ws.full_indices)
+    reduced_keys = _pattern_keys(ws, ws.indptr, ws.indices)
     free = ~ws.dirichlet_mask
-    free_pair = free[rows] & free[ws.full_indices]
-    reduced_slot = np.where(free_pair, np.cumsum(ws.reduced) - 1, ws.nnz)
-    cell_slots = reduced_slot[ws.slots[: ws.cells.size * k]]
-    vals = local[:, sym.ravel()].ravel()
-    return np.bincount(cell_slots, weights=vals, minlength=ws.nnz + 1)[:-1]
+    i, j = np.divmod(reduced_keys, ws.num_vertices)
+    return np.where(free[i] & free[j], data[np.searchsorted(full_keys, reduced_keys)], 0.0)
 
 
 def _reference_residual(spec, mesh, u, mu):
@@ -309,7 +330,19 @@ class TestAssemblyPattern:
         ws = workspace_for(mesh)
         k = mesh.dim + 1
         local = np.random.default_rng(3).standard_normal((len(mesh.cells), k * (k + 1) // 2))
-        assert np.array_equal(ws.scatter(local), _full_scatter(ws, local))
+        assert np.array_equal(ws.scatter(local, 0.0), _full_scatter(ws, local))
+
+    def test_operator_matches_full_bincount(self, case):
+        mesh, _, _ = case
+        ws = workspace_for(mesh)
+        # the upper-triangle local matrices, computed as fields_for does
+        diffusion = PATTERN_SPEC.diffusion(ws.xq_flat).reshape(ws.wq.shape)
+        stiffness = (ws.scale * (diffusion @ ws.qw))[:, None] * ws.grad_gram
+        robin_coeff = PATTERN_SPEC.robin_coeff(ws.fxq_flat).reshape(ws.fwq.shape)
+        robin_mass = (ws.fwq * robin_coeff) @ ws.fphi2
+        assert len(robin_mass)
+        ref = _full_bincount(ws, [stiffness, robin_mass], [ws.cells, ws.robin_idx])
+        assert np.array_equal(ws.fields_for(PATTERN_SPEC)["operator"].data, ref)
 
     def test_dirichlet_rows_and_columns(self, case):
         mesh, _, matrices = case

@@ -209,6 +209,12 @@ class TestValidate:
             1, [[0.0], [1.0]], [[1, 0]], [[0]], [Marker.DIRICHLET], fix_orientation=False
         )
         assert any("nonpositive measure" in v for v in validate(bad))
+        # a NaN coordinate gives NaN measures, which are not > 0 either
+        nan = SimplicialMesh(1, [[0.0], [np.nan], [1.0]], [[0, 1], [1, 2]], [[0], [2]],
+                             [Marker.DIRICHLET] * 2, fix_orientation=False)
+        assert validate(nan) == ["vertex 1 has nonfinite coordinates",
+                                 "cell 0 has nonpositive measure nan",
+                                 "cell 1 has nonpositive measure nan"]
 
     def test_orientation_fix(self):
         fixed = SimplicialMesh(1, [[0.0], [1.0]], [[1, 0]])
@@ -293,6 +299,11 @@ class TestMeshIO:
         with pytest.raises(ParseError) as err:
             load_mesh(path)
         assert err.value.line == 1
+        # a negative count is a bad header too, found before any allocation
+        path.write_text("dim 1\nvertices -1\ncells 0\nboundary_facets 0\n")
+        with pytest.raises(ParseError, match="vertices -1 is negative") as err:
+            load_mesh(path)
+        assert err.value.line == 2
 
     def test_bad_marker(self, tmp_path):
         path = tmp_path / "bad.mesh"
@@ -308,6 +319,14 @@ class TestMeshIO:
         path.write_text("dim 1\nvertices 2\n0.0\n")
         with pytest.raises(ParseError):
             load_mesh(path)
+        # the counts must account for the whole file, not just a prefix
+        path.write_text(
+            "dim 1\nvertices 2\n0.0\n1.0\ncells 1\n0 1\nboundary_facets 1\nrobin 0\n"
+            "# a comment\n\nrobin 1\n"
+        )
+        with pytest.raises(ParseError, match="content after the last boundary facet") as err:
+            load_mesh(path)
+        assert err.value.line == 11
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "ok.mesh"
