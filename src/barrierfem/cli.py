@@ -252,7 +252,8 @@ def load_experiment(path):
                     f"u0.file has {u0_vector.size} values, mesh {label} has "
                     f"{mesh.num_vertices} vertices", line=line,
                 )
-    u0_value = ent.take("u0.constant", 1.0, float)
+    # with u0.file, u0.constant is left unread, so check_all_used rejects it
+    u0_value = 1.0 if u0_file is not None else ent.take("u0.constant", 1.0, float)
     if not np.isfinite(u0_value):
         raise ConfigError(f"u0.constant must be finite, got {u0_value}",
                           line=ent.line_of("u0.constant"))
@@ -357,8 +358,9 @@ def figure_integrand(scalar_curvature, u):
 
 def plot_integrand(scalar_curvature, u_min, u_max, samples, out_path):
     """Sample the 1D energy integrand on a monotone grid into a CSV."""
-    if not (0 < u_min < u_max):
-        raise InvalidRange(f"need 0 < u_min < u_max, got [{u_min}, {u_max}]")
+    if not (0 < u_min < u_max < np.inf and np.isfinite(scalar_curvature)):
+        raise InvalidRange(f"need 0 < u_min < u_max < inf and a finite R, got "
+                           f"[{u_min}, {u_max}] and R = {scalar_curvature}")
     if samples < 2:
         raise InvalidRange("need at least 2 samples")
     grid = np.linspace(u_min, u_max, samples)

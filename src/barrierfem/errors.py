@@ -60,4 +60,4 @@ class ConfigError(ParseError):
 
 
 class InvalidRange(BarrierFemError):
-    """Sampling range is empty or not strictly positive."""
+    """Sampling range is empty, not positive or not finite, or R is not finite."""

@@ -22,12 +22,13 @@ and M_ij = int u_h^-2 phi_j phi_i.
 One power pass (problem.power_sums) over the quadrature points serves
 both.  assemble_residual sums k_mu and, in the same loop over the
 terms, k' of the spec's terms, and keeps k' and u^-2 in a one-entry
-memo keyed on (workspace, spec, a copy of u).  assemble_jacobian at
-that u, at any mu, adds the barrier's mu u^-2 to k' and needs no pass
-of its own; at another u it runs the pass.  A Newton step takes its
-matrix at the state of its last residual, so each step makes one pass,
-and a caller pays for the matrix only when it takes a step.  At a fixed
-u, f is affine in mu, and assemble_barrier_gradient builds H alone (one
+memo on the mesh workspace, keyed on the spec's fields and a copy of
+u, and freed with the mesh.  assemble_jacobian at that u, at any mu,
+adds the barrier's mu u^-2 to k' and needs no pass of its own; at
+another u it runs the pass.  A Newton step takes its matrix at the
+state of its last residual, so each step makes one pass, and a caller
+pays for the matrix only when it takes a step.  At a fixed u, f is
+affine in mu, and assemble_barrier_gradient builds H alone (one
 product and one bincount, no power pass), so f at a second mu costs
 f(mu1) + (mu1 - mu2) H.
 
@@ -46,7 +47,7 @@ negative-power and logarithm integrands are thereby approximated by a
 finite sum with fixed positive weights.
 """
 
-from weakref import WeakKeyDictionary, ref
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -71,6 +72,8 @@ class _Workspace:
     reduced slot to its canonical one, and the reduced pattern's fixed
     diagonal to the slot one past the full pattern.  So a symmetric
     operator is one bincount and one gather, and A == A.T bit for bit.
+
+    `last_pass` holds the memo of the mesh's last power pass (_power_pass).
 
     Holds no reference to the mesh itself, so a mesh and its workspace
     are freed together once the mesh is no longer used.
@@ -111,6 +114,7 @@ class _Workspace:
         cols = np.concatenate([cells[:, ju].ravel(), self.robin_idx[:, fju].ravel()])
         self._build_patterns(rows, cols)
         self.spec_fields = WeakKeyDictionary()
+        self.last_pass = None
 
     def _build_patterns(self, rows, cols):
         n, m = self.num_vertices, len(rows)
@@ -232,18 +236,13 @@ def _state_fields(spec, mesh, u, mu):
     return u, ws, ws.fields_for(spec)
 
 
-# The last power pass: (workspace, spec, a copy of u, k' of the spec's
-# terms and u^-2 at u's quadrature points), with the workspace and spec
-# held weakly.  One entry, emptied before the next pass allocates.
-_last_pass = [None]
-
-
-def _power_pass(ws, spec, fields, u, mu):
-    """k_mu at u's quadrature points; keeps k' and u^-2 for the Jacobian
-    at u, which then needs no pass of its own at any mu."""
-    _last_pass[0] = None
+def _power_pass(ws, fields, u, mu):
+    """k_mu at u's quadrature points.  Keeps (fields, a copy of u, k' of
+    the spec's terms, u^-2) in ws.last_pass for the Jacobian at u, which
+    then needs no pass of its own at any mu."""
+    ws.last_pass = None  # emptied before the pass allocates
     (k, slope), inv_u2 = power_sums(fields["coeffs"], u[ws.cells] @ ws.lam.T, (0, 1), mu)
-    _last_pass[0] = (ref(ws), ref(spec), u.copy(), slope, inv_u2)
+    ws.last_pass = (fields, u.copy(), slope, inv_u2)
     return k
 
 
@@ -252,7 +251,9 @@ def assemble_residual(spec, mesh, u, mu=0.0):
     Dirichlet entries zeroed."""
     u, ws, fields = _state_fields(spec, mesh, u, mu)
     linear = fields["operator"] @ u - fields["load"]
-    return ws.vertex_sum((ws.wq * _power_pass(ws, spec, fields, u, mu)) @ ws.lam, linear)
+    k = _power_pass(ws, fields, u, mu)
+    with np.errstate(invalid="ignore"):  # k is +-inf at an overflowed u: f is nonfinite
+        return ws.vertex_sum((ws.wq * k) @ ws.lam, linear)
 
 
 def assemble_barrier_gradient(mesh, u):
@@ -269,12 +270,12 @@ def assemble_jacobian(spec, mesh, u, mu=0.0):
     Takes k' and u^-2 from the last power pass when that was at u (the
     residual of a Newton step is), else runs the pass."""
     u, ws, fields = _state_fields(spec, mesh, u, mu)
-    last = _last_pass[0]
-    hit = (last is not None and last[0]() is ws and last[1]() is spec
-           and np.array_equal(last[2], u) and (last[4] is not None or not mu > 0))
+    last = ws.last_pass
+    hit = (last is not None and last[0] is fields and np.array_equal(last[1], u)
+           and (last[3] is not None or not mu > 0))
     if not hit:
-        _power_pass(ws, spec, fields, u, mu)
-    *_, slope, inv_u2 = _last_pass[0]
+        _power_pass(ws, fields, u, mu)
+    *_, slope, inv_u2 = ws.last_pass
     local = (ws.wq * barrier_slope(slope, inv_u2, mu)) @ ws.phi2
     data = ws.scatter(local, fields["operator_sums"])
     return SparseMatrix.from_pattern(ws.indptr, ws.indices, data)

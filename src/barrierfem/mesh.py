@@ -320,31 +320,21 @@ def save_mesh(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
-class _LineReader:
-    """The fields of a file's nonblank lines, comments removed, each with
-    its 1-based line number."""
-
-    def __init__(self, path):
-        with open(path) as fh:
-            raw = fh.readlines()
-        self.lines = [(fields, i) for i, line in enumerate(raw, 1)
-                      if (fields := line.split("#", 1)[0].split())]
-        self.num_raw = len(raw)
-        self.pos = 0
-
-    def next_fields(self):
-        if self.pos == len(self.lines):
-            raise ParseError("unexpected end of file", line=self.num_raw)
-        self.pos += 1
-        return self.lines[self.pos - 1]
-
-
 def load_mesh(path):
     """Read a mesh written by save_mesh; validates before returning."""
-    reader = _LineReader(path)
+    with open(path) as fh:
+        raw = fh.readlines()
+    # the fields of each nonblank line, comments removed, with its 1-based number
+    lines = [(fields, i) for i, line in enumerate(raw, 1)
+             if (fields := line.split("#", 1)[0].split())]
+    pos = 0
 
-    def expect_header(keyword):
-        fields, line = reader.next_fields()
+    def header(keyword):
+        """(count, line number) of the next line, which must be `keyword <count>`."""
+        nonlocal pos
+        if pos == len(lines):
+            raise ParseError("unexpected end of file", line=len(raw))
+        (fields, line), pos = lines[pos], pos + 1
         if len(fields) != 2 or fields[0] != keyword:
             raise ParseError(f"expected '{keyword} <count>'", line=line)
         try:
@@ -352,56 +342,33 @@ def load_mesh(path):
         except ValueError:
             raise ParseError(f"bad count {fields[1]!r}", line=line) from None
 
-    def expect_count(keyword):
-        """A section's row count, checked before its rows are allocated."""
-        count, line = expect_header(keyword)
-        if not 0 <= count <= len(reader.lines) - reader.pos:
+    def section(keyword, width, convert, what):
+        """convert(fields) of each row, of `width` fields, of a `keyword` section."""
+        nonlocal pos
+        count, line = header(keyword)
+        if not 0 <= count <= len(lines) - pos:
             raise ParseError(f"{keyword} {count} is negative or exceeds the lines left", line=line)
-        return count
+        rows, pos = lines[pos : pos + count], pos + count
+        values = []
+        for fields, line in rows:
+            if len(fields) != width:
+                raise ParseError(f"expected {what}", line=line)
+            try:
+                values.append(convert(fields))
+            except ValueError as exc:
+                raise ParseError(f"bad {keyword} row: {exc}", line=line) from None
+        return values
 
-    dim, line = expect_header("dim")
+    dim, line = header("dim")
     if dim not in (1, 2, 3):
         raise ParseError(f"unsupported dimension {dim}", line=line)
-
-    nv = expect_count("vertices")
-    verts = np.empty((nv, dim))
-    for i in range(nv):
-        fields, line = reader.next_fields()
-        if len(fields) != dim:
-            raise ParseError(f"expected {dim} coordinates", line=line)
-        try:
-            verts[i] = [float(f) for f in fields]
-        except ValueError:
-            raise ParseError("bad coordinate", line=line) from None
-
-    nc = expect_count("cells")
-    cells = np.empty((nc, dim + 1), dtype=np.int64)
-    for i in range(nc):
-        fields, line = reader.next_fields()
-        if len(fields) != dim + 1:
-            raise ParseError(f"expected {dim + 1} vertex indices", line=line)
-        try:
-            cells[i] = [int(f) for f in fields]
-        except ValueError:
-            raise ParseError("bad vertex index", line=line) from None
-
-    nb = expect_count("boundary_facets")
-    facets, markers = [], []
-    for _ in range(nb):
-        fields, line = reader.next_fields()
-        if len(fields) != dim + 1:
-            raise ParseError(f"expected marker plus {dim} indices", line=line)
-        try:
-            markers.append(Marker(fields[0]))
-        except ValueError:
-            raise ParseError(f"unknown marker {fields[0]!r}", line=line) from None
-        try:
-            facets.append([int(f) for f in fields[1:]])
-        except ValueError:
-            raise ParseError("bad facet index", line=line) from None
-    if reader.pos < len(reader.lines):
-        line = reader.lines[reader.pos][1]
-        raise ParseError("content after the last boundary facet", line=line)
-
-    mesh = SimplicialMesh(dim, verts, cells, facets, markers, fix_orientation=False)
+    verts = section("vertices", dim, lambda f: [float(x) for x in f], f"{dim} coordinates")
+    cells = section("cells", dim + 1, lambda f: [int(x) for x in f], f"{dim + 1} vertex indices")
+    boundary = section("boundary_facets", dim + 1,
+                       lambda f: (Marker(f[0]), [int(x) for x in f[1:]]),
+                       f"marker plus {dim} indices")
+    if pos < len(lines):
+        raise ParseError("content after the last boundary facet", line=lines[pos][1])
+    mesh = SimplicialMesh(dim, np.reshape(verts, (-1, dim)), cells, [f for _, f in boundary],
+                          [m for m, _ in boundary], fix_orientation=False)
     return _require_valid(mesh)

@@ -219,7 +219,8 @@ class _FemProblem:
         else:
             f = assemble_residual(self.spec, self.mesh, v, mu)
         self._last = (np.array(v, dtype=float), mu, f)
-        return f, 0.5 * float(np.dot(f, f))
+        with np.errstate(over="ignore"):  # an overflowed merit is inf, which _newton stops on
+            return f, 0.5 * float(np.dot(f, f))
 
     def direction(self, u, mu, f):
         """(w, CG status, w -> merit slope) for B(u) w = -f."""
@@ -281,7 +282,8 @@ def _newton(problem, u, mu, config, report, safeguarded):
     try:
         f, phi = problem.evaluate(u, mu)
         while True:
-            fn = float(np.linalg.norm(f))
+            with np.errstate(over="ignore"):  # a huge f has an infinite norm
+                fn = float(np.linalg.norm(f))
             if stage is None:
                 tol = subproblem_tolerance(mu, fn, config.eps) if mu > 0 else config.eps
                 stage = StageRecord(mu, tol, fn, 0)
@@ -358,7 +360,9 @@ def _finalize(report, problem, u, t0):
     report.solution = u.copy()
     report.sign = classify_sign(u[problem.free])
     report.total_newton_iterations = len(report.iterations)
-    report.final_residual = float(np.linalg.norm(problem.evaluate(u, 0.0)[0]))
+    f = problem.evaluate(u, 0.0)[0]
+    with np.errstate(over="ignore"):  # as in _newton, an overflowed norm is inf
+        report.final_residual = float(np.linalg.norm(f))
     report.wall_time = time.perf_counter() - t0
     return report
 

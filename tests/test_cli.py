@@ -179,6 +179,16 @@ class TestPlotIntegrand:
         with pytest.raises(InvalidRange):
             plot_integrand(-1000.0, 2.0, 1.0, 10, tmp_path / "x.csv")
 
+    @pytest.mark.parametrize(
+        "args", [(-1000.0, 0.4, np.inf), (np.nan, 0.4, 3.0), (-1000.0, 0.4, np.nan),
+                 (np.inf, 0.4, 3.0)],
+        ids=["max_inf", "R_nan", "max_nan", "R_inf"],
+    )
+    def test_nonfinite_range(self, tmp_path, args):
+        with pytest.raises(InvalidRange):
+            plot_integrand(*args, 10, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestMainEntry:
     def test_mesh_gen_round_trip(self, tmp_path):
@@ -257,6 +267,11 @@ class TestMainEntry:
             ("mesh.kind = interval\nu0.constant = nan\n", "line 3: u0.constant must be finite"),
             ("mesh.kind = interval\nu0.constant = -inf\n", "line 3: u0.constant must be finite"),
             (
+                "mesh.kind = interval\nmesh.n_cells = 2\nu0.file = {tmp}/short.txt\n"
+                "u0.constant = -5\n",
+                "line 5: key 'u0.constant' is unknown or does not apply",
+            ),
+            (
                 "mesh.kind = shells\nmesh.outer_marker = dirichlet\n",
                 "line 3: key 'mesh.outer_marker' is unknown or does not apply",
             ),
@@ -267,7 +282,8 @@ class TestMainEntry:
         ],
         ids=["gamma", "max_inner", "mu0", "eps_inf", "config_file", "mesh_path", "u0_file",
              "u0_file_short", "u0_file_not_numeric", "u0_file_inf", "u0_constant_nan",
-             "u0_constant_inf", "shells_outer_marker", "file_inner_marker"],
+             "u0_constant_inf", "u0_file_and_constant", "shells_outer_marker",
+             "file_inner_marker"],
     )
     def test_bad_input_is_an_error_line(self, tmp_path, capsys, text, message):
         (tmp_path / "short.txt").write_text("1.0\n1.0\n1.0\n")

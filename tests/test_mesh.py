@@ -258,6 +258,17 @@ class TestValidate:
         assert any("out of range" in v for v in validate(bad))
 
 
+VALID_1D = ["dim 1", "vertices 2", "0.0", "1.0", "cells 1", "0 1",
+            "boundary_facets 2", "dirichlet 0", "robin 1"]
+VALID_3D = ["dim 3", "vertices 4", "0 0 0", "1 0 0", "0 1 0", "0 0 1", "cells 1", "0 1 2 3",
+            "boundary_facets 4", "robin 1 2 3", "robin 0 2 3", "robin 0 1 3", "dirichlet 0 1 2"]
+
+
+def swap(lines, number, text):
+    """`lines` with its 1-based line `number` replaced by `text`."""
+    return lines[: number - 1] + [text] + lines[number:]
+
+
 class TestMeshIO:
     @pytest.mark.parametrize(
         "mesh",
@@ -327,6 +338,45 @@ class TestMeshIO:
         with pytest.raises(ParseError, match="content after the last boundary facet") as err:
             load_mesh(path)
         assert err.value.line == 11
+
+    @pytest.mark.parametrize(
+        "lines, line",
+        [
+            pytest.param(swap(VALID_1D, 6, "0"), 6, id="1d_short_row"),
+            pytest.param(swap(VALID_1D, 3, "0.0 5.0"), 3, id="1d_extra_field"),
+            pytest.param(swap(VALID_1D, 4, "1.o"), 4, id="1d_bad_float"),
+            pytest.param(swap(VALID_1D, 6, "0 1.5"), 6, id="1d_bad_int"),
+            pytest.param(swap(VALID_1D, 8, "periodic 0"), 8, id="1d_unknown_marker"),
+            pytest.param(swap(VALID_1D, 5, "cells -1"), 5, id="1d_negative_count"),
+            pytest.param(swap(VALID_1D, 2, "vertices 99"), 2, id="1d_oversized_count"),
+            # a section's count is checked against the lines left, so a
+            # file that ends inside a section fails at the section's header
+            pytest.param(VALID_1D[:8], 7, id="1d_eof_in_section"),
+            pytest.param(VALID_1D[:6] + ["# no boundary_facets"], 7, id="1d_eof_at_header"),
+            pytest.param(VALID_1D + ["robin 1"], 10, id="1d_trailing_content"),
+            pytest.param(swap(VALID_3D, 3, "0 0"), 3, id="3d_short_row"),
+            pytest.param(swap(VALID_3D, 8, "0 1 2 3 4"), 8, id="3d_extra_field"),
+            pytest.param(swap(VALID_3D, 5, "0 1 x"), 5, id="3d_bad_float"),
+            pytest.param(swap(VALID_3D, 12, "robin 0 1 3.0"), 12, id="3d_bad_int"),
+            pytest.param(swap(VALID_3D, 11, "neumann 0 2 3"), 11, id="3d_unknown_marker"),
+            pytest.param(swap(VALID_3D, 9, "boundary_facets -4"), 9, id="3d_negative_count"),
+            pytest.param(swap(VALID_3D, 7, "cells 7"), 7, id="3d_oversized_count"),
+            pytest.param(VALID_3D[:4], 2, id="3d_eof_in_section"),
+            pytest.param(VALID_3D + ["", "0 1 2"], 15, id="3d_trailing_content"),
+        ],
+    )
+    def test_malformed_file_line(self, tmp_path, lines, line):
+        path = tmp_path / "bad.mesh"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_mesh(path)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("lines", [VALID_1D, VALID_3D], ids=["1d", "3d"])
+    def test_malformed_table_base_is_valid(self, tmp_path, lines):
+        path = tmp_path / "ok.mesh"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_mesh(path).num_cells == 1
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "ok.mesh"

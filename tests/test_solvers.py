@@ -432,6 +432,17 @@ def test_jacobian_assembled_only_for_a_linear_solve(interval_robin, monkeypatch,
         assert calls["other"] == report.total_newton_iterations + 1
 
 
+@pytest.mark.parametrize("solve", [newton_standard, newton_safeguarded, barrier_solve])
+@pytest.mark.parametrize("value", [1e-39, 1e-36, 1e60])
+def test_overflowing_start_is_a_nonfinite_residual(solve, value):
+    """A start whose powers overflow ends as a report, without a numpy
+    warning (which the test settings turn into an error)."""
+    mesh = generate_interval_mesh(0.1, 10, 40, left=Marker.ROBIN, right=Marker.ROBIN)
+    report = solve(builtin_example(1), mesh, FeFunction.constant(mesh, value))
+    assert not report.converged
+    assert report.failure_reason == "nonfinite residual"
+
+
 def test_stage_start_residual_matches_fresh_assembly(interval_robin, monkeypatch):
     """Every stage but the first starts from a residual shifted in mu; its
     norm equals that of a residual assembled afresh at the stage's (u, mu),
