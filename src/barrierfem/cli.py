@@ -365,6 +365,10 @@ def plot_integrand(scalar_curvature, u_min, u_max, samples, out_path):
         raise InvalidRange("need at least 2 samples")
     grid = np.linspace(u_min, u_max, samples)
     values = figure_integrand(scalar_curvature, grid)
+    nonfinite = grid[~np.isfinite(values)]
+    if nonfinite.size:
+        raise InvalidRange(f"the integrand is not finite at u = {float(nonfinite[0])!r} "
+                           f"(R = {scalar_curvature}); narrow the range")
     lines = [
         "# pointwise energy integrand I(u) = (R/16) u^2 + u^6 + u^-6 + u^-2",
         "# gradient term of the 1D energy omitted (pointwise profile in u)",

@@ -60,4 +60,5 @@ class ConfigError(ParseError):
 
 
 class InvalidRange(BarrierFemError):
-    """Sampling range is empty, not positive or not finite, or R is not finite."""
+    """Sampling range is empty, not positive or not finite, R is not finite,
+    or the integrand is not finite at a sample."""

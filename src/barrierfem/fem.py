@@ -20,10 +20,12 @@ f = G - mu H and the Jacobian B = J + mu M, with H_i = int u_h^-1 phi_i
 and M_ij = int u_h^-2 phi_j phi_i.
 
 One power pass (problem.power_sums) over the quadrature points serves
-both.  assemble_residual sums k_mu and, in the same loop over the
-terms, k' of the spec's terms, and keeps k' and u^-2 in a one-entry
-memo on the mesh workspace, keyed on the spec's fields and a copy of
-u, and freed with the mesh.  assemble_jacobian at that u, at any mu,
+both.  It runs in cache-sized blocks of cells, and its only full-size
+arrays are its outputs.  assemble_residual sums k_mu and, in the same
+loop over the terms, k' of the spec's terms, weights k_mu in place, and
+keeps k' and u^-2 in a one-entry memo on the mesh workspace, keyed on
+the spec's fields and a copy of u, which the PDE drivers drop when
+they return.  assemble_jacobian at that u, at any mu,
 adds the barrier's mu u^-2 to k' and needs no pass of its own; at
 another u it runs the pass.  A Newton step takes its matrix at the
 state of its last residual, so each step makes one pass, and a caller
@@ -253,7 +255,8 @@ def assemble_residual(spec, mesh, u, mu=0.0):
     linear = fields["operator"] @ u - fields["load"]
     k = _power_pass(ws, fields, u, mu)
     with np.errstate(invalid="ignore"):  # k is +-inf at an overflowed u: f is nonfinite
-        return ws.vertex_sum((ws.wq * k) @ ws.lam, linear)
+        k *= ws.wq  # in place: k is the pass's own array
+        return ws.vertex_sum(k @ ws.lam, linear)
 
 
 def assemble_barrier_gradient(mesh, u):

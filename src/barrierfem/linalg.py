@@ -6,11 +6,13 @@ so callers can test the returned direction for descent instead of
 trusting an exact solve.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import DimensionMismatch
 
@@ -48,6 +50,14 @@ def add_scaled(a, s, m):
     return SparseMatrix.from_pattern(a.indptr, a.indices, a.data + float(s) * m.data)
 
 
+def _matvec_into(a, v, out):
+    """out = a @ v for a csr_matrix a, bit for bit: the kernel that
+    `a @ v` calls, on a zeroed out (the kernel adds to it)."""
+    out.fill(0.0)
+    csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, v, out)
+    return out
+
+
 class CgStatus(Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
@@ -71,7 +81,14 @@ def cg_solve(a, b):
     Returns CgResult; status INDEFINITE means a direction with
     p^T A p <= 0 was met, and x is the last iterate before breakdown
     (the zero vector when breakdown happens on the first step).
+
+    An iteration allocates nothing: each product A p goes into one
+    buffer through scipy's CSR kernel, the one `a @ p` calls, and the
+    vector updates run in place, in the order and with the operands of
+    x + alpha p, r - alpha A p and z + beta p, so every iterate is bit
+    for bit that of the plain expressions.
     """
+    a = sp.csr_matrix(a)
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if a.shape != (n, n):
@@ -81,7 +98,7 @@ def cg_solve(a, b):
     d = a.diagonal()
     inv_diag = 1.0 / d if np.all(d > 0) else np.ones(n)
 
-    b_norm = np.linalg.norm(b)
+    b_norm = math.sqrt(b.dot(b))
     x = np.zeros(n)
     if b_norm == 0.0:
         return CgResult(x, CgStatus.CONVERGED, 0)
@@ -89,22 +106,24 @@ def cg_solve(a, b):
     r = b.copy()
     z = r * inv_diag
     p = z.copy()
-    rz = float(np.dot(r, z))
+    ap, step = np.empty(n), np.empty(n)
+    rz = float(r.dot(z))
     for k in range(max_iters):
-        ap = a @ p
-        pap = float(np.dot(p, ap))
+        _matvec_into(a, p, ap)
+        pap = float(p.dot(ap))
         if pap <= 0.0:
             return CgResult(x, CgStatus.INDEFINITE, k)
         alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        if np.linalg.norm(r) <= CG_REL_TOL * b_norm:
-            true_res = b - a @ x
-            if np.linalg.norm(true_res) <= CG_REL_TOL * b_norm:
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(ap, alpha, out=step)
+        if math.sqrt(r.dot(r)) <= CG_REL_TOL * b_norm:
+            true_res = np.subtract(b, _matvec_into(a, x, ap), out=step)
+            if math.sqrt(true_res.dot(true_res)) <= CG_REL_TOL * b_norm:
                 return CgResult(x, CgStatus.CONVERGED, k + 1)
-            r = true_res  # recurrence drifted; continue with the true residual
-        z = r * inv_diag
-        rz_new = float(np.dot(r, z))
-        p = z + (rz_new / rz) * p
+            r, step = true_res, r  # recurrence drifted; continue with the true residual
+        np.multiply(r, inv_diag, out=z)
+        rz_new = float(r.dot(z))
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return CgResult(x, CgStatus.MAX_ITERS, max_iters)

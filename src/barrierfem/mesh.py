@@ -363,9 +363,17 @@ def load_mesh(path):
     if dim not in (1, 2, 3):
         raise ParseError(f"unsupported dimension {dim}", line=line)
     verts = section("vertices", dim, lambda f: [float(x) for x in f], f"{dim} coordinates")
-    cells = section("cells", dim + 1, lambda f: [int(x) for x in f], f"{dim + 1} vertex indices")
-    boundary = section("boundary_facets", dim + 1,
-                       lambda f: (Marker(f[0]), [int(x) for x in f[1:]]),
+
+    def indices(fields):
+        """The vertex indices of a row, checked as Python ints (before int64)."""
+        values = [int(x) for x in fields]
+        for i in values:
+            if not 0 <= i < len(verts):
+                raise ValueError(f"vertex index {i} is not in [0, {len(verts)})")
+        return values
+
+    cells = section("cells", dim + 1, indices, f"{dim + 1} vertex indices")
+    boundary = section("boundary_facets", dim + 1, lambda f: (Marker(f[0]), indices(f[1:])),
                        f"marker plus {dim} indices")
     if pos < len(lines):
         raise ParseError("content after the last boundary facet", line=lines[pos][1])

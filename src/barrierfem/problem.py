@@ -6,8 +6,10 @@ constraint uses p in {1, 5, -3, -7} and the Yamabe examples use subsets
 of {1, 5}.  power_sum evaluates k(u), its derivative k'(u) and its
 antiderivative (the energy density) from the same representation, and
 power_sums evaluates several of them in one pass over the terms.  The
-assembly adds the barrier -mu ln u to k as the term (p, c) = (-1, -mu);
-no ProblemSpec holds it, since it has no power-law antiderivative.
+pass runs in cache-sized blocks of rows, and the only full-size arrays
+it makes are its outputs.  The assembly adds the barrier -mu ln u to k
+as the term (p, c) = (-1, -mu); no ProblemSpec holds it, since it has
+no power-law antiderivative.
 
 Coefficient fields are closures of position: they receive an (n, dim)
 array of points and return n values, so sharp fields like 1/r^3 are
@@ -133,6 +135,11 @@ def power_sum(coeffs, u, derivative=0):
     return power_sums(coeffs, u, (derivative,))[0][0]
 
 
+#: power_sums runs over the leading axis of u in blocks of about this
+#: many elements, so that each block's temporaries stay in cache
+_BLOCK_ELEMENTS = 2**15
+
+
 def power_sums(coeffs, u, derivatives, mu=0.0):
     """power_sum of each order in `derivatives`, from one pass over the terms.
 
@@ -142,6 +149,13 @@ def power_sums(coeffs, u, derivatives, mu=0.0):
     u^-2 when a term or the barrier needs it, else None.  barrier_slope
     turns k' and u^-2 at one state into k'_mu there at any mu, so a
     single pass serves k_mu and every k'_mu.
+
+    The pass runs over u's leading axis in blocks of rows (a 0-d or 1-d
+    u, or one the coefficients broadcast, in one block): a block's u^2,
+    its scratch power and its part of the totals stay in cache, and the
+    only full-size arrays made are the returned sums and u^-2.  Each
+    step is elementwise, so the sums are bit for bit those of one pass
+    over the whole array.
     """
     if tuple(derivatives) not in ((-1,), (0,), (1,), (0, 1)):
         raise ValueError(f"derivative must be -1, 0 or 1, or (0, 1); got {derivatives}")
@@ -149,30 +163,50 @@ def power_sums(coeffs, u, derivatives, mu=0.0):
         raise ValueError("exponent -1 has no power-law antiderivative")
     u = np.asarray(u, dtype=float)
     shape = np.broadcast_shapes(u.shape, *(np.shape(c) for _, c in coeffs))
-    totals = [np.zeros(shape) for _ in derivatives]
-    power = np.empty(shape)
+    # each total starts as 0.0 + its first term; with no terms it stays 0
+    totals = [(np.empty if coeffs else np.zeros)(shape) for _ in derivatives]
+    inv_u2 = np.empty(u.shape) if mu > 0 or any(p < 0 for p, _ in coeffs) else None
+    coeffs = [(p, c if np.ndim(c) == 0 else np.broadcast_to(c, shape)) for p, c in coeffs]
+    if u.ndim < 2 or u.shape != shape:
+        blocks = [...]
+        u2_buf, power_buf = np.empty(u.size), np.empty(math.prod(shape))
+    else:
+        row = math.prod(shape[1:])
+        rows = max(1, _BLOCK_ELEMENTS // max(1, row))
+        blocks = [slice(lo, lo + rows) for lo in range(0, len(u), rows)]
+        u2_buf, power_buf = np.empty((2, min(rows, len(u)) * row))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u2 = u * u
-        inv_u2 = 1.0 / u2 if mu > 0 or any(p < 0 for p, _ in coeffs) else None
-        for p, c in coeffs:
-            if p == 1:
-                term = c  # c u^0, never scaled in place: k' scales it by 1
-            else:
-                _power_into(power, u2 if p > 0 else inv_u2, abs(p - 1) // 2)
-                power *= c
-                term = power
-            # order 0 comes first, so order 1 can scale term in place
-            for total, derivative in zip(totals, derivatives):
-                if derivative == -1:
-                    term = term / (p + 1)
-                elif derivative == 1 and p != 1:
-                    term *= p
-                total += term
-        for total, derivative in zip(totals, derivatives):
-            if derivative == 0 and mu > 0:
-                total += inv_u2 * -mu
-            if derivative != 1:
-                total *= u2 if derivative == -1 else u
+        for block in blocks:
+            ub = u[block]
+            block_totals = [total[block] for total in totals]
+            u2 = np.multiply(ub, ub, out=u2_buf[: ub.size].reshape(ub.shape))
+            inv = None if inv_u2 is None else np.divide(1.0, u2, out=inv_u2[block])
+            power = power_buf[: block_totals[0].size].reshape(block_totals[0].shape)
+            for i, (p, c) in enumerate(coeffs):
+                c = c if np.ndim(c) == 0 else c[block]
+                if p == 1:
+                    term = c  # c u^0, never scaled in place: k' scales it by 1
+                else:
+                    _power_into(power, u2 if p > 0 else inv, abs(p - 1) // 2)
+                    power *= c
+                    term = power
+                # order 0 comes first, so order 1 can scale term in place
+                for total, derivative in zip(block_totals, derivatives):
+                    if derivative == -1:
+                        term = np.divide(term, p + 1, out=power)
+                    elif derivative == 1 and p != 1:
+                        term *= p
+                    if i:
+                        total += term
+                    elif np.ndim(term):
+                        np.add(0.0, term, out=total)  # as from zeros: -0.0 becomes 0.0
+                    else:
+                        total.fill(0.0 + term)  # a scalar-to-array add is slower than a fill
+            for total, derivative in zip(block_totals, derivatives):
+                if derivative == 0 and mu > 0:
+                    total += np.multiply(inv, -mu, out=power)
+                if derivative != 1:
+                    total *= u2 if derivative == -1 else ub
     return totals, inv_u2
 
 

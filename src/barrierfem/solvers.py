@@ -382,6 +382,7 @@ def _solve_fem(method, spec, mesh, u0, config):
     else:
         u, _, reason = _newton(problem, u, 0.0, config, report, method == "safeguarded")
     _finalize(report, problem, u, t0)
+    workspace_for(mesh).last_pass = None  # no Jacobian follows the final residual
     report.converged = not reason and report.final_residual <= config.eps
     report.failure_reason = reason or ("" if report.converged else "unbarriered residual above eps")
     return report

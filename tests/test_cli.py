@@ -180,13 +180,15 @@ class TestPlotIntegrand:
             plot_integrand(-1000.0, 2.0, 1.0, 10, tmp_path / "x.csv")
 
     @pytest.mark.parametrize(
-        "args", [(-1000.0, 0.4, np.inf), (np.nan, 0.4, 3.0), (-1000.0, 0.4, np.nan),
-                 (np.inf, 0.4, 3.0)],
-        ids=["max_inf", "R_nan", "max_nan", "R_inf"],
+        "args", [(-1000.0, 0.4, np.inf, 10), (np.nan, 0.4, 3.0, 10), (-1000.0, 0.4, np.nan, 10),
+                 (np.inf, 0.4, 3.0, 10),
+                 # a finite range whose integrand overflows: inf at u = 5e59, nan at 1e-300
+                 (-1000.0, 0.4, 1e60, 3), (-1000.0, 1e-300, 1.0, 3)],
+        ids=["max_inf", "R_nan", "max_nan", "R_inf", "max_overflows", "min_overflows"],
     )
     def test_nonfinite_range(self, tmp_path, args):
         with pytest.raises(InvalidRange):
-            plot_integrand(*args, 10, tmp_path / "x.csv")
+            plot_integrand(*args, tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()
 
 

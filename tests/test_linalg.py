@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from barrierfem.errors import DimensionMismatch
 from barrierfem.fem import assemble_jacobian, workspace_for
 from barrierfem.linalg import (
+    CG_REL_TOL,
     CgStatus,
     SparseMatrix,
+    _matvec_into,
     add_scaled,
     cg_solve,
 )
@@ -138,3 +141,114 @@ class TestCg:
             assert info == 0
             assert jacobi.status == CgStatus.CONVERGED
             assert jacobi.iterations <= 2 * len(plain_iterations)
+
+
+def reference_cg(a, b):
+    """The plain CG loop that cg_solve runs without allocations: fresh
+    vectors, `a @ p` and np.linalg.norm at every iteration."""
+    b = np.asarray(b, dtype=float)
+    n = b.shape[0]
+    d = a.diagonal()
+    inv_diag = 1.0 / d if np.all(d > 0) else np.ones(n)
+    b_norm = np.linalg.norm(b)
+    x = np.zeros(n)
+    if b_norm == 0.0:
+        return x, CgStatus.CONVERGED, 0
+    r = b.copy()
+    z = r * inv_diag
+    p = z.copy()
+    rz = float(np.dot(r, z))
+    for k in range(10 * n):
+        ap = a @ p
+        pap = float(np.dot(p, ap))
+        if pap <= 0.0:
+            return x, CgStatus.INDEFINITE, k
+        alpha = rz / pap
+        x = x + alpha * p
+        r = r - alpha * ap
+        if np.linalg.norm(r) <= CG_REL_TOL * b_norm:
+            true_res = b - a @ x
+            if np.linalg.norm(true_res) <= CG_REL_TOL * b_norm:
+                return x, CgStatus.CONVERGED, k + 1
+            r = true_res
+        z = r * inv_diag
+        rz_new = float(np.dot(r, z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, CgStatus.MAX_ITERS, 10 * n
+
+
+def with_duplicates(n, rng):
+    """A symmetric positive definite CSR matrix whose rows repeat column
+    indices out of order; scipy sums the repeats in storage order."""
+    indptr, indices, data = [0], [], []
+    for i in range(n):
+        indices += [i, (i + 1) % n, i, (i - 1) % n, (i + 1) % n, (i - 1) % n]
+        data += [2.0 + rng.random(), -0.25, 1.5, -0.25, -0.25, -0.25]
+        indptr.append(len(indices))
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def ill_conditioned(condition, seed):
+    """A 20 x 20 SPD matrix with eigenvalues from 1 to `condition` and a
+    rhs; CG's recurrence residual drifts from the true one on these."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    a = (q * np.logspace(0, np.log10(condition), 20)) @ q.T
+    return dense(0.5 * (a + a.T)), rng.standard_normal(20)
+
+
+def cg_cases():
+    rng = np.random.default_rng(7)
+    f = rng.standard_normal((30, 30))
+    spd = f.T @ f + 15.0 * np.eye(30)
+    skew = rng.standard_normal((12, 12))
+    mesh = generate_annulus_mesh(1, 2, 6, 24, inner=Marker.DIRICHLET, outer=Marker.ROBIN)
+    jacobian = assemble_jacobian(ProblemSpec(power_terms=((1, 1.0), (5, 0.5))), mesh,
+                                 FeFunction.constant(mesh, 1.2))
+    b_mesh = rng.standard_normal(mesh.num_vertices)
+    b_mesh[workspace_for(mesh).dirichlet_mask] = 0.0
+    return {
+        "spd": (dense(spd), rng.standard_normal(30), CgStatus.CONVERGED),
+        "jacobian": (jacobian, b_mesh, CgStatus.CONVERGED),
+        "indefinite_first_step": (dense(np.diag([1.0, -1.0])), np.ones(2), CgStatus.INDEFINITE),
+        "indefinite_later": (dense(np.diag([1.0, 1.0, -1.0])), np.array([1.0, 1.0, 0.05]),
+                             CgStatus.INDEFINITE),
+        # p.Ap = |p|^2 > 0 for I + a skew part, but CG does not converge on it
+        "max_iters": (dense(np.eye(12) + 3.0 * (skew - skew.T)), rng.standard_normal(12),
+                      CgStatus.MAX_ITERS),
+        "duplicates": (with_duplicates(25, rng), rng.standard_normal(25), CgStatus.CONVERGED),
+        "ill_conditioned": (*ill_conditioned(1e6, 1), CgStatus.CONVERGED),
+        "ill_conditioned_max_iters": (*ill_conditioned(1e8, 1), CgStatus.MAX_ITERS),
+        "zero_rhs": (dense(np.eye(4)), np.zeros(4), CgStatus.CONVERGED),
+    }
+
+
+CG_CASES = cg_cases()
+
+
+class TestCgBitIdentity:
+    @pytest.mark.parametrize("case", sorted(CG_CASES))
+    def test_matches_reference_loop(self, case):
+        a, b, status = CG_CASES[case]
+        x, ref_status, ref_iterations = reference_cg(a, b)
+        result = cg_solve(a, b)
+        assert ref_status == status  # each case reaches the branch it is named for
+        assert (result.status, result.iterations) == (ref_status, ref_iterations)
+        assert result.x.tobytes() == x.tobytes()
+
+    def test_duplicates_case_is_not_canonical(self):
+        a = CG_CASES["duplicates"][0]
+        summed = a.copy()
+        summed.sum_duplicates()
+        assert summed.nnz < a.nnz
+
+    @pytest.mark.parametrize("case", ["spd", "jacobian", "duplicates", "max_iters"])
+    def test_matvec_into_buffer_is_a_times_p(self, case):
+        a, b, _ = CG_CASES[case]
+        a = sp.csr_matrix(a)
+        rng = np.random.default_rng(3)
+        out = rng.standard_normal(len(b))  # stale contents must not leak into the product
+        for p in (b, rng.standard_normal(len(b)), -np.zeros(len(b))):
+            assert _matvec_into(a, p, out) is out
+            assert out.tobytes() == (a @ p).tobytes()

@@ -292,17 +292,27 @@ class TestMeshIO:
     def test_cell_index_out_of_range(self, tmp_path):
         path = tmp_path / "bad.mesh"
         path.write_text("dim 1\nvertices 2\n0.0\n1.0\ncells 1\n0 7\nboundary_facets 0\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ParseError) as err:
             load_mesh(path)
+        assert err.value.line == 6
+        assert "vertex index 7 is not in [0, 2)" in str(err.value)
 
     def test_facet_index_out_of_range(self, tmp_path):
         path = tmp_path / "bad.mesh"
         path.write_text(
             "dim 1\nvertices 2\n0.0\n1.0\ncells 1\n0 1\nboundary_facets 1\nrobin 2\n"
         )
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(ParseError) as err:
             load_mesh(path)
-        assert err.value.violations == ["facet vertex index out of range"]
+        assert err.value.line == 8
+        assert "vertex index 2 is not in [0, 2)" in str(err.value)
+
+    def test_degenerate_cell_is_a_validation_error(self, tmp_path):
+        # indices in range that make a zero-measure cell are a mesh invariant, not a parse error
+        path = tmp_path / "bad.mesh"
+        path.write_text("dim 1\nvertices 2\n0.0\n1.0\ncells 1\n1 1\nboundary_facets 0\n")
+        with pytest.raises(ValidationError):
+            load_mesh(path)
 
     def test_unsupported_dimension(self, tmp_path):
         path = tmp_path / "bad.mesh"
@@ -363,6 +373,14 @@ class TestMeshIO:
             pytest.param(swap(VALID_3D, 7, "cells 7"), 7, id="3d_oversized_count"),
             pytest.param(VALID_3D[:4], 2, id="3d_eof_in_section"),
             pytest.param(VALID_3D + ["", "0 1 2"], 15, id="3d_trailing_content"),
+            # indices are checked on the Python int, before any int64 conversion
+            pytest.param(swap(VALID_1D, 6, "0 99999999999999999999"), 6, id="1d_huge_index"),
+            pytest.param(swap(VALID_1D, 9, "robin -99999999999999999999"), 9,
+                         id="1d_huge_negative_facet_index"),
+            pytest.param(swap(VALID_3D, 8, "0 1 2 4"), 8, id="3d_index_equal_to_vertex_count"),
+            pytest.param(swap(VALID_3D, 13, "dirichlet 0 4 2"), 13,
+                         id="3d_facet_index_equal_to_vertex_count"),
+            pytest.param(swap(VALID_3D, 8, "-1 1 2 3"), 8, id="3d_negative_index"),
         ],
     )
     def test_malformed_file_line(self, tmp_path, lines, line):

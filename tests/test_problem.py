@@ -1,10 +1,15 @@
 """The power-law nonlinearity, its energy density and the built-in examples."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from barrierfem import problem
 from barrierfem.errors import CoefficientViolation, UnknownExample
 from barrierfem.problem import (
     FeFunction,
@@ -14,6 +19,7 @@ from barrierfem.problem import (
     constant_field,
     lichnerowicz_spec,
     power_sum,
+    power_sums,
     radial_field,
 )
 
@@ -189,6 +195,130 @@ class TestPowerSumAccuracy:
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError, match="derivative"):
             power_sum(list(self.TERMS), self.U, derivative=2)
+
+
+def whole_array_power_sums(coeffs, u, derivatives, mu=0.0):
+    """power_sums as one pass over the whole array, every temporary of
+    u's size: what the blocked pass must give bit for bit."""
+
+    def power_into(out, base, e):
+        square = base
+        for bit in bin(e)[3:]:
+            np.multiply(square, square, out=out)
+            square = out
+            if bit == "1":
+                out *= base
+        if square is base:
+            out[...] = base
+
+    u = np.asarray(u, dtype=float)
+    shape = np.broadcast_shapes(u.shape, *(np.shape(c) for _, c in coeffs))
+    totals = [np.zeros(shape) for _ in derivatives]
+    power = np.empty(shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u2 = u * u
+        inv_u2 = 1.0 / u2 if mu > 0 or any(p < 0 for p, _ in coeffs) else None
+        for p, c in coeffs:
+            if p == 1:
+                term = c
+            else:
+                power_into(power, u2 if p > 0 else inv_u2, abs(p - 1) // 2)
+                power *= c
+                term = power
+            for total, derivative in zip(totals, derivatives):
+                if derivative == -1:
+                    term = term / (p + 1)
+                elif derivative == 1 and p != 1:
+                    term *= p
+                total += term
+        for total, derivative in zip(totals, derivatives):
+            if derivative == 0 and mu > 0:
+                total += inv_u2 * -mu
+            if derivative != 1:
+                total *= u2 if derivative == -1 else u
+    return totals, inv_u2
+
+
+def assert_same_bits(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()  # unlike ==, tells -0.0 from 0.0 and NaN apart
+
+
+def assert_pass_matches_whole_array(coeffs, u, derivatives, mu):
+    sums, inv_u2 = power_sums(coeffs, u, derivatives, mu)
+    want_sums, want_inv_u2 = whole_array_power_sums(coeffs, u, derivatives, mu)
+    assert len(sums) == len(want_sums)
+    for got, want in zip(sums, want_sums):
+        assert_same_bits(got, want)
+    assert_same_bits(inv_u2, want_inv_u2)
+
+
+ORDERS = [(-1,), (0,), (1,), (0, 1)]
+BLOCK_ROWS, POINTS = 4, 3  # the blocked pass at 12 elements per block: 4 rows of 3 points
+SAMPLE = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1e-200, -1e-160, 1e60, 1e200, np.inf, -np.inf, np.nan]),
+)
+COEFFICIENT = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def pass_inputs(draw):
+    """(coeffs, u, derivatives, mu): u of BLOCK_ROWS - 1 .. several blocks of
+    rows, any order, any set of odd exponents with scalar or (M, Q) coefficients."""
+    rows = draw(st.sampled_from([0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                 3 * BLOCK_ROWS + 2]))
+    u = draw(arrays(float, (rows, POINTS), elements=SAMPLE))
+    derivatives = draw(st.sampled_from(ORDERS))
+    exponents = [1, 3, 5, -3, -5, -7] + ([] if -1 in derivatives else [-1])
+    coeffs = []
+    for p in draw(st.lists(st.sampled_from(exponents), unique=True, max_size=5)):
+        if draw(st.booleans()):
+            coeffs.append((p, draw(COEFFICIENT)))
+        else:
+            coeffs.append((p, draw(arrays(float, (rows, POINTS), elements=COEFFICIENT))))
+    return coeffs, u, derivatives, draw(st.sampled_from([0.0, 0.3]))
+
+
+class TestBlockedPass:
+    """power_sums runs in row blocks, bit for bit the whole-array pass."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pass_inputs())
+    def test_small_blocks(self, inputs):
+        with mock.patch.object(problem, "_BLOCK_ELEMENTS", BLOCK_ROWS * POINTS):
+            assert_pass_matches_whole_array(*inputs)
+
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1, 2 * (2**15 // 15) + 7])
+    @pytest.mark.parametrize("derivatives", ORDERS)
+    def test_module_block_size(self, extra_rows, derivatives):
+        rng = np.random.default_rng(5)
+        rows = 2**15 // 15 + extra_rows  # one block of a (M, 15) pass, and around it
+        u = rng.uniform(0.05, 20.0, (rows, 15))
+        terms = [(1, -125.0), (5, rng.uniform(0.5, 2.0, (rows, 15))), (-7, -6.0), (-3, -2.0)]
+        for mu in (0.0, 0.3):
+            assert_pass_matches_whole_array(terms, u, derivatives, mu)
+
+    @pytest.mark.parametrize("derivatives", ORDERS)
+    def test_signed_zero_first_term(self, derivatives):
+        # a sum from zeros turns a -0.0 first term into +0.0
+        u = np.full((BLOCK_ROWS + 1, POINTS), 2.0)
+        for c in (-0.0, np.full(u.shape, -0.0)):
+            for p in (1, 3, -3):
+                with mock.patch.object(problem, "_BLOCK_ELEMENTS", BLOCK_ROWS * POINTS):
+                    assert_pass_matches_whole_array([(p, c)], u, derivatives, 0.0)
+
+    @pytest.mark.parametrize("derivatives", ORDERS)
+    def test_one_block_shapes(self, derivatives):
+        # 0-d and 1-d u, and a u that a coefficient broadcasts, run as one block
+        terms = [(1, 2.0), (5, np.linspace(0.5, 1.5, 6).reshape(2, 3)), (-3, -1.0)]
+        for u in (np.float64(1.3), np.linspace(0.2, 4.0, 7), np.full((1, 3), 0.8)):
+            coeffs = terms if np.ndim(u) == 2 else terms[::2]
+            assert_pass_matches_whole_array(coeffs, u, derivatives, 0.3)
+            assert_pass_matches_whole_array([], u, derivatives, 0.3)
 
 
 class TestPositivity:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from barrierfem.errors import LineSearchFailure, NonpositiveState
-from barrierfem.fem import assemble_jacobian, assemble_residual
+from barrierfem.fem import assemble_jacobian, assemble_residual, workspace_for
 from barrierfem.mesh import (
     Marker,
     generate_annulus_mesh,
@@ -430,6 +430,19 @@ def test_jacobian_assembled_only_for_a_linear_solve(interval_robin, monkeypatch,
     assert calls["jacobian"] == calls["cg"] == report.total_newton_iterations > 0
     if solve is newton_standard:  # every iterate; the final ||G|| is the last one's
         assert calls["other"] == report.total_newton_iterations + 1
+
+
+@pytest.mark.parametrize("solve", [newton_standard, newton_safeguarded, barrier_solve])
+def test_driver_frees_the_power_pass_memo(solve):
+    """A finished solve leaves no last-pass memo (k', u^-2) on its mesh."""
+    mesh = generate_interval_mesh(0.1, 10, 40, left=Marker.ROBIN, right=Marker.ROBIN)
+    spec = builtin_example(1)
+    ws = workspace_for(mesh)
+    assemble_residual(spec, mesh, FeFunction.constant(mesh, 1.0), 0.5)
+    assert ws.last_pass is not None
+    report = solve(spec, mesh, FeFunction.constant(mesh, 1.0))
+    assert report.converged
+    assert ws.last_pass is None
 
 
 @pytest.mark.parametrize("solve", [newton_standard, newton_safeguarded, barrier_solve])
