@@ -34,6 +34,12 @@ affine in mu, and assemble_barrier_gradient builds H alone (one
 product and one bincount, no power pass), so f at a second mu costs
 f(mu1) + (mu1 - mu2) H.
 
+The workspace is built once per mesh.  Its quadrature points are
+summed one coordinate at a time over cache-sized blocks of cells, and
+its CSR patterns come from one sort of the canonical (row <= col)
+pairs and a second of those pairs and their mirrors; both give the
+arrays of the einsum and of a sort over both orientations bit for bit.
+
 A and the Jacobian share one scatter.  The upper triangle of every
 local matrix goes into the canonical (row <= col) slots of the mesh's
 full pattern with one bincount, and one gather mirrors the sums onto a
@@ -56,7 +62,9 @@ import numpy as np
 from .errors import CoefficientViolation, DimensionMismatch, NonpositiveState
 # add_scaled is unused here; the traced benchmark run wraps fem.add_scaled
 from .linalg import SparseMatrix, add_scaled  # noqa: F401
-from .problem import FeFunction, as_coefficients, barrier_slope, power_sum, power_sums
+from .problem import (
+    _BLOCK_ELEMENTS, FeFunction, as_coefficients, barrier_slope, power_sum, power_sums,
+)
 from .quadrature import REFERENCE_MEASURE, simplex_rule
 
 
@@ -64,10 +72,12 @@ class _Workspace:
     """What assembly keeps per mesh and, through fields_for, per spec.
 
     Per mesh: geometry, quadrature tables of the cells and of the Robin
-    facets, and two CSR patterns from one symbolic pass: the full P1
-    pattern (`full_indptr`, `full_indices`) carries the linear operator
-    A, the Dirichlet-reduced one (`indptr`, `indices`: free-free pairs
-    and every diagonal) the Jacobian.  Local matrices are kept on their
+    facets (points from `_rule_points`), and two CSR patterns: the full
+    P1 pattern (`full_indptr`, `full_indices`) carries the linear
+    operator A, the Dirichlet-reduced one (`indptr`, `indices`:
+    free-free pairs and every diagonal) the Jacobian.  `_build_patterns`
+    sorts the canonical (row <= col) pairs once and builds the full
+    pattern from them and their mirrors.  Local matrices are kept on their
     upper triangle.  `upper_slots` sends each upper entry, cells then
     Robin facets, to the canonical slot (row <= col) of its pair in the
     full pattern; `full_mirror` and `mirror` send each full and each
@@ -99,7 +109,7 @@ class _Workspace:
         self.phi2 = self.lam[:, iu] * self.lam[:, ju]    # (Q, K)
         self.scale = mesh.cell_volumes / REFERENCE_MEASURE[d]
         self.wq = self.scale[:, None] * self.qw          # (M, Q)
-        self.xq_flat = np.einsum("qk,mkd->mqd", self.lam, cell_pts).reshape(-1, d)
+        self.xq_flat = _rule_points(self.lam, verts, cells)
 
         self.robin_idx = mesh.facets[mesh.robin]         # (B, d)
         self.flam, fqw = simplex_rule(d - 1)             # (Qf, d), (Qf,)
@@ -107,8 +117,7 @@ class _Workspace:
         self.fphi2 = self.flam[:, fiu] * self.flam[:, fju]
         fscale = mesh.facet_measures[mesh.robin] / REFERENCE_MEASURE[d - 1]
         self.fwq = fscale[:, None] * fqw                 # (B, Qf)
-        fpts = verts[self.robin_idx]                     # (B, d, dim)
-        self.fxq_flat = np.einsum("qk,fkd->fqd", self.flam, fpts).reshape(-1, d)
+        self.fxq_flat = _rule_points(self.flam, verts, self.robin_idx)
 
         self.dirichlet_mask = np.zeros(n, dtype=bool)
         self.dirichlet_mask[mesh.dirichlet_vertices()] = True
@@ -121,15 +130,26 @@ class _Workspace:
     def _build_patterns(self, rows, cols):
         n, m = self.num_vertices, len(rows)
         fixed = np.flatnonzero(self.dirichlet_mask)
-        keys = np.concatenate([rows * n + cols, cols * n + rows, fixed * (n + 1)])
-        unique, slot = np.unique(keys, return_inverse=True)
+        # one sort of the canonical (row <= col) keys; the full pattern
+        # adds the mirror of each off-diagonal pair
+        upper = np.concatenate([np.minimum(rows, cols) * n + np.maximum(rows, cols),
+                                fixed * (n + 1)])
+        canonical, canonical_of = np.unique(upper, return_inverse=True)
+        ci, cj = np.divmod(canonical, n)
+        off = ci != cj
+        keys = np.concatenate([canonical, cj[off] * n + ci[off]])
+        order = np.argsort(keys)  # the keys are distinct
+        unique = keys[order]
+        slot = np.empty(len(keys), dtype=np.int64)
+        slot[order] = np.arange(len(keys))
         urows, ucols = np.divmod(unique, n)
         self.full_indptr = np.searchsorted(unique, np.arange(n + 1) * n).astype(np.int32)
         self.full_indices = ucols.astype(np.int32)
-        # in row-major order the slot of (i, j), i <= j, is the smaller of a mirror pair
-        self.upper_slots = np.minimum(slot[:m], slot[m : 2 * m]).astype(np.int32)
-        self.full_mirror = np.arange(len(unique))
-        self.full_mirror[slot[:m]] = self.full_mirror[slot[m : 2 * m]] = self.upper_slots
+        canonical_slot = slot[: len(canonical)]
+        self.upper_slots = canonical_slot[canonical_of[:m]].astype(np.int32)
+        self.full_mirror = np.empty(len(keys), dtype=np.int64)
+        self.full_mirror[canonical_slot] = canonical_slot
+        self.full_mirror[slot[len(canonical):]] = canonical_slot[off]
         free = ~self.dirichlet_mask
         free_pair = free[urows] & free[ucols]
         reduced = free_pair | (urows == ucols)
@@ -202,6 +222,29 @@ class _Workspace:
         }
         self.spec_fields[spec] = fields
         return fields
+
+
+def _rule_points(lam, vertices, simplices):
+    """(len(simplices) * Q, dim) physical points of the barycentric rule
+    points `lam` (Q, k) on each simplex (k vertex indices).
+
+    One coordinate at a time over cache-sized blocks of simplices, each
+    point is 0.0 + the k products lam[q, r] * x_r summed in r order, so
+    the points are bit for bit those of einsum("qk,mkd->mqd"), with no
+    (M, Q, d) temporaries."""
+    q, k = lam.shape
+    dim = vertices.shape[1]
+    points = np.empty((len(simplices), q, dim))
+    rows = max(1, _BLOCK_ELEMENTS // q)
+    for lo in range(0, len(simplices), rows):
+        block = simplices[lo : lo + rows]
+        for j in range(dim):
+            x = vertices[block, j]                               # (b, k)
+            total = np.add(0.0, np.multiply.outer(x[:, 0], lam[:, 0]))  # -0.0 becomes 0.0
+            for r in range(1, k):
+                total += np.multiply.outer(x[:, r], lam[:, r])
+            points[lo : lo + rows, :, j] = total
+    return points.reshape(-1, dim)
 
 
 _workspaces = WeakKeyDictionary()

@@ -1,9 +1,11 @@
 """Simplicial meshes: representation, generators, file I/O, geometry.
 
-Meshes are treated as immutable once constructed; cell orientation is
-fixed at construction time (a transposition of two vertices whenever the
-signed measure is negative), so downstream gradient formulas can rely on
-positive signed volumes.
+Meshes are immutable once constructed: every array a mesh holds, its
+measures included, is read-only.  Cell orientation is fixed at construction time
+(a transposition of two vertices whenever the signed measure is
+negative), so downstream gradient formulas can rely on positive signed
+volumes; the constructor keeps those measures, recomputed on the
+flipped cells, as `cell_volumes`, so validation makes no second pass.
 
 The boundary is two arrays: `facets`, the vertex indices of each
 boundary facet, and `robin`, True where that facet carries a Robin
@@ -39,6 +41,11 @@ def _signed_measures(dim, vertices, cells):
     return det / math.factorial(dim)
 
 
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
 class SimplicialMesh:
     """Conforming simplicial mesh in 1, 2 or 3 dimensions.
 
@@ -72,8 +79,13 @@ class SimplicialMesh:
             )
         self.cells = np.array(cells, dtype=np.int64).reshape(-1, self.dim + 1)
         if fix_orientation and len(self.cells):
-            flip = _signed_measures(self.dim, self.vertices, self.cells) < 0
+            measures = _signed_measures(self.dim, self.vertices, self.cells)
+            flip = np.flatnonzero(measures < 0)
             self.cells[flip, -2:] = self.cells[flip, -1:-3:-1]  # swap the last two
+            # recomputed, not negated: LU pivots differently on the swapped
+            # edges, so a 3D determinant may change by more than its sign
+            measures[flip] = _signed_measures(self.dim, self.vertices, self.cells[flip])
+            self.cell_volumes = _read_only(measures)
         try:
             self.facets = np.array(facets, dtype=np.int64)
             self.robin = np.array([Marker(m) is Marker.ROBIN for m in markers], dtype=bool)
@@ -90,7 +102,7 @@ class SimplicialMesh:
                 f"{len(self.robin)} boundary markers for {len(self.facets)} facets"
             )
         for array in (self.vertices, self.cells, self.facets, self.robin):
-            array.setflags(write=False)
+            _read_only(array)
 
     @property
     def num_vertices(self):
@@ -102,20 +114,21 @@ class SimplicialMesh:
 
     @cached_property
     def cell_volumes(self):
-        """Signed measure (length/area/volume) of every cell; positive on
-        a valid mesh."""
-        return _signed_measures(self.dim, self.vertices, self.cells)
+        """Signed measure (length/area/volume) of every cell, read-only;
+        positive on a valid mesh.  The constructor keeps the measures it
+        fixes orientation with, so this runs only without that fix."""
+        return _read_only(_signed_measures(self.dim, self.vertices, self.cells))
 
     @cached_property
     def facet_measures(self):
-        """Length/area of each boundary facet (1.0 for 1D point facets)."""
+        """Length/area of each boundary facet (1.0 for 1D point facets), read-only."""
         if self.dim == 1:
-            return np.ones(len(self.facets))
+            return _read_only(np.ones(len(self.facets)))
         pts = self.vertices[self.facets]
         if self.dim == 2:
-            return np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
+            return _read_only(np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1))
         cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-        return 0.5 * np.linalg.norm(cross, axis=1)
+        return _read_only(0.5 * np.linalg.norm(cross, axis=1))
 
     def dirichlet_vertices(self):
         """Sorted indices of vertices lying on Dirichlet-marked facets."""
@@ -129,22 +142,32 @@ class SimplicialMesh:
 
 
 def _facet_groups(mesh):
-    """(owners, group) per boundary facet: the number of cells that have
-    it as a face, and an id that facets on the same vertices share."""
-    d = mesh.dim
-    # face r of a cell drops its local vertex r
+    """(owners, first) per boundary facet: the number of cells that have
+    it as a face, and the index of the first facet listed on the same
+    vertices (its own index when it is the first)."""
+    d, n = mesh.dim, mesh.num_vertices
+    # face r of a sorted cell drops its vertex r, so its vertices stay sorted
     keep = np.array([[j for j in range(d + 1) if j != r] for r in range(d + 1)])
-    faces = np.sort(mesh.cells[:, keep], axis=-1).reshape(-1, d)
+    faces = np.sort(mesh.cells, axis=1)[:, keep].reshape(-1, d)
     rows = np.concatenate([faces, np.sort(mesh.facets, axis=1)])
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    group = np.empty(len(rows), dtype=np.int64)
-    group[order] = np.cumsum(starts) - 1
-    counts = np.bincount(group[: len(faces)], minlength=int(starts.sum()))
-    facet_group = group[len(faces):]
-    return counts[facet_group], facet_group
+    # keys (a*n + b, c) sort the sorted rows (a, b, c) as the rows do; the
+    # sort is stable, so in a run of equal rows the cells' faces come
+    # first, then the facets in the order they are listed
+    keys = [rows[:, 0]] if d == 1 else [rows[:, 0] * n + rows[:, 1], *rows[:, 2:].T]
+    order = np.lexsort(keys[::-1])
+    starts = np.zeros(len(rows), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    run_start = np.maximum.accumulate(np.where(starts, np.arange(len(rows)), 0))
+    faces_upto = np.concatenate([[0], np.cumsum(order < len(faces))])
+    at = np.flatnonzero(order >= len(faces))  # the facets' places in `order`
+    owners = faces_upto[at + 1] - faces_upto[run_start[at]]
+    facet = order[at] - len(faces)  # a permutation of the facets
+    result = np.empty((2, len(facet)), dtype=np.int64)
+    result[:, facet] = owners, order[run_start[at] + owners] - len(faces)
+    return result
 
 
 def validate(mesh):
@@ -164,10 +187,8 @@ def validate(mesh):
     for c in np.flatnonzero(~(measures > 0)):  # NaN is not > 0 either
         violations.append(f"cell {c} has nonpositive measure {measures[c]:.3e}")
 
-    owners, group = _facet_groups(mesh)
-    _, first, inverse = np.unique(group, return_index=True, return_inverse=True)
-    first = first[inverse]  # the first facet listed on the same vertices
-    repeated = first != np.arange(len(group))
+    owners, first = _facet_groups(mesh)
+    repeated = first != np.arange(len(first))
     names = np.where(mesh.robin, Marker.ROBIN.value, Marker.DIRICHLET.value)
     for i in np.flatnonzero(repeated | (owners != 1)).tolist():
         facet = tuple(mesh.facets[i].tolist())
@@ -231,38 +252,47 @@ def generate_annulus_mesh(
     return _require_valid(SimplicialMesh(2, verts, cells, facets, [inner, outer] * n_angular))
 
 
+def _unit_rows(points):
+    """Each row of `points` over its Euclidean norm.  The batched dot sums
+    a row's squares as np.linalg.norm does, so each row is v / norm(v)
+    bit for bit (an einsum or a column sum is not)."""
+    return points / np.sqrt(np.matmul(points[:, None, :], points[:, :, None])[:, 0])
+
+
 def _icosphere(subdivisions):
-    """Unit icosphere: (vertices, triangles) after `subdivisions` splits."""
+    """Unit icosphere: (vertices, triangles) after `subdivisions` splits.
+
+    A split puts a vertex at the normalized midpoint of every edge, in
+    the order the triangles' edges ab, bc, ca first meet it, and turns
+    triangle abc into (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca).
+    """
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     raw = [
         (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
         (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
         (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
     ]
-    verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in raw]
-    faces = [
+    verts = _unit_rows(np.array(raw, dtype=float))
+    faces = np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
+    ], dtype=np.int64)
     for _ in range(subdivisions):
-        midpoint = {}
-
-        def mid(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in midpoint:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    return np.array(verts), np.array(faces, dtype=np.int64)
+        n = len(verts)
+        a, b = faces.ravel(), np.roll(faces, -1, axis=1).ravel()  # edges ab, bc, ca
+        _, first, edge = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                   return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the edges in order of first appearance
+        number = np.empty(len(first), dtype=np.int64)
+        number[order] = np.arange(n, n + len(first))
+        mids = number[edge].reshape(-1, 3)  # ab, bc, ca
+        ends = first[order]
+        verts = np.concatenate([verts, _unit_rows(verts[a[ends]] + verts[b[ends]])])
+        corners = np.stack([faces, mids, np.roll(mids, 1, axis=1)], axis=-1)
+        faces = np.concatenate([corners, mids[:, None, :]], axis=1).reshape(-1, 3)
+    return verts, faces
 
 
 def generate_shell_mesh(

@@ -35,11 +35,17 @@ def constant_field(value):
 
 
 def radial_field(fn):
-    """Coefficient field depending on r = |x| only."""
+    """Coefficient field depending on r = |x| only.
+
+    r^2 sums the squared coordinates left to right, as np.linalg.norm
+    does for these rows, so r is norm(x, axis=1) bit for bit."""
 
     def f(x):
-        r = np.linalg.norm(np.atleast_2d(x), axis=1)
-        return fn(r)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        r2 = x[:, 0] * x[:, 0]
+        for j in range(1, x.shape[1]):
+            r2 += x[:, j] * x[:, j]
+        return fn(np.sqrt(r2))
 
     return f
 

@@ -220,6 +220,19 @@ class TestValidate:
         fixed = SimplicialMesh(1, [[0.0], [1.0]], [[1, 0]])
         assert fixed.cell_volumes[0] > 0
 
+    @pytest.mark.parametrize("mesh", [
+        SimplicialMesh(1, [[0.0], [1.0]], [[1, 0]], [[0]], ["robin"]),
+        SimplicialMesh(1, [[0.0], [1.0]], [[1, 0]], [[0]], ["robin"], fix_orientation=False),
+        generate_interval_mesh(0, 1, 2),
+        generate_annulus_mesh(1, 2, 1, 3),
+        generate_shell_mesh(1, 2, 0),
+    ], ids=["fixed", "unfixed", "interval", "annulus", "shell"])
+    def test_measures_are_read_only(self, mesh):
+        # a write would reach the next workspace's quadrature weights
+        for name in ("cell_volumes", "facet_measures"):
+            with pytest.raises(ValueError):
+                getattr(mesh, name)[:] = -1.0
+
     def test_caller_arrays_are_copied(self):
         v, c = np.array([[0.0], [1.0]]), np.array([[1, 0]])
         mesh = SimplicialMesh(1, v, c)

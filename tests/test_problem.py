@@ -11,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from barrierfem import problem
 from barrierfem.errors import CoefficientViolation, UnknownExample
+from barrierfem.fem import workspace_for
+from barrierfem.mesh import generate_shell_mesh
 from barrierfem.problem import (
     FeFunction,
     ProblemSpec,
@@ -369,6 +371,18 @@ def test_fields():
     r = radial_field(lambda r: r**2)
     out = r(np.array([[3.0, 4.0]]))
     assert np.isclose(out[0], 25.0)
+
+
+def test_radial_field_is_the_norm_bit_for_bit():
+    rng = np.random.default_rng(18)
+    points = [workspace_for(generate_shell_mesh(1.0, 10.0, 3)).xq_flat]
+    points += [rng.standard_normal((64, d)) * 10.0 ** rng.integers(-150, 150, (64, 1))
+               for d in (1, 2, 3)]
+    points += [np.array([[-0.0, 0.0, -0.0], [3.0, -4.0, 0.0]]), np.array([1.0, 2.0, 2.0])]
+    r = radial_field(lambda r: r)
+    for x in points:
+        want = np.linalg.norm(np.atleast_2d(x), axis=1)
+        assert r(x).dtype == want.dtype and r(x).tobytes() == want.tobytes()
 
 
 def test_fe_function():
