@@ -1,11 +1,13 @@
 """Simplicial meshes: representation, generators, file I/O, geometry.
 
 Meshes are immutable once constructed: every array a mesh holds, its
-measures included, is read-only.  Cell orientation is fixed at construction time
-(a transposition of two vertices whenever the signed measure is
-negative), so downstream gradient formulas can rely on positive signed
-volumes; the constructor keeps those measures, recomputed on the
-flipped cells, as `cell_volumes`, so validation makes no second pass.
+measures included, is read-only.  The constructor rejects a vertex index
+out of range and computes every cell's signed measure, `cell_volumes`.
+By default it also fixes cell orientation (a transposition of two
+vertices whenever the signed measure is negative, with the measure
+recomputed on the flipped cells), so downstream gradient formulas can
+rely on positive signed volumes.  `validate` checks the invariants the
+constructor does not, on those same measures.
 
 The boundary is two arrays: `facets`, the vertex indices of each
 boundary facet, and `robin`, True where that facet carries a Robin
@@ -66,6 +68,9 @@ class SimplicialMesh:
 
     The read-only arrays `facets` (B, dim), int64, and `robin` (B,),
     bool, hold the boundary; `robin[i]` is False for a Dirichlet facet.
+    The read-only `cell_volumes` (M,) holds the signed measure
+    (length/area/volume) of every cell, positive on a valid mesh.  A
+    vertex index out of range raises InvalidGeometry.
     """
 
     def __init__(self, dim, vertices, cells, facets=(), markers=(), fix_orientation=True):
@@ -78,18 +83,11 @@ class SimplicialMesh:
                 f"vertex coordinates have {self.vertices.shape[1]} components, expected {dim}"
             )
         self.cells = np.array(cells, dtype=np.int64).reshape(-1, self.dim + 1)
-        if fix_orientation and len(self.cells):
-            measures = _signed_measures(self.dim, self.vertices, self.cells)
-            flip = np.flatnonzero(measures < 0)
-            self.cells[flip, -2:] = self.cells[flip, -1:-3:-1]  # swap the last two
-            # recomputed, not negated: LU pivots differently on the swapped
-            # edges, so a 3D determinant may change by more than its sign
-            measures[flip] = _signed_measures(self.dim, self.vertices, self.cells[flip])
-            self.cell_volumes = _read_only(measures)
         try:
             self.facets = np.array(facets, dtype=np.int64)
-            self.robin = np.array([Marker(m) is Marker.ROBIN for m in markers], dtype=bool)
-        except ValueError as exc:  # a ragged facet list or an unknown marker
+            robin = {m: Marker(m) is Marker.ROBIN for m in set(markers)}
+            self.robin = np.array([robin[m] for m in markers], dtype=bool)
+        except (TypeError, ValueError) as exc:  # ragged facets, an unknown or unhashable marker
             raise InvalidGeometry(f"bad boundary: {exc}") from None
         if self.facets.size == 0:
             self.facets = self.facets.reshape(0, self.dim)
@@ -101,7 +99,18 @@ class SimplicialMesh:
             raise InvalidGeometry(
                 f"{len(self.robin)} boundary markers for {len(self.facets)} facets"
             )
-        for array in (self.vertices, self.cells, self.facets, self.robin):
+        for name, index in (("cell", self.cells), ("facet", self.facets)):
+            if index.size and (index.min() < 0 or index.max() >= self.num_vertices):
+                raise InvalidGeometry(f"{name} vertex index out of range")
+        measures = _signed_measures(self.dim, self.vertices, self.cells)
+        if fix_orientation:
+            flip = np.flatnonzero(measures < 0)
+            self.cells[flip, -2:] = self.cells[flip, -1:-3:-1]  # swap the last two
+            # recomputed, not negated: LU pivots differently on the swapped
+            # edges, so a 3D determinant may change by more than its sign
+            measures[flip] = _signed_measures(self.dim, self.vertices, self.cells[flip])
+        self.cell_volumes = measures
+        for array in (self.vertices, self.cells, self.facets, self.robin, self.cell_volumes):
             _read_only(array)
 
     @property
@@ -111,13 +120,6 @@ class SimplicialMesh:
     @property
     def num_cells(self):
         return len(self.cells)
-
-    @cached_property
-    def cell_volumes(self):
-        """Signed measure (length/area/volume) of every cell, read-only;
-        positive on a valid mesh.  The constructor keeps the measures it
-        fixes orientation with, so this runs only without that fix."""
-        return _read_only(_signed_measures(self.dim, self.vertices, self.cells))
 
     @cached_property
     def facet_measures(self):
@@ -150,37 +152,26 @@ def _facet_groups(mesh):
     keep = np.array([[j for j in range(d + 1) if j != r] for r in range(d + 1)])
     faces = np.sort(mesh.cells, axis=1)[:, keep].reshape(-1, d)
     rows = np.concatenate([faces, np.sort(mesh.facets, axis=1)])
-    # keys (a*n + b, c) sort the sorted rows (a, b, c) as the rows do; the
-    # sort is stable, so in a run of equal rows the cells' faces come
-    # first, then the facets in the order they are listed
-    keys = [rows[:, 0]] if d == 1 else [rows[:, 0] * n + rows[:, 1], *rows[:, 2:].T]
-    order = np.lexsort(keys[::-1])
-    starts = np.zeros(len(rows), dtype=bool)
-    starts[:1] = True
-    for key in keys:
-        ranked = key[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    run_start = np.maximum.accumulate(np.where(starts, np.arange(len(rows)), 0))
-    faces_upto = np.concatenate([[0], np.cumsum(order < len(faces))])
-    at = np.flatnonzero(order >= len(faces))  # the facets' places in `order`
-    owners = faces_upto[at + 1] - faces_upto[run_start[at]]
-    facet = order[at] - len(faces)  # a permutation of the facets
-    result = np.empty((2, len(facet)), dtype=np.int64)
-    result[:, facet] = owners, order[run_start[at] + owners] - len(faces)
-    return result
+    # one integer key per sorted row (a, b, c), below len(rows) * n: the
+    # rank of a*n + b among the rows times n plus c in 3D, a*n + b in 2D
+    key = rows[:, 0]
+    if d == 3:
+        key = np.unique(key * n + rows[:, 1], return_inverse=True)[1]
+    if d > 1:
+        key = key * n + rows[:, -1]
+    face_keys, facet_keys = np.sort(key[: len(faces)]), key[len(faces) :]
+    owners = (np.searchsorted(face_keys, facet_keys, "right")
+              - np.searchsorted(face_keys, facet_keys, "left"))
+    _, first, inverse = np.unique(facet_keys, return_index=True, return_inverse=True)
+    return owners, first[inverse]
 
 
 def validate(mesh):
-    """Check every mesh invariant; returns a list of violations (empty = ok)."""
+    """Check the mesh invariants the constructor does not: finite
+    vertices, positive cell measures, and boundary facets that are each
+    listed once and a face of exactly one cell.  Returns a list of
+    violations (empty = ok)."""
     violations = []
-    n = mesh.num_vertices
-    if mesh.cells.size and (mesh.cells.min() < 0 or mesh.cells.max() >= n):
-        violations.append("cell vertex index out of range")
-    if mesh.facets.size and (mesh.facets.min() < 0 or mesh.facets.max() >= n):
-        violations.append("facet vertex index out of range")
-    if violations:
-        return violations
-
     for v in np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1)):
         violations.append(f"vertex {v} has nonfinite coordinates")
     measures = mesh.cell_volumes
@@ -214,8 +205,8 @@ def generate_interval_mesh(a, b, n_cells, left=Marker.DIRICHLET, right=Marker.DI
 
     Endpoint markers default to Dirichlet on both sides.
     """
-    if not a < b:
-        raise InvalidGeometry(f"need a < b, got a={a}, b={b}")
+    if not -math.inf < a < b < math.inf:
+        raise InvalidGeometry(f"need -inf < a < b < inf, got a={a}, b={b}")
     if n_cells < 1:
         raise InvalidGeometry("n_cells must be >= 1")
     x = np.linspace(a, b, n_cells + 1)
@@ -232,8 +223,8 @@ def generate_annulus_mesh(
     `n_angular` vertices per ring.  The circles are approximated by the
     inscribed regular polygons on `n_angular` vertices.
     """
-    if not (0 < r_in < r_out):
-        raise InvalidGeometry(f"need 0 < r_in < r_out, got {r_in}, {r_out}")
+    if not 0 < r_in < r_out < math.inf:
+        raise InvalidGeometry(f"need 0 < r_in < r_out < inf, got {r_in}, {r_out}")
     if n_radial < 1 or n_angular < 3:
         raise InvalidGeometry("need n_radial >= 1 and n_angular >= 3")
     radii = np.linspace(r_in, r_out, n_radial + 1)
@@ -311,8 +302,10 @@ def generate_shell_mesh(
     for large r_out/r_in; each triangular prism is split into three
     tetrahedra with globally consistent quad-face diagonals.
     """
-    if not (0 < r_in < r_out):
-        raise InvalidGeometry(f"need 0 < r_in < r_out, got {r_in}, {r_out}")
+    if not (0 < r_in < r_out < math.inf and r_out / r_in < math.inf):
+        raise InvalidGeometry(
+            f"need 0 < r_in < r_out < inf and a finite r_out / r_in, got {r_in}, {r_out}"
+        )
     if refinement < 0:
         raise InvalidGeometry("refinement must be >= 0")
     layers = (refinement + 1) if n_layers is None else int(n_layers)

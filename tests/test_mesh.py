@@ -192,6 +192,25 @@ class TestShell:
             generate_shell_mesh(1, 100, -1)
 
 
+@pytest.mark.parametrize(
+    "generate, args",
+    [
+        (generate_interval_mesh, (0.0, np.inf, 4)),
+        (generate_interval_mesh, (-np.inf, 1.0, 4)),
+        (generate_annulus_mesh, (1.0, np.inf, 1, 3)),
+        (generate_shell_mesh, (1.0, np.inf, 0)),
+        (generate_shell_mesh, (1e-300, 1e300, 0)),  # finite radii, infinite ratio
+    ],
+    ids=["interval_b", "interval_a", "annulus", "shell", "shell_ratio"],
+)
+def test_generators_reject_infinite_bounds(generate, args):
+    # rejected before any array is built, so no RuntimeWarning (an error
+    # under pytest) and a one-line message, not a list of every vertex
+    with pytest.raises(InvalidGeometry) as err:
+        generate(*args)
+    assert "\n" not in str(err.value) and len(str(err.value)) < 100
+
+
 class TestValidate:
     def test_duplicate_facet_markers(self):
         mesh = generate_interval_mesh(0, 1, 2)
@@ -254,8 +273,9 @@ class TestValidate:
             ([[0], [1, 0]], ["dirichlet", "robin"]),
             ([[0], [1]], [Marker.DIRICHLET]),
             ([[0]], ["periodic"]),
+            ([[0]], [["robin"]]),
         ],
-        ids=["facet_width", "ragged_facets", "marker_count", "marker_name"],
+        ids=["facet_width", "ragged_facets", "marker_count", "marker_name", "marker_unhashable"],
     )
     def test_constructor_rejects_bad_boundary(self, facets, markers):
         with pytest.raises(InvalidGeometry):
@@ -267,8 +287,15 @@ class TestValidate:
         assert mesh.dirichlet_vertices().tolist() == [1]
 
     def test_index_out_of_range(self):
-        bad = SimplicialMesh(1, [[0.0], [1.0]], [[0, 5]], fix_orientation=False)
-        assert any("out of range" in v for v in validate(bad))
+        # the constructor rejects the index before it computes a measure
+        for fix in (True, False):
+            for cells in ([[0, 5]], [[-1, 0]]):
+                with pytest.raises(InvalidGeometry, match="cell vertex index out of range"):
+                    SimplicialMesh(1, [[0.0], [1.0]], cells, fix_orientation=fix)
+            for facets in ([[7]], [[-1]]):
+                with pytest.raises(InvalidGeometry, match="facet vertex index out of range"):
+                    SimplicialMesh(1, [[0.0], [1.0]], [[0, 1]], facets, ["robin"],
+                                   fix_orientation=fix)
 
 
 VALID_1D = ["dim 1", "vertices 2", "0.0", "1.0", "cells 1", "0 1",
