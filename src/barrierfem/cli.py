@@ -9,9 +9,15 @@ dot-namespaced keys, e.g.::
     u0.constant = 1.0
     solver.mu0 = 1.0
 
-Each (method x mesh) solve becomes one CSV row with columns
-method,mesh,iterations,residual,sign,converged,mu_steps,wall_ms; the
-process exit code is 0 iff every requested solve converged.
+Every solve starts from one value: `u0.constant` (default 1.0) at each
+vertex, or the vector read from `u0.file`, which must hold one value per
+vertex of every mesh; a config may not set both.  Each `solver.<name>`
+key sets the SolverConfig field <name>.
+
+`solve` (results.csv) and `paper-suite` (example1.csv .. example4.csv)
+write their (method x mesh) grids through one function, one CSV row per
+solve with columns method,mesh,iterations,residual,sign,converged,
+mu_steps,wall_ms; `solve` exits 0 iff every requested solve converged.
 """
 
 import argparse
@@ -115,34 +121,30 @@ class ExperimentConfig:
     spec: object
     meshes: list                 # (label, SimplicialMesh) pairs
     methods: list
-    u0_value: float
-    u0_vector: object            # optional explicit start vector
+    u0: object                   # u0.constant (a float) or the u0.file vector
     solver: SolverConfig
 
 
-def _parse_entries(path):
-    entries = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError("expected 'key = value'", line=lineno)
-            key, _, value = text.partition("=")
-            key, value = key.strip(), value.strip()
-            if not key or not value:
-                raise ConfigError("empty key or value", line=lineno)
-            if key in entries:
-                raise ConfigError(f"duplicate key {key!r}", line=lineno)
-            entries[key] = (value, lineno)
-    return entries
-
-
 class _Entries:
-    def __init__(self, entries):
-        self.entries = entries
+    """The `key = value` lines of a config file, and the keys read so far."""
+
+    def __init__(self, path):
+        self.entries = {}
         self.used = set()
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, 1):
+                text = raw.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                if "=" not in text:
+                    raise ConfigError("expected 'key = value'", line=lineno)
+                key, _, value = text.partition("=")
+                key, value = key.strip(), value.strip()
+                if not key or not value:
+                    raise ConfigError("empty key or value", line=lineno)
+                if key in self.entries:
+                    raise ConfigError(f"duplicate key {key!r}", line=lineno)
+                self.entries[key] = (value, lineno)
 
     def take(self, key, default=None, convert=str):
         if key not in self.entries:
@@ -178,7 +180,7 @@ def _to_marker(text):
 
 def load_experiment(path):
     """Parse and validate a config file into an ExperimentConfig."""
-    ent = _Entries(_parse_entries(path))
+    ent = _Entries(path)
 
     example = ent.take("problem.example", convert=int)
     if example is not None:
@@ -236,44 +238,39 @@ def load_experiment(path):
                 line=ent.line_of("methods"),
             )
 
-    u0_vector = None
     u0_file = ent.take("u0.file")
     if u0_file is not None:
         line = ent.line_of("u0.file")
         try:
-            u0_vector = np.loadtxt(u0_file).ravel()
+            u0 = np.loadtxt(u0_file).ravel()
         except ValueError as exc:
             raise ConfigError(f"u0.file {u0_file}: {exc}", line=line) from None
-        if not np.all(np.isfinite(u0_vector)):
+        if not np.all(np.isfinite(u0)):
             raise ConfigError(f"u0.file {u0_file}: every value must be finite", line=line)
         for label, mesh in meshes:
-            if u0_vector.size != mesh.num_vertices:
+            if u0.size != mesh.num_vertices:
                 raise ConfigError(
-                    f"u0.file has {u0_vector.size} values, mesh {label} has "
+                    f"u0.file has {u0.size} values, mesh {label} has "
                     f"{mesh.num_vertices} vertices", line=line,
                 )
-    # with u0.file, u0.constant is left unread, so check_all_used rejects it
-    u0_value = 1.0 if u0_file is not None else ent.take("u0.constant", 1.0, float)
-    if not np.isfinite(u0_value):
-        raise ConfigError(f"u0.constant must be finite, got {u0_value}",
-                          line=ent.line_of("u0.constant"))
+    else:  # with u0.file, u0.constant is left unread, so check_all_used rejects it
+        u0 = ent.take("u0.constant", 1.0, float)
+        if not np.isfinite(u0):
+            raise ConfigError(f"u0.constant must be finite, got {u0}",
+                              line=ent.line_of("u0.constant"))
 
-    # key solver.<name> sets the field <name>, solver.final_polish the
-    # field final_polish_mu_zero; defaults are SolverConfig's own
-    solver_fields = fields(SolverConfig)
-    keys = {f.name: "solver." + f.name.removesuffix("_mu_zero") for f in solver_fields}
+    # key solver.<name> sets the field <name>; defaults are SolverConfig's own
     values = {
-        f.name: ent.take(keys[f.name], f.default, _to_bool if f.type is bool else f.type)
-        for f in solver_fields
+        f.name: ent.take("solver." + f.name, f.default, _to_bool if f.type is bool else f.type)
+        for f in fields(SolverConfig)
     }
     try:
         solver = SolverConfig(**values)
-    except ValueError as exc:
-        key = keys[str(exc).split()[0]]
-        raise ConfigError(str(exc), line=ent.line_of(key)) from None
+    except ValueError as exc:  # its message starts with the field's name
+        raise ConfigError(str(exc), line=ent.line_of("solver." + str(exc).split()[0])) from None
 
     ent.check_all_used()
-    return ExperimentConfig(spec, meshes, methods, u0_value, u0_vector, solver)
+    return ExperimentConfig(spec, meshes, methods, u0, solver)
 
 
 def run_method(method, spec, mesh, u0, solver_config):
@@ -293,7 +290,7 @@ def run_method(method, spec, mesh, u0, solver_config):
         if name == "barrier":
             return barrier_solve(spec, mesh, u0, solver_config)
     except BarrierFemError as exc:
-        return SolveReport(method=method, failure_reason=str(exc))
+        return SolveReport(method=name, failure_reason=str(exc))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -312,6 +309,20 @@ def _csv_row(method_label, mesh_label, report):
     )
 
 
+def _write_grid(path, spec, methods, meshes, u0, solver_config):
+    """Solve each of `methods` (the outer loop) on each (label, mesh) of
+    `meshes`, every solve from u0, a constant or a vector of one value per
+    vertex.  Writes CSV_HEADER and one row per solve to `path`; returns
+    the (method, mesh label, report) of each solve."""
+    grid = []
+    for method, (label, mesh) in itertools.product(methods, meshes):
+        start = FeFunction(np.full(mesh.num_vertices, u0, dtype=float))
+        grid.append((method, label, run_method(method, spec, mesh, start, solver_config)))
+    rows = [CSV_HEADER] + [_csv_row(*solve) for solve in grid]
+    Path(path).write_text("\n".join(rows) + "\n")
+    return grid
+
+
 def run(config_path, out_dir="."):
     """Execute every (method x mesh) solve of a config; returns exit code.
 
@@ -322,26 +333,14 @@ def run(config_path, out_dir="."):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now().isoformat(timespec="seconds")
-
-    rows = [CSV_HEADER]
-    all_converged = True
-    for method in config.methods:
-        for label, mesh in config.meshes:
-            if config.u0_vector is not None:
-                u0 = FeFunction(config.u0_vector)
-            else:
-                u0 = FeFunction.constant(mesh, config.u0_value)
-            report = run_method(method, config.spec, mesh, u0, config.solver)
-            all_converged &= report.converged
-            rows.append(_csv_row(method, label, report))
-
-    (out / "results.csv").write_text("\n".join(rows) + "\n")
+    grid = _write_grid(out / "results.csv", config.spec, config.methods, config.meshes,
+                       config.u0, config.solver)
     (out / "run_metadata.txt").write_text(
         f"started: {started}\nfinished: "
         f"{datetime.datetime.now().isoformat(timespec='seconds')}\n"
         f"config: {config_path}\n"
     )
-    return 0 if all_converged else 1
+    return 0 if all(report.converged for _, _, report in grid) else 1
 
 
 def figure_integrand(scalar_curvature, u):
@@ -377,7 +376,6 @@ def plot_integrand(scalar_curvature, u_min, u_max, samples, out_path):
     ]
     lines += [f"{float(u)!r},{float(v)!r}" for u, v in zip(grid, values)]
     Path(out_path).write_text("\n".join(lines) + "\n")
-    return out_path
 
 
 # expected qualitative outcomes of the benchmark grid: (converged, sign)
@@ -410,50 +408,33 @@ _SUITE = {
 def emit_paper_suite(output_dir):
     """One-command benchmark grid on the three built-in shells.
 
-    Writes example1.csv .. example4.csv, integrand.csv and summary.txt;
-    returns the list of written paths.
+    Writes example1.csv .. example4.csv, integrand.csv and summary.txt.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    base = SolverConfig()
     summary = ["benchmark grid on shells r_in in {50, 10, 1}, r_out = 100", ""]
-    written = []
 
     # the examples of one marker share one set of shells
     for marker, examples in itertools.groupby(_SUITE, example_marker):
         meshes = builtin_shell_meshes(marker)
         for example in examples:
-            spec = builtin_example(example)
-            rows = [CSV_HEADER]
-            for method_label, expected in _SUITE[example].items():
-                for mesh_label, mesh in meshes:
-                    u0 = FeFunction.constant(mesh, 1.0)
-                    report = run_method(method_label, spec, mesh, u0, base)
-                    rows.append(_csv_row(method_label, mesh_label, report))
-                    actual = (report.converged, report.sign.value)
-                    if expected is None:
-                        verdict = f"observed {actual[1]}, converged={actual[0]} (not scored)"
-                    else:
-                        verdict = "MATCH" if actual == expected else (
-                            f"MISMATCH (expected sign {expected[1]}, "
-                            f"converged={expected[0]}; got {actual[1]}, {actual[0]})"
-                        )
-                    summary.append(
-                        f"example{example} {method_label:<16} {mesh_label:<9} {verdict}"
+            outcomes = _SUITE[example]
+            grid = _write_grid(out / f"example{example}.csv", builtin_example(example),
+                               outcomes, meshes, 1.0, SolverConfig())
+            for method, mesh_label, report in grid:
+                expected, actual = outcomes[method], (report.converged, report.sign.value)
+                if expected is None:
+                    verdict = f"observed {actual[1]}, converged={actual[0]} (not scored)"
+                else:
+                    verdict = "MATCH" if actual == expected else (
+                        f"MISMATCH (expected sign {expected[1]}, "
+                        f"converged={expected[0]}; got {actual[1]}, {actual[0]})"
                     )
-            path = out / f"example{example}.csv"
-            path.write_text("\n".join(rows) + "\n")
-            written.append(path)
+                summary.append(f"example{example} {method:<16} {mesh_label:<9} {verdict}")
             summary.append("")
 
-    integrand_path = out / "integrand.csv"
-    plot_integrand(-1000.0, 0.4, 3.0, 200, integrand_path)
-    written.append(integrand_path)
-
-    summary_path = out / "summary.txt"
-    summary_path.write_text("\n".join(summary) + "\n")
-    written.append(summary_path)
-    return written
+    plot_integrand(-1000.0, 0.4, 3.0, 200, out / "integrand.csv")
+    (out / "summary.txt").write_text("\n".join(summary) + "\n")
 
 
 def _cmd_solve(args):

@@ -1,8 +1,9 @@
 """Simplicial meshes: representation, generators, file I/O, geometry.
 
 Meshes are immutable once constructed: every array a mesh holds, its
-measures included, is read-only.  The constructor rejects a vertex index
-out of range and computes every cell's signed measure, `cell_volumes`.
+measures included, is read-only.  The constructor rejects a cell or
+facet row that is not its simplex's number of int64 vertex indices in
+range, and computes every cell's signed measure, `cell_volumes`.
 By default it also fixes cell orientation (a transposition of two
 vertices whenever the signed measure is negative, with the measure
 recomputed on the flipped cells), so downstream gradient formulas can
@@ -33,14 +34,34 @@ class Marker(str, Enum):
 
 def _signed_measures(dim, vertices, cells):
     v0 = vertices[cells[:, 0]]
-    edges = vertices[cells[:, 1:]] - v0[:, None, :]
-    if dim == 1:
-        det = edges[:, 0, 0]
-    elif dim == 2:
-        det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-    else:
-        det = np.linalg.det(edges)
-    return det / math.factorial(dim)
+    with np.errstate(over="ignore"):  # an overflowed measure is inf; validate rejects it
+        edges = vertices[cells[:, 1:]] - v0[:, None, :]
+        if dim == 1:
+            det = edges[:, 0, 0]
+        elif dim == 2:
+            det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
+        else:
+            det = np.linalg.det(edges)
+        return det / math.factorial(dim)
+
+
+def _vertex_indices(name, rows, width, num_vertices):
+    """`rows` as a new (R, width) int64 array of indices in [0, num_vertices);
+    InvalidGeometry with a one-line reason for anything else."""
+    try:
+        given = np.asarray(rows)
+    except ValueError as exc:  # ragged rows
+        raise InvalidGeometry(f"bad {name}s: {exc}") from None
+    if given.size == 0:
+        given = np.zeros((0, width), dtype=np.int64)
+    if given.ndim != 2 or given.shape[1] != width:
+        raise InvalidGeometry(f"{name}s have shape {given.shape}, expected (n, {width})")
+    if given.dtype.kind not in "iu":  # floats, or Python ints beyond int64 (object)
+        raise InvalidGeometry(f"{name} vertex indices must be int64 integers, got {given.dtype}")
+    index = given.astype(np.int64)
+    if index.size and (index.min() < 0 or index.max() >= num_vertices):
+        raise InvalidGeometry(f"{name} vertex index out of range")
+    return index
 
 
 def _read_only(array):
@@ -69,8 +90,9 @@ class SimplicialMesh:
     The read-only arrays `facets` (B, dim), int64, and `robin` (B,),
     bool, hold the boundary; `robin[i]` is False for a Dirichlet facet.
     The read-only `cell_volumes` (M,) holds the signed measure
-    (length/area/volume) of every cell, positive on a valid mesh.  A
-    vertex index out of range raises InvalidGeometry.
+    (length/area/volume) of every cell, positive and finite on a valid
+    mesh.  Ragged rows, rows of another width, indices that are not
+    int64 integers and an index out of range raise InvalidGeometry.
     """
 
     def __init__(self, dim, vertices, cells, facets=(), markers=(), fix_orientation=True):
@@ -82,26 +104,17 @@ class SimplicialMesh:
             raise InvalidGeometry(
                 f"vertex coordinates have {self.vertices.shape[1]} components, expected {dim}"
             )
-        self.cells = np.array(cells, dtype=np.int64).reshape(-1, self.dim + 1)
+        self.cells = _vertex_indices("cell", cells, self.dim + 1, self.num_vertices)
+        self.facets = _vertex_indices("facet", facets, self.dim, self.num_vertices)
         try:
-            self.facets = np.array(facets, dtype=np.int64)
             robin = {m: Marker(m) is Marker.ROBIN for m in set(markers)}
             self.robin = np.array([robin[m] for m in markers], dtype=bool)
-        except (TypeError, ValueError) as exc:  # ragged facets, an unknown or unhashable marker
+        except (TypeError, ValueError) as exc:  # an unknown or unhashable marker
             raise InvalidGeometry(f"bad boundary: {exc}") from None
-        if self.facets.size == 0:
-            self.facets = self.facets.reshape(0, self.dim)
-        if self.facets.ndim != 2 or self.facets.shape[1] != self.dim:
-            raise InvalidGeometry(
-                f"boundary facets have shape {self.facets.shape}, expected (B, {dim})"
-            )
         if len(self.robin) != len(self.facets):
             raise InvalidGeometry(
                 f"{len(self.robin)} boundary markers for {len(self.facets)} facets"
             )
-        for name, index in (("cell", self.cells), ("facet", self.facets)):
-            if index.size and (index.min() < 0 or index.max() >= self.num_vertices):
-                raise InvalidGeometry(f"{name} vertex index out of range")
         measures = _signed_measures(self.dim, self.vertices, self.cells)
         if fix_orientation:
             flip = np.flatnonzero(measures < 0)
@@ -168,15 +181,20 @@ def _facet_groups(mesh):
 
 def validate(mesh):
     """Check the mesh invariants the constructor does not: finite
-    vertices, positive cell measures, and boundary facets that are each
-    listed once and a face of exactly one cell.  Returns a list of
+    vertices, positive finite cell measures, and boundary facets that are
+    each listed once and a face of exactly one cell.  Returns a list of
     violations (empty = ok)."""
     violations = []
-    for v in np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1)):
+    finite = np.isfinite(mesh.vertices).all(axis=1)
+    for v in np.flatnonzero(~finite):
         violations.append(f"vertex {v} has nonfinite coordinates")
+    # an infinite measure on finite vertices has overflowed; one on an
+    # infinite vertex is reported as that vertex
     measures = mesh.cell_volumes
-    for c in np.flatnonzero(~(measures > 0)):  # NaN is not > 0 either
-        violations.append(f"cell {c} has nonpositive measure {measures[c]:.3e}")
+    overflow = (measures == np.inf) & finite[mesh.cells].all(axis=1)
+    for c in np.flatnonzero(~(measures > 0) | overflow):  # NaN is not > 0 either
+        kind = "infinite" if overflow[c] else "nonpositive"
+        violations.append(f"cell {c} has {kind} measure {measures[c]:.3e}")
 
     owners, first = _facet_groups(mesh)
     repeated = first != np.arange(len(first))

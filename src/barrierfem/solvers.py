@@ -73,7 +73,7 @@ class SolverConfig:
     backtrack: float = 0.5
     max_outer: int = 60
     max_inner: int = 100
-    final_polish_mu_zero: bool = True
+    final_polish: bool = True
 
     def __post_init__(self):
         if not 0 < self.eps < np.inf:
@@ -375,10 +375,10 @@ def _solve_fem(method, spec, mesh, u0, config):
     u = apply_dirichlet(u0, mesh, spec).coefficients
     problem = _FemProblem(spec, mesh)
     if method != "newton" and np.any(u[problem.free] <= 0):
-        raise NonpositiveState("safeguarded Newton requires a strictly positive start")
+        raise NonpositiveState(f"{method} requires a strictly positive start")
     report = SolveReport(method=method)
     if method == "barrier":
-        u, reason = _continuation(problem, u, config, report, config.final_polish_mu_zero)
+        u, reason = _continuation(problem, u, config, report, config.final_polish)
     else:
         u, _, reason = _newton(problem, u, 0.0, config, report, method == "safeguarded")
     _finalize(report, problem, u, t0)

@@ -1,5 +1,7 @@
 """Config parsing, the experiment runner, integrand sampling, mesh-gen."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,10 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 def read_rows(path):
     lines = path.read_text().strip().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def without_wall_ms(path):
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
 
 
 class TestConfigParsing:
@@ -101,6 +107,20 @@ class TestConfigParsing:
         config = load_experiment(write_cfg(tmp_path, text))
         assert {p for p, _ in config.spec.power_terms} == {1, 5, -3, -7}
 
+    @pytest.mark.parametrize("field", fields(SolverConfig), ids=lambda f: f.name)
+    def test_solver_key_of_each_field(self, tmp_path, field):
+        # a key that set no field would be rejected as unknown
+        text = f"mesh.kind = interval\nsolver.{field.name} = {field.default}\n"
+        config = load_experiment(write_cfg(tmp_path, text))
+        assert getattr(config.solver, field.name) == field.default
+        assert config.solver == SolverConfig()
+
+    def test_one_start_value(self, tmp_path):
+        (tmp_path / "u0.txt").write_text("2.0\n" * 41)
+        text = INTERVAL_CFG.replace("u0.constant = 1.0", f"u0.file = {tmp_path / 'u0.txt'}")
+        assert load_experiment(write_cfg(tmp_path, text)).u0.tolist() == [2.0] * 41
+        assert load_experiment(write_cfg(tmp_path, INTERVAL_CFG)).u0 == 1.0
+
 
 class TestRun:
     def test_rows_and_exit_code(self, tmp_path):
@@ -141,6 +161,25 @@ class TestRun:
         assert report.stages[0].mu == 0.5
         with pytest.raises(ValueError):
             run_method("newton@mu0=0.5", *args)
+
+    def test_failed_report_names_its_method(self):
+        # as a converged report does: barrier, not barrier@mu0=0.5
+        mesh = generate_interval_mesh(0.1, 10, 40, left=Marker.ROBIN, right=Marker.ROBIN)
+        args = (builtin_example(1), mesh, FeFunction.constant(mesh, -1.0), SolverConfig())
+        report = run_method("barrier@mu0=0.5", *args)
+        assert report.method == "barrier" and not report.converged
+        assert report.failure_reason == "barrier requires a strictly positive start"
+        report = run_method("safeguarded", *args)
+        assert report.method == "safeguarded"
+        assert report.failure_reason == "safeguarded requires a strictly positive start"
+
+    def test_u0_file_of_ones_matches_constant_one(self, tmp_path):
+        (tmp_path / "ones.txt").write_text("1.0\n" * 41)
+        text = INTERVAL_CFG.replace("u0.constant = 1.0", f"u0.file = {tmp_path / 'ones.txt'}")
+        assert run(write_cfg(tmp_path, text, "file.cfg"), tmp_path / "file") == 0
+        assert run(write_cfg(tmp_path, INTERVAL_CFG), tmp_path / "constant") == 0
+        assert (without_wall_ms(tmp_path / "file" / "results.csv")
+                == without_wall_ms(tmp_path / "constant" / "results.csv"))
 
     def test_builtin_shells_config(self, tmp_path):
         meshes = builtin_shell_meshes(Marker.ROBIN)
@@ -204,6 +243,16 @@ class TestMainEntry:
         mesh = load_mesh(out)
         assert mesh.dim == 2
         assert not mesh.robin[0]
+
+    def test_mesh_gen_rejects_overflowed_measures(self, tmp_path, capsys):
+        # finite radii whose cell volumes overflow: no numpy warning (an
+        # error under pytest), one error line and exit code 2
+        out = tmp_path / "big.mesh"
+        assert main(["mesh-gen", "--kind", "shell", "--r-in", "1", "--r-out", "1e300",
+                     "--refinement", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cell 1 has infinite measure inf;")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_solve_from_mesh_file(self, tmp_path):
         mesh_path = tmp_path / "iv.mesh"

@@ -286,6 +286,37 @@ class TestValidate:
         assert mesh.robin.tolist() == [True, False]
         assert mesh.dirichlet_vertices().tolist() == [1]
 
+    @pytest.mark.parametrize(
+        "cells, facets, message",
+        [
+            ([[0, 1, 1]], (), "cells have shape (1, 3), expected (n, 2)"),
+            ([[0, 1], [1]], (), "bad cells: "),
+            ([[0, 2**70]], (), "cell vertex indices must be int64 integers, got object"),
+            ([[0, 1]], [[2**70]], "facet vertex indices must be int64 integers, got object"),
+            ([[0.5, 1]], (), "cell vertex indices must be int64 integers, got float64"),
+            ([[0, 1]], [[0.5]], "facet vertex indices must be int64 integers, got float64"),
+        ],
+        ids=["cell_width", "ragged_cells", "cell_beyond_int64", "facet_beyond_int64",
+             "cell_not_integer", "facet_not_integer"],
+    )
+    def test_constructor_rejects_malformed_indices(self, cells, facets, message):
+        with pytest.raises(InvalidGeometry) as err:
+            SimplicialMesh(1, [[0.0], [1.0]], cells, facets, ["robin"] * len(facets))
+        assert message in str(err.value) and "\n" not in str(err.value)
+
+    def test_no_cells(self):
+        # load_mesh passes an empty list for `cells 0`
+        mesh = SimplicialMesh(1, [[0.0], [1.0]], [])
+        assert mesh.cells.shape == (0, 2) and mesh.cells.dtype == np.int64
+
+    def test_overflowed_measure(self):
+        # finite vertices whose volumes overflow: inf without a RuntimeWarning
+        # (an error under pytest), and not a positive measure
+        with pytest.raises(ValidationError) as err:
+            generate_shell_mesh(1.0, 1e300, 0)
+        assert err.value.violations[0] == "cell 1 has infinite measure inf"
+        assert all(v.endswith("has infinite measure inf") for v in err.value.violations)
+
     def test_index_out_of_range(self):
         # the constructor rejects the index before it computes a measure
         for fix in (True, False):

@@ -315,7 +315,7 @@ class TestBarrier:
         assert ex1_interval_reports["barrier"].multiplier_estimates.size == 0
 
     def test_multipliers_reported_without_polish(self, interval_robin):
-        config = SolverConfig(mu0=1.0, final_polish_mu_zero=False)
+        config = SolverConfig(mu0=1.0, final_polish=False)
         report = barrier_solve(
             builtin_example(1), interval_robin, FeFunction.constant(interval_robin, 1.0), config
         )
@@ -327,7 +327,7 @@ class TestBarrier:
         # example 1 has u = 0 on the Dirichlet circle: mu/u is taken where
         # u > 0, and no division by zero occurs
         mesh = generate_annulus_mesh(1.0, 2.0, 4, 16, inner=Marker.DIRICHLET, outer=Marker.ROBIN)
-        config = SolverConfig(mu0=1.0, final_polish_mu_zero=False)
+        config = SolverConfig(mu0=1.0, final_polish=False)
         report = barrier_solve(builtin_example(1), mesh, FeFunction.constant(mesh, 1.0), config)
         assert report.converged and report.sign == Sign.POSITIVE
         free = mesh.num_vertices - len(mesh.dirichlet_vertices())
