@@ -23,13 +23,19 @@ class ParseError(BarrierFemError):
 
 
 class ValidationError(BarrierFemError):
-    """Mesh invariants violated; message lists every violation found."""
+    """Mesh invariants violated.  `violations` lists every one found; the
+    message names the first three, and their count when there are more."""
 
     def __init__(self, violations):
         if isinstance(violations, str):
             violations = [violations]
-        super().__init__("; ".join(violations))
         self.violations = list(violations)
+        shown = "; ".join(self.violations[:3])
+        hidden = len(self.violations) - 3
+        super().__init__(
+            f"{len(self.violations)} violations: {shown}; and {hidden} more" if hidden > 0
+            else shown
+        )
 
 
 class NonpositiveState(BarrierFemError):

@@ -22,12 +22,11 @@ and M_ij = int u_h^-2 phi_j phi_i.
 One power pass (problem.power_sums) over the quadrature points serves
 both.  It runs in cache-sized blocks of cells, and its only full-size
 arrays are its outputs.  assemble_residual sums k_mu and, in the same
-loop over the terms, k' of the spec's terms, weights k_mu in place, and
-keeps k' and u^-2 in a one-entry memo on the mesh workspace, keyed on
-the spec's fields and a copy of u, which the PDE drivers drop when
-they return.  assemble_jacobian at that u, at any mu,
-adds the barrier's mu u^-2 to k' and needs no pass of its own; at
-another u it runs the pass.  A Newton step takes its matrix at the
+loop over the terms, k' of the spec's terms, and weights k_mu in
+place.  Given a `State`, it keeps the pass (the spec's fields, k' and
+u^-2) on that state; assemble_jacobian at that state, at any mu, adds
+the barrier's mu u^-2 to k' and needs no pass of its own, and at
+anything else it runs the pass.  A Newton step takes its matrix at the
 state of its last residual, so each step makes one pass, and a caller
 pays for the matrix only when it takes a step.  At a fixed u, f is
 affine in mu, and assemble_barrier_gradient builds H alone (one
@@ -85,8 +84,6 @@ class _Workspace:
     diagonal to the slot one past the full pattern.  So a symmetric
     operator is one bincount and one gather, and A == A.T bit for bit.
 
-    `last_pass` holds the memo of the mesh's last power pass (_power_pass).
-
     Holds no reference to the mesh itself, so a mesh and its workspace
     are freed together once the mesh is no longer used.
     """
@@ -125,7 +122,6 @@ class _Workspace:
         cols = np.concatenate([cells[:, ju].ravel(), self.robin_idx[:, fju].ravel()])
         self._build_patterns(rows, cols)
         self.spec_fields = WeakKeyDictionary()
-        self.last_pass = None
 
     def _build_patterns(self, rows, cols):
         n, m = self.num_vertices, len(rows)
@@ -281,22 +277,31 @@ def _state_fields(spec, mesh, u, mu):
     return u, ws, ws.fields_for(spec)
 
 
-def _power_pass(ws, fields, u, mu):
-    """k_mu at u's quadrature points.  Keeps (fields, a copy of u, k' of
-    the spec's terms, u^-2) in ws.last_pass for the Jacobian at u, which
-    then needs no pass of its own at any mu."""
-    ws.last_pass = None  # emptied before the pass allocates
-    (k, slope), inv_u2 = power_sums(fields["coeffs"], u[ws.cells] @ ws.lam.T, (0, 1), mu)
-    ws.last_pass = (fields, u.copy(), slope, inv_u2)
-    return k
+class State(FeFunction):
+    """Read-only coefficients, not copied (hand over an array no one writes),
+    and the (spec fields, k', u^-2) of the residual's pass at them."""
+
+    power_pass = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.coefficients.setflags(write=False)
+
+
+def _power_pass(ws, fields, x, mu):
+    """k_mu at the quadrature points of x, and the (fields, k', u^-2) a State keeps."""
+    (k, slope), inv_u2 = power_sums(fields["coeffs"], x[ws.cells] @ ws.lam.T, (0, 1), mu)
+    return k, (fields, slope, inv_u2)
 
 
 def assemble_residual(spec, mesh, u, mu=0.0):
     """Residual vector f = A u - b + int k_mu(u_h) phi_i = G - mu*H with
-    Dirichlet entries zeroed."""
-    u, ws, fields = _state_fields(spec, mesh, u, mu)
-    linear = fields["operator"] @ u - fields["load"]
-    k = _power_pass(ws, fields, u, mu)
+    Dirichlet entries zeroed; at a State, keeps the pass on it."""
+    x, ws, fields = _state_fields(spec, mesh, u, mu)
+    linear = fields["operator"] @ x - fields["load"]
+    k, kept = _power_pass(ws, fields, x, mu)
+    if isinstance(u, State):
+        u.power_pass = kept
     with np.errstate(invalid="ignore"):  # k is +-inf at an overflowed u: f is nonfinite
         k *= ws.wq  # in place: k is the pass's own array
         return ws.vertex_sum(k @ ws.lam, linear)
@@ -313,15 +318,13 @@ def assemble_barrier_gradient(mesh, u):
 def assemble_jacobian(spec, mesh, u, mu=0.0):
     """Jacobian B = J + mu*M at the state u, on the mesh's reduced CSR pattern.
 
-    Takes k' and u^-2 from the last power pass when that was at u (the
-    residual of a Newton step is), else runs the pass."""
-    u, ws, fields = _state_fields(spec, mesh, u, mu)
-    last = ws.last_pass
-    hit = (last is not None and last[0] is fields and np.array_equal(last[1], u)
-           and (last[3] is not None or not mu > 0))
-    if not hit:
-        _power_pass(ws, fields, u, mu)
-    *_, slope, inv_u2 = ws.last_pass
+    Takes k' and u^-2 from a State's power_pass made for this spec (with
+    u^-2 at mu > 0, as a Newton step's residual makes it), else runs the pass."""
+    x, ws, fields = _state_fields(spec, mesh, u, mu)
+    kept = u.power_pass if isinstance(u, State) else None
+    if kept is None or kept[0] is not fields or (mu > 0 and kept[2] is None):
+        _, kept = _power_pass(ws, fields, x, mu)
+    _, slope, inv_u2 = kept
     local = (ws.wq * barrier_slope(slope, inv_u2, mu)) @ ws.phi2
     data = ws.scatter(local, fields["operator_sums"])
     return SparseMatrix.from_pattern(ws.indptr, ws.indices, data)

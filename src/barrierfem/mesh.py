@@ -91,18 +91,22 @@ class SimplicialMesh:
     bool, hold the boundary; `robin[i]` is False for a Dirichlet facet.
     The read-only `cell_volumes` (M,) holds the signed measure
     (length/area/volume) of every cell, positive and finite on a valid
-    mesh.  Ragged rows, rows of another width, indices that are not
-    int64 integers and an index out of range raise InvalidGeometry.
+    mesh.  Vertices that are not an (N, dim) array of numbers, ragged
+    rows, rows of another width, indices that are not int64 integers and
+    an index out of range raise InvalidGeometry.
     """
 
     def __init__(self, dim, vertices, cells, facets=(), markers=(), fix_orientation=True):
         if dim not in (1, 2, 3):
             raise InvalidGeometry(f"dimension must be 1, 2 or 3, got {dim}")
         self.dim = int(dim)
-        self.vertices = np.atleast_2d(np.array(vertices, dtype=float))
-        if self.vertices.shape[1] != self.dim:
+        try:
+            self.vertices = np.atleast_2d(np.array(vertices, dtype=float))
+        except (TypeError, ValueError) as exc:  # ragged or non-numeric rows
+            raise InvalidGeometry(f"bad vertices: {exc}") from None
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != self.dim:
             raise InvalidGeometry(
-                f"vertex coordinates have {self.vertices.shape[1]} components, expected {dim}"
+                f"vertices have shape {self.vertices.shape}, expected (n, {dim})"
             )
         self.cells = _vertex_indices("cell", cells, self.dim + 1, self.num_vertices)
         self.facets = _vertex_indices("facet", facets, self.dim, self.num_vertices)

@@ -16,8 +16,9 @@ All four run one Newton loop, with a full or a safeguarded step, and
 the two barrier drivers one mu schedule.  The loop sees a problem
 through an adapter, `_FemProblem` for the P1 system or `_DenseProblem`
 for a finite-dimensional barrier function, with two methods:
-`evaluate` (residual and merit at a point) and `direction` (the Newton
-direction, the only place a matrix is built).  Every accepted step
+`evaluate` (the `Point` (f, phi, u, mu, state) at a vector, or a point
+moved to another mu) and `direction` (the Newton direction at a point,
+the only place a matrix is built).  Every accepted step
 stores enough data (merit values, slope, step sizes, minimum
 coefficient) to replay the Armijo, descent and feasibility
 certificates after the fact; within a stage each step's merit before
@@ -25,6 +26,7 @@ is the previous step's merit after, bit for bit.
 """
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -32,6 +34,7 @@ import numpy as np
 
 from .errors import LineSearchFailure, NonpositiveState
 from .fem import (
+    State,
     apply_dirichlet,
     assemble_barrier_gradient,
     assemble_jacobian,
@@ -40,6 +43,8 @@ from .fem import (
 )
 from .linalg import cg_solve
 from .problem import as_coefficients
+
+Point = namedtuple("Point", "f phi u mu state")  # (value, merit) first, for armijo_backtrack
 
 
 class Sign(Enum):
@@ -178,7 +183,7 @@ def armijo_backtrack(evaluate, phi0, grad_dot_dir, u, w, alpha_bar, eta=1.0e-4, 
             trial = (None, np.inf)
         if np.isfinite(trial[1]) and trial[1] <= phi0 + eta * alpha * grad_dot_dir:
             return alpha, trial
-        alpha *= backtrack
+        alpha, trial = alpha * backtrack, None  # a rejected trial is freed before the next
     raise LineSearchFailure(
         f"no sufficient decrease after 40 halvings (phi0={phi0:.3e})"
     )
@@ -198,9 +203,8 @@ class _FemProblem:
     only for that step, by truncated CG; the merit slope along w is
     (B w).f, since grad phi = B f.
 
-    f is assembled once per point.  The adapter keeps its last evaluation
-    (a copy of v, mu, f); at that same v, f at another mu is
-    f + (mu_last - mu) H(v), since f is affine in mu.  So a later stage
+    f is assembled once per point.  At a point's state, f at another mu
+    is f + (point.mu - mu) H, since f is affine in mu.  So a later stage
     starts from the previous stage's last residual, and the final ||G||
     of a polished solve is the polish's last residual.
     """
@@ -208,25 +212,27 @@ class _FemProblem:
     def __init__(self, spec, mesh):
         self.spec, self.mesh = spec, mesh
         self.free = ~workspace_for(mesh).dirichlet_mask
-        self._last = None
 
     def evaluate(self, v, mu):
-        """(f, phi) at v; raises NonpositiveState for v <= 0 somewhere at mu > 0."""
-        if self._last is not None and np.array_equal(v, self._last[0]):
-            _, last_mu, f = self._last
-            if mu != last_mu:
-                f = f + (last_mu - mu) * assemble_barrier_gradient(self.mesh, v)
+        """The Point at a vector v (which becomes its State), or the point v
+        moved to mu; raises NonpositiveState for v <= 0 somewhere at mu > 0."""
+        if not isinstance(v, Point):
+            state = State(v)
+            f = assemble_residual(self.spec, self.mesh, state, mu)
+        elif v.mu != mu:
+            state, f = v.state, v.f + (v.mu - mu) * assemble_barrier_gradient(self.mesh, v.state)
         else:
-            f = assemble_residual(self.spec, self.mesh, v, mu)
-        self._last = (np.array(v, dtype=float), mu, f)
+            return v
         with np.errstate(over="ignore"):  # an overflowed merit is inf, which _newton stops on
-            return f, 0.5 * float(np.dot(f, f))
+            return Point(f, 0.5 * float(np.dot(f, f)), state.coefficients, mu, state)
 
-    def direction(self, u, mu, f):
-        """(w, CG status, w -> merit slope) for B(u) w = -f."""
-        matrix = assemble_jacobian(self.spec, self.mesh, u, mu)
-        result = cg_solve(matrix, -f)
-        return result.x, result.status.value, lambda w: float(np.dot(matrix @ w, f))
+    def direction(self, point):
+        """(w, CG status, w -> merit slope) for B w = -f; a zero w keeps the pass."""
+        matrix = assemble_jacobian(self.spec, self.mesh, point.state, point.mu)
+        result = cg_solve(matrix, -point.f)
+        if result.x.any():
+            point.state.power_pass = None
+        return result.x, result.status.value, lambda w: float(np.dot(matrix @ w, point.f))
 
 
 class _DenseProblem:
@@ -242,28 +248,30 @@ class _DenseProblem:
         self.free = np.ones(n, dtype=bool)
 
     def evaluate(self, y, mu):
-        """(grad B_mu, B_mu) at y; raises NonpositiveState unless y > 0."""
+        """The Point (grad B_mu, B_mu) at y, or at the point y's u; raises
+        NonpositiveState unless y > 0."""
+        y = y.u if isinstance(y, Point) else y
         if np.any(y <= 0):
             raise NonpositiveState("the barrier function needs y > 0")
         g = np.asarray(self.grad(y), dtype=float) - mu / y
-        return g, float(self.f(y)) - mu * float(np.sum(np.log(y)))
+        return Point(g, float(self.f(y)) - mu * float(np.sum(np.log(y))), y, mu, None)
 
-    def direction(self, x, mu, g):
+    def direction(self, point):
         """(p, "dense", p -> merit slope) for the barrier Hessian system."""
-        hbar = np.asarray(self.hess(x), dtype=float) + mu * np.diag(x**-2.0)
+        hbar = np.asarray(self.hess(point.u), dtype=float) + point.mu * np.diag(point.u**-2.0)
         try:
-            p = np.linalg.solve(hbar, -g)
+            p = np.linalg.solve(hbar, -point.f)
         except np.linalg.LinAlgError:
-            p = -g
-        return p, "dense", lambda w: float(np.dot(g, w))
+            p = -point.f
+        return p, "dense", lambda w: float(np.dot(point.f, w))
 
 
-def _newton(problem, u, mu, config, report, safeguarded):
-    """Newton iteration on f = 0 at fixed mu, (f, phi) from problem.evaluate.
+def _newton(problem, point, mu, config, report, safeguarded):
+    """Newton iteration on f = 0 at fixed mu, from a vector or a point.
 
-    f is evaluated once at the start; after that a safeguarded step
-    takes (f, phi) from its accepted line-search trial, which is the new
-    iterate, and a standard step evaluates the new iterate.  The
+    The start is evaluated at mu; then a safeguarded step takes its point
+    from its accepted line-search trial and a standard step evaluates the
+    new iterate, or keeps its point if its direction is zero.  The
     direction, and with it a matrix, is only computed for a step.
 
     Converged once ||f|| <= subproblem_tolerance(mu, ||f(u0)||, eps), or
@@ -273,68 +281,68 @@ def _newton(problem, u, mu, config, report, safeguarded):
     back to -f unless phi's slope along w is negative, stops unless the
     slope along the step is then negative, is capped by step_to_boundary
     and backtracked on phi, which is infinite at a nonpositive trial.
-    Returns (u, stage, reason): the last iterate, its StageRecord (None
-    if the start state is nonpositive) and "" on convergence, else why
-    the iteration stopped.
+    Returns (point, stage, reason): the last point (the start itself if
+    it is nonpositive), its StageRecord (None then) and "" on
+    convergence, else why the iteration stopped.
     """
     stage = None
     stagnant = 0
     try:
-        f, phi = problem.evaluate(u, mu)
+        point = problem.evaluate(point, mu)
         while True:
             with np.errstate(over="ignore"):  # a huge f has an infinite norm
-                fn = float(np.linalg.norm(f))
+                fn = float(np.linalg.norm(point.f))
             if stage is None:
                 tol = subproblem_tolerance(mu, fn, config.eps) if mu > 0 else config.eps
                 stage = StageRecord(mu, tol, fn, 0)
             if not np.isfinite(fn):
-                return u, stage, "nonfinite residual"
+                return point, stage, "nonfinite residual"
             report.residual_history.append(fn)
             if fn <= stage.tolerance:
-                return u, stage, ""
+                return point, stage, ""
             if stage.newton_iterations >= config.max_inner:
-                return u, stage, f"no convergence in {config.max_inner} iterations at mu={mu:g}"
-            w, cg_status, slope_along = problem.direction(u, mu, f)
-            alpha, alpha_bar, slope, trial, fallback = 1.0, np.nan, np.nan, (None, np.nan), False
+                return point, stage, f"no convergence in {config.max_inner} iterations at mu={mu:g}"
+            w, cg_status, slope_along = problem.direction(point)
+            alpha, alpha_bar, slope, fallback = 1.0, np.nan, np.nan, False
             if safeguarded:
                 slope = slope_along(w)
                 if not slope < 0:
-                    w, fallback = -f, True
+                    w, fallback = -point.f, True
                     slope = slope_along(w)
                 if not slope < 0:
-                    return u, stage, f"no descent direction at mu={mu:g}"
-                alpha_bar = step_to_boundary(u, w, free=problem.free)
+                    return point, stage, f"no descent direction at mu={mu:g}"
+                alpha_bar = step_to_boundary(point.u, w, free=problem.free)
                 try:
-                    alpha, trial = armijo_backtrack(
-                        lambda v: problem.evaluate(v, mu), phi, slope, u, w, alpha_bar,
+                    # the accepted trial at u + alpha*w is the new point, bit for bit
+                    alpha, new = armijo_backtrack(
+                        lambda v: problem.evaluate(v, mu), point.phi, slope, point.u, w, alpha_bar,
                         eta=config.eta, backtrack=config.backtrack,
                     )
                 except LineSearchFailure as exc:
-                    return u, stage, f"line search failure at mu={mu:g}: {exc}"
-
-            u = u + alpha * w
+                    return point, stage, f"line search failure at mu={mu:g}: {exc}"
+            else:
+                new = problem.evaluate(point.u + alpha * w, mu) if w.any() else point
             report.iterations.append(IterationRecord(
-                mu, fn, phi, trial[1], alpha_bar, alpha, slope, fallback,
-                float(u[problem.free].min()), cg_status,
+                mu, fn, point.phi, new.phi if safeguarded else np.nan, alpha_bar, alpha, slope,
+                fallback, float(new.u[problem.free].min()), cg_status,
             ))
+            point = new
             stage.newton_iterations += 1
             step = alpha * float(np.linalg.norm(w))
-            negligible = step < 1e-14 * max(1.0, float(np.linalg.norm(u)))
+            negligible = step < 1e-14 * max(1.0, float(np.linalg.norm(point.u)))
             stagnant = stagnant + 1 if negligible else 0
             if stagnant >= 5:
-                return u, stage, f"stagnation: negligible steps at mu={mu:g}"
-            # the accepted trial u + alpha*w is the new iterate, bit for bit
-            f, phi = trial if safeguarded else problem.evaluate(u, mu)
+                return point, stage, f"stagnation: negligible steps at mu={mu:g}"
     except NonpositiveState as exc:
-        return u, stage, f"nonpositive state: {exc}"
+        return point, stage, f"nonpositive state: {exc}"
 
 
-def _continuation(problem, u, config, report, polish):
+def _continuation(problem, point, config, report, polish):
     """Safeguarded Newton on the stages mu0, gamma*mu0, ... >= eps (at
     most max_outer), each warm-started, then with `polish` on mu = 0.
 
     Multiplier estimates are mu/u on the free dofs after the last positive
-    stage, empty after the polish.  Returns (u, reason); reason is "" when
+    stage, empty after the polish.  Returns (point, reason); reason is "" when
     every stage converged and, without the polish, the schedule reached mu < eps.
     """
     mu = float(config.mu0)
@@ -343,26 +351,25 @@ def _continuation(problem, u, config, report, polish):
         schedule.append(mu)
         mu *= config.gamma
     for stage_mu in schedule + ([0.0] if polish else []):
-        u, stage, reason = _newton(problem, u, stage_mu, config, report, safeguarded=True)
+        point, stage, reason = _newton(problem, point, stage_mu, config, report, safeguarded=True)
         if stage is not None:
             report.stages.append(stage)
         if reason:
-            return u, reason
-        report.multiplier_estimates = stage_mu / u[problem.free] if stage_mu > 0 else np.zeros(0)
-    if mu >= config.eps and not polish:
-        return u, f"max_outer = {config.max_outer} stages ended the schedule at mu={mu:g} >= eps"
-    return u, ""
+            return point, reason
+        report.multiplier_estimates = stage_mu / point.u[problem.free] if stage_mu else np.zeros(0)
+    reason = f"max_outer = {config.max_outer} stages ended the schedule at mu={mu:g} >= eps"
+    return point, reason if mu >= config.eps and not polish else ""
 
 
-def _finalize(report, problem, u, t0):
-    """Record the last iterate, its sign on the free dofs and ||evaluate(u, 0)||:
-    ||G(u)|| (the FEM adapter's last residual when at u), or ||grad f(x)||."""
-    report.solution = u.copy()
-    report.sign = classify_sign(u[problem.free])
+def _finalize(report, problem, point, t0):
+    """Record the last iterate, its sign on the free dofs and ||evaluate(point, 0)||:
+    ||G(u)|| (the last residual, moved to mu = 0), or ||grad f(x)||."""
+    final = problem.evaluate(point, 0.0)
+    report.solution = np.array(final.u)
+    report.sign = classify_sign(final.u[problem.free])
     report.total_newton_iterations = len(report.iterations)
-    f = problem.evaluate(u, 0.0)[0]
     with np.errstate(over="ignore"):  # as in _newton, an overflowed norm is inf
-        report.final_residual = float(np.linalg.norm(f))
+        report.final_residual = float(np.linalg.norm(final.f))
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -378,11 +385,10 @@ def _solve_fem(method, spec, mesh, u0, config):
         raise NonpositiveState(f"{method} requires a strictly positive start")
     report = SolveReport(method=method)
     if method == "barrier":
-        u, reason = _continuation(problem, u, config, report, config.final_polish)
+        point, reason = _continuation(problem, u, config, report, config.final_polish)
     else:
-        u, _, reason = _newton(problem, u, 0.0, config, report, method == "safeguarded")
-    _finalize(report, problem, u, t0)
-    workspace_for(mesh).last_pass = None  # no Jacobian follows the final residual
+        point, _, reason = _newton(problem, u, 0.0, config, report, method == "safeguarded")
+    _finalize(report, problem, point, t0)
     report.converged = not reason and report.final_residual <= config.eps
     report.failure_reason = reason or ("" if report.converged else "unbarriered residual above eps")
     return report
@@ -440,6 +446,6 @@ def classical_barrier_minimize(f, grad, hess, x0, config=None):
         raise ValueError("classical barrier requires mu0 > 0")
     problem = _DenseProblem(f, grad, hess, x.size)
     report = SolveReport(method="classical_barrier")
-    x, report.failure_reason = _continuation(problem, x, config, report, polish=False)
+    point, report.failure_reason = _continuation(problem, x, config, report, polish=False)
     report.converged = not report.failure_reason
-    return x, _finalize(report, problem, x, t0)
+    return _finalize(report, problem, point, t0).solution.copy(), report

@@ -246,12 +246,13 @@ class TestMainEntry:
 
     def test_mesh_gen_rejects_overflowed_measures(self, tmp_path, capsys):
         # finite radii whose cell volumes overflow: no numpy warning (an
-        # error under pytest), one error line and exit code 2
+        # error under pytest), one short error line and exit code 2
         out = tmp_path / "big.mesh"
         assert main(["mesh-gen", "--kind", "shell", "--r-in", "1", "--r-out", "1e300",
                      "--refinement", "0", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: cell 1 has infinite measure inf;")
+        assert err.startswith("error: 40 violations: cell 1 has infinite measure inf;")
+        assert err.endswith("; and 37 more\n") and len(err) <= 200
         assert err.count("\n") == 1 and not out.exists()
 
     def test_solve_from_mesh_file(self, tmp_path):

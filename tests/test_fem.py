@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from barrierfem import fem
 from barrierfem.errors import CoefficientViolation, DimensionMismatch, NonpositiveState
 from barrierfem.fem import (
+    State,
     apply_dirichlet,
     assemble_jacobian,
     assemble_residual,
@@ -356,17 +358,33 @@ class TestAssemblyPattern:
 
 
 def test_workspace_freed_with_mesh():
-    """The last power pass, which the residual keeps for the Jacobian,
+    """A State's power pass, which the residual keeps for the Jacobian,
     does not keep a mesh's workspace alive."""
     mesh = generate_annulus_mesh(1, 2, 2, 8, inner=Marker.DIRICHLET, outer=Marker.ROBIN)
-    assemble_residual(PATTERN_SPEC, mesh, FeFunction.constant(mesh, 1.0), mu=0.5)
-    assemble_jacobian(PATTERN_SPEC, mesh, FeFunction.constant(mesh, 1.0), mu=0.5)
+    state = State(np.ones(mesh.num_vertices))
+    assemble_residual(PATTERN_SPEC, mesh, state, mu=0.5)
+    assemble_jacobian(PATTERN_SPEC, mesh, state, mu=0.5)
+    assert state.power_pass is not None
     mesh_ref = weakref.ref(mesh)
     ws_ref = weakref.ref(workspace_for(mesh))
     del mesh
     gc.collect()
     assert mesh_ref() is None
     assert ws_ref() is None
+
+
+def test_jacobian_at_a_state_of_another_spec_runs_its_own_pass(small_shell, monkeypatch):
+    u, _ = random_positive_state(small_shell)
+    state = State(u.coefficients.copy())
+    assemble_residual(builtin_example(1), small_shell, state, 0.5)
+    spec = builtin_example(3)
+    passes = []
+    real_power_sums = fem.power_sums
+    monkeypatch.setattr(fem, "power_sums",
+                        lambda *a, **k: passes.append(1) or real_power_sums(*a, **k))
+    b = assemble_jacobian(spec, small_shell, state, 0.5)
+    assert len(passes) == 1
+    assert np.array_equal(b.data, assemble_jacobian(spec, small_shell, u, 0.5).data)
 
 
 class TestEnergy:

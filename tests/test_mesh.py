@@ -304,6 +304,21 @@ class TestValidate:
             SimplicialMesh(1, [[0.0], [1.0]], cells, facets, ["robin"] * len(facets))
         assert message in str(err.value) and "\n" not in str(err.value)
 
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            (np.array([[[0.0]], [[1.0]]]), "vertices have shape (2, 1, 1), expected (n, 1)"),
+            ([[0.0, 0.0], [1.0, 0.0]], "vertices have shape (2, 2), expected (n, 1)"),
+            ([[0.0], [1.0, 2.0]], "bad vertices: "),
+            ([["a"], [1.0]], "bad vertices: could not convert string to float"),
+        ],
+        ids=["extra_axis", "vertex_width", "ragged_vertices", "non_numeric_vertices"],
+    )
+    def test_constructor_rejects_malformed_vertices(self, vertices, message):
+        with pytest.raises(InvalidGeometry) as err:
+            SimplicialMesh(1, vertices, [[0, 1]], [[0], [1]], ["robin"] * 2)
+        assert message in str(err.value) and "\n" not in str(err.value)
+
     def test_no_cells(self):
         # load_mesh passes an empty list for `cells 0`
         mesh = SimplicialMesh(1, [[0.0], [1.0]], [])
@@ -316,6 +331,18 @@ class TestValidate:
             generate_shell_mesh(1.0, 1e300, 0)
         assert err.value.violations[0] == "cell 1 has infinite measure inf"
         assert all(v.endswith("has infinite measure inf") for v in err.value.violations)
+        # the message counts the violations and names the first three
+        assert str(err.value) == (
+            "40 violations: cell 1 has infinite measure inf; cell 2 has infinite measure inf; "
+            "cell 4 has infinite measure inf; and 37 more"
+        )
+        assert len(err.value.violations) == 40
+
+    def test_few_violations_are_all_in_the_message(self):
+        assert str(ValidationError("cell 0 is bad")) == "cell 0 is bad"
+        three = ["a", "b", "c"]
+        assert str(ValidationError(three)) == "a; b; c"
+        assert ValidationError(three).violations == three
 
     def test_index_out_of_range(self):
         # the constructor rejects the index before it computes a measure

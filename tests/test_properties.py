@@ -1,8 +1,10 @@
 """Property tests of the assembled system at mu, B(mu) = J + mu M and
-f = G - mu H, of the Jacobian's reuse of the residual's power pass, of
+f = G - mu H, of the Jacobian's reuse of a State's power pass, of
 the barrier gradient H and of the energy on small random meshes with
 mixed boundary markers; and of the positivity cap of the safeguarded
 step."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from barrierfem import fem
 from barrierfem.errors import NonpositiveState
 from barrierfem.fem import (
     apply_dirichlet,
     assemble_barrier_gradient,
     assemble_jacobian,
+    State,
     assemble_residual,
     compute_energy,
 )
@@ -92,24 +96,24 @@ def test_system_matrix_exactly_symmetric(case):
 @PROPERTY_SETTINGS
 @given(cases())
 def test_jacobian_after_residual_equals_a_cold_one(case):
-    """A Jacobian at the state of the last residual, at that residual's mu
-    or another, reuses the residual's power pass and equals, bit for bit,
-    one whose last pass was at another state; so does a Jacobian at a
-    state the caller changed in place after the residual."""
+    """A Jacobian at a State whose residual was assembled, at that
+    residual's mu or another, equals bit for bit one at the plain vector,
+    which runs its own pass; it reuses the residual's pass unless it needs
+    u^-2 that the pass did not keep.  A State's coefficients are read-only."""
     spec, mesh, u, w, mu = case
-
-    def cold(v, m):
-        assemble_residual(spec, mesh, 2.0 * v)
-        return assemble_jacobian(spec, mesh, v, m).data
-
     for residual_mu in (0.0, mu):
+        state = State(u.copy())
+        with pytest.raises(ValueError):
+            state.coefficients[0] += w[0]
+        assemble_residual(spec, mesh, state, residual_mu)
+        kept = state.power_pass
         for m in (residual_mu, 0.1 * mu, 0.0, mu):
-            assemble_residual(spec, mesh, u, residual_mu)
-            assert np.array_equal(assemble_jacobian(spec, mesh, u, m).data, cold(u, m))
-    v = u.copy()
-    assemble_residual(spec, mesh, v, mu)
-    v += 0.25 * w
-    assert np.array_equal(assemble_jacobian(spec, mesh, v, mu).data, cold(v, mu))
+            cold = assemble_jacobian(spec, mesh, u, m).data
+            with mock.patch.object(fem, "power_sums", wraps=fem.power_sums) as passes:
+                warm = assemble_jacobian(spec, mesh, state, m).data
+            assert np.array_equal(warm, cold)
+            assert passes.call_count == (0 if kept[2] is not None or m == 0 else 1)
+            assert state.power_pass is kept
 
 
 @PROPERTY_SETTINGS

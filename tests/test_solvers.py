@@ -1,11 +1,14 @@
 """Solver drivers: sign classification, step caps, line search, Newton
 variants, barrier continuation and the classical finite-dimensional loop."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from barrierfem.errors import LineSearchFailure, NonpositiveState
-from barrierfem.fem import assemble_jacobian, assemble_residual, workspace_for
+from barrierfem import fem
+from barrierfem.fem import State, assemble_jacobian, assemble_residual
 from barrierfem.mesh import (
     Marker,
     generate_annulus_mesh,
@@ -130,6 +133,28 @@ class TestArmijo:
         assert merit(np.array([1.0 - alpha])) <= 1.0 + 1e-4 * alpha * grad
         assert points[-1] == x[0] == 1.0 - alpha and phi == merit(x)
 
+    def test_rejected_trial_freed_before_the_next(self):
+        # a trial's value may hold large arrays (a power pass): only one
+        # trial is alive at a time
+        class Trial:
+            def __init__(self, x):
+                self.pair = (x, float((x[0] - 0.3) ** 2))
+
+            def __getitem__(self, i):
+                return self.pair[i]
+
+        refs = []
+
+        def evaluate(v):
+            assert all(ref() is None for ref in refs)
+            trial = Trial(v)
+            refs.append(weakref.ref(trial))
+            return trial
+
+        alpha, trial = armijo_backtrack(evaluate, 0.09, -0.6, np.array([0.0]), np.array([1.0]), 1.0)
+        # x = 1 (merit 0.49) is rejected, x = 0.5 (merit 0.04) accepted
+        assert alpha == 0.5 and len(refs) == 2 and refs[1]() is trial
+
     def test_nondescent_rejected(self):
         merit = lambda x: float(x[0] ** 2)
         with pytest.raises(ValueError):
@@ -181,11 +206,12 @@ class _LinearStub:
         self.free = np.ones(len(self.w), dtype=bool)
 
     def evaluate(self, v, mu):
+        v = v.u if isinstance(v, solvers.Point) else v
         f = self.b @ (v - 1.0)
-        return f, 0.5 * float(f @ f)
+        return solvers.Point(f, 0.5 * float(f @ f), v, mu, None)
 
-    def direction(self, u, mu, f):
-        return self.w, "stub", lambda w: float((self.b @ w) @ f)
+    def direction(self, point):
+        return self.w, "stub", lambda w: float((self.b @ w) @ point.f)
 
 
 def _one_safeguarded_step(problem, u):
@@ -433,16 +459,52 @@ def test_jacobian_assembled_only_for_a_linear_solve(interval_robin, monkeypatch,
 
 
 @pytest.mark.parametrize("solve", [newton_standard, newton_safeguarded, barrier_solve])
-def test_driver_frees_the_power_pass_memo(solve):
-    """A finished solve leaves no last-pass memo (k', u^-2) on its mesh."""
+def test_finished_solve_keeps_no_state(monkeypatch, solve):
+    """Every Newton point's state, and with it its power pass (k', u^-2),
+    is freed by the time a solve returns."""
+    states = []
+
+    class Tracked(State):
+        def __post_init__(self):
+            super().__post_init__()
+            states.append(weakref.ref(self))
+
+    monkeypatch.setattr(solvers, "State", Tracked)
     mesh = generate_interval_mesh(0.1, 10, 40, left=Marker.ROBIN, right=Marker.ROBIN)
-    spec = builtin_example(1)
-    ws = workspace_for(mesh)
-    assemble_residual(spec, mesh, FeFunction.constant(mesh, 1.0), 0.5)
-    assert ws.last_pass is not None
-    report = solve(spec, mesh, FeFunction.constant(mesh, 1.0))
-    assert report.converged
-    assert ws.last_pass is None
+    report = solve(builtin_example(1), mesh, FeFunction.constant(mesh, 1.0))
+    assert report.converged and len(states) > report.total_newton_iterations
+    assert all(ref() is None for ref in states)
+
+
+def test_a_step_off_the_point_drops_its_pass(interval_robin):
+    """The residual keeps its pass on the point's state for the matrix; a
+    nonzero direction leaves the point, so the pass is dropped at once."""
+    problem = solvers._FemProblem(builtin_example(1), interval_robin)
+    point = problem.evaluate(np.full(interval_robin.num_vertices, 0.5), 0.3)
+    assert point.state.power_pass is not None
+    w, _, _ = problem.direction(point)
+    assert w.any() and point.state.power_pass is None
+    assert problem.evaluate(point, 0.3) is point
+
+
+def test_zero_steps_keep_their_point(monkeypatch):
+    """Standard Newton on example 4 meets indefinite curvature at once at
+    u = 1, so truncated CG returns w = 0 five times: each zero step keeps
+    its point, and the five matrices share the start's one residual and
+    its one power pass."""
+    calls = _count_assemblies(monkeypatch)
+    passes = []
+    real_power_sums = fem.power_sums
+    monkeypatch.setattr(fem, "power_sums",
+                        lambda *a, **k: passes.append(1) or real_power_sums(*a, **k))
+    mesh = generate_shell_mesh(1, 100, 0, inner=Marker.DIRICHLET, outer=Marker.DIRICHLET,
+                               n_layers=2)
+    report = newton_standard(builtin_example(4), mesh, FeFunction.constant(mesh, 1.0))
+    assert report.failure_reason == "stagnation: negligible steps at mu=0"
+    assert [r.cg_status for r in report.iterations] == ["indefinite"] * 5
+    assert calls == {"line search": 0, "other": 1, "jacobian": 5, "cg": 5}
+    assert len(passes) == 1
+    assert np.array_equal(report.solution, np.ones(mesh.num_vertices))
 
 
 @pytest.mark.parametrize("solve", [newton_standard, newton_safeguarded, barrier_solve])
@@ -465,9 +527,9 @@ def test_stage_start_residual_matches_fresh_assembly(interval_robin, monkeypatch
     starts = []
     real_newton = solvers._newton
 
-    def newton(problem, u, mu, *args, **kwargs):
-        starts.append((u.copy(), mu))
-        return real_newton(problem, u, mu, *args, **kwargs)
+    def newton(problem, start, mu, *args, **kwargs):
+        starts.append((np.array(start.u if isinstance(start, solvers.Point) else start), mu))
+        return real_newton(problem, start, mu, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "_newton", newton)
     report = barrier_solve(
@@ -481,28 +543,34 @@ def test_stage_start_residual_matches_fresh_assembly(interval_robin, monkeypatch
         assert abs(stage.initial_residual_norm - fresh) <= (1e-12 * scale if k else 0.0)
 
 
-def test_evaluation_memo_never_serves_a_stale_residual(interval_robin, monkeypatch):
-    """The adapter reuses its last residual only at the very point it was
-    assembled at: another point, or the caller's array changed in place
-    after the evaluation, is assembled afresh."""
-    calls = _count_assemblies(monkeypatch)
-    spec = builtin_example(1)
-    problem = solvers._FemProblem(spec, interval_robin)
-    u = np.linspace(0.5, 2.0, interval_robin.num_vertices)
-    problem.evaluate(u, 0.3)
-    f_shifted, _ = problem.evaluate(u, 0.1)
-    f_again, _ = problem.evaluate(u, 0.1)
-    assert calls["other"] == 1
-    assert f_again is f_shifted
-    np.testing.assert_allclose(
-        f_shifted, assemble_residual(spec, interval_robin, u, 0.1), rtol=0, atol=1e-12
+def test_line_search_failure_reports_the_last_point_at_mu_zero(interval_robin, monkeypatch):
+    """A barrier solve whose second stage's line search fails reports ||G||
+    at its last accepted point: that point's residual moved to mu = 0,
+    which equals a fresh assembly there up to roundoff on the scale of
+    the first stage's residual."""
+    spec = builtin_example(2)
+    stages = []
+    real_newton, real_armijo = solvers._newton, solvers.armijo_backtrack
+
+    def newton(problem, start, mu, *args, **kwargs):
+        stages.append(mu)
+        return real_newton(problem, start, mu, *args, **kwargs)
+
+    def armijo(*args, **kwargs):
+        if len(stages) > 1:
+            raise LineSearchFailure("forced")
+        return real_armijo(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_newton", newton)
+    monkeypatch.setattr(solvers, "armijo_backtrack", armijo)
+    report = barrier_solve(
+        spec, interval_robin, FeFunction.constant(interval_robin, 1.0), SolverConfig(mu0=50.0)
     )
-    u[3] += 0.25  # in place: the adapter kept a copy of the old u
-    for v in (u, 1.5 * u):
-        before = calls["other"]
-        f, _ = problem.evaluate(v, 0.1)
-        assert calls["other"] == before + 1
-        np.testing.assert_array_equal(f, assemble_residual(spec, interval_robin, v, 0.1))
+    assert report.failure_reason == "line search failure at mu=5: forced"
+    assert [stage.mu for stage in report.stages] == [50.0, 5.0]
+    fresh = np.linalg.norm(assemble_residual(spec, interval_robin, report.solution, 0.0))
+    scale = report.stages[0].initial_residual_norm
+    assert abs(report.final_residual - fresh) <= 1e-12 * scale
 
 
 def test_merit_chain_within_a_stage(interval_robin):
