@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BarrierFemError, ConfigError, InvalidGeometry, InvalidRange
-from .fem import apply_dirichlet
 from .mesh import (
     Marker,
     generate_annulus_mesh,

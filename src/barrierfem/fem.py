@@ -61,6 +61,7 @@ import numpy as np
 from .errors import CoefficientViolation, DimensionMismatch, NonpositiveState
 # add_scaled is unused here; the traced benchmark run wraps fem.add_scaled
 from .linalg import SparseMatrix, add_scaled  # noqa: F401
+from .mesh import simplex_geometry
 from .problem import (
     _BLOCK_ELEMENTS, FeFunction, as_coefficients, barrier_slope, power_sum, power_sums,
 )
@@ -89,18 +90,14 @@ class _Workspace:
     """
 
     def __init__(self, mesh):
-        d = mesh.dim
-        n = mesh.num_vertices
+        d, n = mesh.dim, mesh.num_vertices
         self.num_vertices = n
         self.cells = cells = mesh.cells                  # (M, d+1)
         self.lam, self.qw = simplex_rule(d)              # (Q, d+1), (Q,)
         verts = mesh.vertices
-        cell_pts = verts[cells]                          # (M, d+1, d)
-        edges = cell_pts[:, 1:, :] - cell_pts[:, :1, :]
-        inv_t = np.transpose(np.linalg.inv(edges), (0, 2, 1))
-        grads = np.empty((len(cells), d + 1, d))
-        grads[:, 1:, :] = inv_t
-        grads[:, 0, :] = -inv_t.sum(axis=1)
+        det, cof = simplex_geometry(verts, cells)
+        grads = cof / det[:, None, None]                 # barycentric gradients 1..d
+        grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
         iu, ju = np.triu_indices(d + 1)
         self.grad_gram = np.einsum("mkd,mkd->mk", grads[:, iu], grads[:, ju])
         self.phi2 = self.lam[:, iu] * self.lam[:, ju]    # (Q, K)
@@ -278,13 +275,14 @@ def _state_fields(spec, mesh, u, mu):
 
 
 class State(FeFunction):
-    """Read-only coefficients, not copied (hand over an array no one writes),
-    and the (spec fields, k', u^-2) of the residual's pass at them."""
+    """A read-only copy of the coefficients, and the (spec fields, k', u^-2)
+    of the residual's pass at them."""
 
     power_pass = None
 
     def __post_init__(self):
         super().__post_init__()
+        self.coefficients = self.coefficients.copy()
         self.coefficients.setflags(write=False)
 
 

@@ -3,11 +3,12 @@
 Meshes are immutable once constructed: every array a mesh holds, its
 measures included, is read-only.  The constructor rejects a cell or
 facet row that is not its simplex's number of int64 vertex indices in
-range, and computes every cell's signed measure, `cell_volumes`.
-By default it also fixes cell orientation (a transposition of two
-vertices whenever the signed measure is negative, with the measure
-recomputed on the flipped cells), so downstream gradient formulas can
-rely on positive signed volumes.  `validate` checks the invariants the
+range, and computes every cell's signed measure, `cell_volumes`, with
+`simplex_geometry`, the closed-form kernel that also gives assembly its
+basis gradients.  By default it also fixes cell orientation (a swap of
+the last two vertices whenever the signed measure is negative, which
+negates that measure exactly), so downstream gradient formulas can rely
+on positive signed volumes.  `validate` checks the invariants the
 constructor does not, on those same measures.
 
 The boundary is two arrays: `facets`, the vertex indices of each
@@ -18,7 +19,7 @@ that needs the boundary conditions reads these two arrays.
 
 import math
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -32,17 +33,20 @@ class Marker(str, Enum):
     ROBIN = "robin"
 
 
-def _signed_measures(dim, vertices, cells):
-    v0 = vertices[cells[:, 0]]
-    with np.errstate(over="ignore"):  # an overflowed measure is inf; validate rejects it
-        edges = vertices[cells[:, 1:]] - v0[:, None, :]
-        if dim == 1:
-            det = edges[:, 0, 0]
-        elif dim == 2:
-            det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
+def simplex_geometry(vertices, simplices):
+    """det(E), (M,), of the edge matrices E (rows e_i = v_i - v_0) and their
+    cofactor rows, (M, d, d): cof[:, j] . e_i = det * delta_ij.  A swap of the
+    last two vertices negates a nonzero det exactly; an overflow is inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = vertices[simplices[:, 1:].T] - vertices[simplices[:, 0]]  # (d, M, d): e[i] is e_i
+        if len(e) == 1:
+            cof = np.ones_like(e)
+        elif len(e) == 2:  # each the other edge turned a quarter
+            cof = np.stack([e[1, :, ::-1] * (1.0, -1.0), e[0, :, ::-1] * (-1.0, 1.0)])
         else:
-            det = np.linalg.det(edges)
-        return det / math.factorial(dim)
+            cof = np.stack([np.cross(e[1], e[2]), np.cross(e[2], e[0]), np.cross(e[0], e[1])])
+        det = reduce(np.add, (e[0] * cof[0]).T)  # e_0 . c_0, summed in order
+    return det, np.moveaxis(cof, 0, 1)
 
 
 def _vertex_indices(name, rows, width, num_vertices):
@@ -119,13 +123,11 @@ class SimplicialMesh:
             raise InvalidGeometry(
                 f"{len(self.robin)} boundary markers for {len(self.facets)} facets"
             )
-        measures = _signed_measures(self.dim, self.vertices, self.cells)
+        measures = simplex_geometry(self.vertices, self.cells)[0] / math.factorial(self.dim)
         if fix_orientation:
             flip = np.flatnonzero(measures < 0)
             self.cells[flip, -2:] = self.cells[flip, -1:-3:-1]  # swap the last two
-            # recomputed, not negated: LU pivots differently on the swapped
-            # edges, so a 3D determinant may change by more than its sign
-            measures[flip] = _signed_measures(self.dim, self.vertices, self.cells[flip])
+            measures[flip] = -measures[flip]  # bit for bit what a recompute gives
         self.cell_volumes = measures
         for array in (self.vertices, self.cells, self.facets, self.robin, self.cell_volumes):
             _read_only(array)
@@ -192,13 +194,13 @@ def validate(mesh):
     finite = np.isfinite(mesh.vertices).all(axis=1)
     for v in np.flatnonzero(~finite):
         violations.append(f"vertex {v} has nonfinite coordinates")
-    # an infinite measure on finite vertices has overflowed; one on an
-    # infinite vertex is reported as that vertex
+    # a nonfinite measure on finite vertices has overflowed (to NaN through
+    # inf - inf, or to inf) and reads inf; one on an infinite vertex is reported as that vertex
     measures = mesh.cell_volumes
-    overflow = (measures == np.inf) & finite[mesh.cells].all(axis=1)
+    overflow = ~np.isfinite(measures) & finite[mesh.cells].all(axis=1)
     for c in np.flatnonzero(~(measures > 0) | overflow):  # NaN is not > 0 either
-        kind = "infinite" if overflow[c] else "nonpositive"
-        violations.append(f"cell {c} has {kind} measure {measures[c]:.3e}")
+        kind, value = ("infinite", np.inf) if overflow[c] else ("nonpositive", measures[c])
+        violations.append(f"cell {c} has {kind} measure {value:.3e}")
 
     owners, first = _facet_groups(mesh)
     repeated = first != np.arange(len(first))

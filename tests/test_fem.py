@@ -387,6 +387,19 @@ def test_jacobian_at_a_state_of_another_spec_runs_its_own_pass(small_shell, monk
     assert np.array_equal(b.data, assemble_jacobian(spec, small_shell, u, 0.5).data)
 
 
+def test_state_keeps_its_own_coefficients():
+    """Writing the array a State was made from after its residual changes
+    neither the state nor the Jacobian at it, which reuses that pass."""
+    spec, mesh = builtin_example(1), generate_interval_mesh(0.1, 10.0, 20)
+    a = np.ones(mesh.num_vertices)
+    state = State(a)
+    assemble_residual(spec, mesh, state, 0.5)
+    a[3] = 2.0
+    fresh = assemble_jacobian(spec, mesh, state.coefficients.copy(), 0.5)
+    assert np.array_equal(assemble_jacobian(spec, mesh, state, 0.5).data, fresh.data)
+    assert np.array_equal(state.coefficients, np.ones(mesh.num_vertices))
+
+
 class TestEnergy:
     def test_zero_spec_zero_state(self):
         mesh = generate_interval_mesh(0, 1, 3, left=Marker.ROBIN, right=Marker.ROBIN)

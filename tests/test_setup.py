@@ -1,11 +1,14 @@
 """Mesh and workspace set-up against the formulations it replaced.
 
 The references below are the earlier set-up kernels, kept as oracles:
-the icosphere built one edge at a time, cell measures from a second
-determinant pass, `validate` on a three-key lexsort and a second
-np.unique, quadrature points from one einsum, and CSR patterns from one
-np.unique over the keys of both orientations.  Every comparison is byte
-for byte (dtype, shape and bits).
+the icosphere built one edge at a time, `validate` on a three-key
+lexsort and a second np.unique, quadrature points from one einsum, and
+CSR patterns from one np.unique over the keys of both orientations.
+Cell measures are checked against a second pass of the closed-form
+kernel over the cells as they end up, so a flipped cell's negated
+measure must equal its recompute.  Every comparison is byte for byte
+(dtype, shape and bits).  The kernel itself is checked against LAPACK's
+determinant and inverse to roundoff.
 """
 
 import math
@@ -22,10 +25,10 @@ from barrierfem.mesh import (
     Marker,
     SimplicialMesh,
     _icosphere,
-    _signed_measures,
     generate_annulus_mesh,
     generate_interval_mesh,
     generate_shell_mesh,
+    simplex_geometry,
     validate,
 )
 from barrierfem.quadrature import simplex_rule
@@ -38,6 +41,12 @@ def assert_bits(got, want, name=""):
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape, name
     assert got.tobytes() == want.tobytes(), name
+
+
+def recomputed_measures(mesh):
+    """Every cell's measure from a fresh kernel pass over the mesh's cells
+    as they are now, flipped ones included."""
+    return simplex_geometry(mesh.vertices, mesh.cells)[0] / math.factorial(mesh.dim)
 
 
 def reference_icosphere(subdivisions):
@@ -88,7 +97,7 @@ def reference_validate(mesh):
         return violations
     for v in np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1)):
         violations.append(f"vertex {v} has nonfinite coordinates")
-    measures = _signed_measures(mesh.dim, mesh.vertices, mesh.cells)
+    measures = recomputed_measures(mesh)
     for c in np.flatnonzero(~(measures > 0)):
         violations.append(f"cell {c} has nonpositive measure {measures[c]:.3e}")
 
@@ -189,7 +198,7 @@ def test_icosphere_matches_reference(subdivisions):
 @pytest.mark.parametrize("generate, args, kwargs", GENERATED)
 def test_generated_mesh_matches_references(generate, args, kwargs):
     mesh = generate(*args, **kwargs)
-    assert_bits(mesh.cell_volumes, _signed_measures(mesh.dim, mesh.vertices, mesh.cells))
+    assert_bits(mesh.cell_volumes, recomputed_measures(mesh))
     assert validate(mesh) == reference_validate(mesh) == []
     assert_workspace_matches_references(mesh)
 
@@ -225,7 +234,7 @@ def perturbed_meshes(draw):
 @SETTINGS
 @given(perturbed_meshes())
 def test_perturbed_mesh_matches_references(mesh):
-    assert_bits(mesh.cell_volumes, _signed_measures(mesh.dim, mesh.vertices, mesh.cells))
+    assert_bits(mesh.cell_volumes, recomputed_measures(mesh))
     assert validate(mesh) == reference_validate(mesh)
     assert_workspace_matches_references(mesh)
 
@@ -257,6 +266,50 @@ def test_validate_messages_in_order():
         "facet (1, 0) listed more than once (markers dirichlet, robin)",
         "facet (0, 1) listed more than once (markers dirichlet, robin)",
     ]
+
+
+@st.composite
+def well_shaped_simplices(draw):
+    """(vertices, simplices): up to 8 simplices in 1, 2 or 3D, each the
+    identity edges plus at most 0.2 per entry (so every singular value is
+    at least 0.4), scaled, shifted, and with its vertices in a drawn order."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    perturbation = draw(arrays(float, (m, d, d), elements=st.floats(-0.2, 0.2)))
+    scale = draw(st.floats(1e-3, 1e3))
+    shift = draw(arrays(float, (m, 1, d), elements=st.floats(-100.0, 100.0)))
+    edges = scale * (np.eye(d) + perturbation)
+    vertices = (np.concatenate([np.zeros((m, 1, d)), edges], axis=1) + shift).reshape(-1, d)
+    order = draw(st.permutations(range(d + 1)))
+    return vertices, np.arange(m)[:, None] * (d + 1) + np.array(order, dtype=np.int64)
+
+
+@SETTINGS
+@given(well_shaped_simplices())
+def test_simplex_geometry_matches_lapack(drawn):
+    """cof / det is the inverse transpose of the edge matrix and det its
+    determinant, to roundoff (LAPACK as the oracle)."""
+    vertices, simplices = drawn
+    det, cof = simplex_geometry(vertices, simplices)
+    edges = vertices[simplices[:, 1:]] - vertices[simplices[:, :1]]
+    inv_t = np.transpose(np.linalg.inv(edges), (0, 2, 1))
+    error = np.abs(cof / det[:, None, None] - inv_t).max(axis=(1, 2))
+    assert np.all(error <= 1e-12 * np.abs(inv_t).max(axis=(1, 2)))
+    assert np.all(np.abs(det - np.linalg.det(edges)) <= 1e-13 * np.abs(det))
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.data())
+def test_simplex_geometry_swap_negates_det(dim, data):
+    """Swapping the last two vertices negates every nonzero determinant
+    bit for bit, an overflowed one included: the constructor negates the
+    measure of the cells it flips instead of recomputing it."""
+    vertices = data.draw(arrays(float, (6, dim), elements=st.floats(-1e200, 1e200)))
+    simplices = data.draw(arrays(np.int64, (8, dim + 1), elements=st.integers(0, 5)))
+    swapped = simplices.copy()
+    swapped[:, -2:] = simplices[:, -1:-3:-1]
+    det = simplex_geometry(vertices, simplices)[0]
+    nonzero = (det != 0) & ~np.isnan(det)
+    assert_bits((-simplex_geometry(vertices, swapped)[0])[nonzero], det[nonzero])
 
 
 COORDINATES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
