@@ -6,7 +6,8 @@ indefinite.  Truncated CG then returns the zero step, so plain Newton
 stalls at its start vector, and safeguarded Newton finds no descent
 direction.  With the barrier term mu u^-2 added to the Jacobian, CG
 converges at every step, and continuation in mu delivers a strictly
-positive solution.
+positive solution.  The constraint u > 0 is inactive there: the
+multiplier estimates mu/u at the last positive mu are all near zero.
 
 Run:  python demos/yamabe_barrier.py
 """
@@ -47,6 +48,11 @@ assert barrier.sign.value == "+"
 u = barrier.solution
 print(f"\nsolution range: [{u.min():.3f}, {u.max():.3f}] "
       f"(strictly positive everywhere)")
+estimates = barrier.multiplier_estimates
+last_mu = [stage.mu for stage in barrier.stages if stage.mu > 0][-1]
+print(f"multiplier estimates mu/u at mu = {last_mu:.1e}: {estimates.size} free vertices, "
+      f"in [{estimates.min():.1e}, {estimates.max():.1e}] (u > 0 is inactive)")
+assert estimates.size and estimates.max() <= 1e-5
 print("\nmu continuation:")
 for stage in barrier.stages:
     print(f"  mu = {stage.mu:<8.1e} inner iterations = {stage.newton_iterations}")

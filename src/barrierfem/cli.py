@@ -164,15 +164,6 @@ class _Entries:
                 raise ConfigError(f"key {key!r} is unknown or does not apply", line=line)
 
 
-def _to_bool(text):
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(text)
-
-
 def _to_marker(text):
     return Marker(text.lower())
 
@@ -259,10 +250,7 @@ def load_experiment(path):
                               line=ent.line_of("u0.constant"))
 
     # key solver.<name> sets the field <name>; defaults are SolverConfig's own
-    values = {
-        f.name: ent.take("solver." + f.name, f.default, _to_bool if f.type is bool else f.type)
-        for f in fields(SolverConfig)
-    }
+    values = {f.name: ent.take("solver." + f.name, f.default, f.type) for f in fields(SolverConfig)}
     try:
         solver = SolverConfig(**values)
     except ValueError as exc:  # its message starts with the field's name

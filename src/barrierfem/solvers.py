@@ -6,8 +6,8 @@
   phi_mu(u) = 0.5 ||G(u) - mu H(u)||^2;
 * barrier_solve — mu-continuation on the log-barrier energy
   J_mu(u) = J(u) - mu int ln(u), each subproblem solved by safeguarded
-  Newton warm-started from the previous minimizer, with an optional
-  final mu = 0 polish;
+  Newton warm-started from the previous minimizer, then polished at
+  mu = 0;
 * classical_barrier_minimize — the same continuation for smooth
   objectives on the positive orthant, used to validate the optimizer
   machinery on problems with known answers.
@@ -22,7 +22,8 @@ the only place a matrix is built).  Every accepted step
 stores enough data (merit values, slope, step sizes, minimum
 coefficient) to replay the Armijo, descent and feasibility
 certificates after the fact; within a stage each step's merit before
-is the previous step's merit after, bit for bit.
+is the previous step's merit after, bit for bit.  Every driver ends in
+`_finalize`: a solve converged iff its loop returned no failure reason.
 """
 
 import time
@@ -78,7 +79,6 @@ class SolverConfig:
     backtrack: float = 0.5
     max_outer: int = 60
     max_inner: int = 100
-    final_polish: bool = True
 
     def __post_init__(self):
         if not 0 < self.eps < np.inf:
@@ -125,6 +125,14 @@ class StageRecord:
 
 @dataclass
 class SolveReport:
+    """What one solve did.  converged: no failure reason, which for a PDE
+    driver (each ends at mu = 0) means ||G|| <= eps, and for the classical
+    barrier that every stage converged and mu fell below eps within
+    max_outer stages.  failure_reason: "" iff converged, else why the loop
+    stopped.  final_residual: ||G(u)|| (unbarriered), or ||grad f(x)||, at
+    the last iterate; sign: its sign on the free dofs.  multiplier_estimates:
+    mu/u on the free dofs at the end of the last positive-mu stage, if any."""
+
     method: str
     converged: bool = False
     total_newton_iterations: int = 0
@@ -341,9 +349,9 @@ def _continuation(problem, point, config, report, polish):
     """Safeguarded Newton on the stages mu0, gamma*mu0, ... >= eps (at
     most max_outer), each warm-started, then with `polish` on mu = 0.
 
-    Multiplier estimates are mu/u on the free dofs after the last positive
-    stage, empty after the polish.  Returns (point, reason); reason is "" when
-    every stage converged and, without the polish, the schedule reached mu < eps.
+    Multiplier estimates are mu/u on the free dofs at the end of the last
+    positive stage; the polish keeps them.  Returns (point, reason); reason is
+    "" when every stage converged and, without the polish, mu fell below eps.
     """
     mu = float(config.mu0)
     schedule = []
@@ -356,14 +364,17 @@ def _continuation(problem, point, config, report, polish):
             report.stages.append(stage)
         if reason:
             return point, reason
-        report.multiplier_estimates = stage_mu / point.u[problem.free] if stage_mu else np.zeros(0)
+        if stage_mu:
+            report.multiplier_estimates = stage_mu / point.u[problem.free]
     reason = f"max_outer = {config.max_outer} stages ended the schedule at mu={mu:g} >= eps"
     return point, reason if mu >= config.eps and not polish else ""
 
 
-def _finalize(report, problem, point, t0):
-    """Record the last iterate, its sign on the free dofs and ||evaluate(point, 0)||:
-    ||G(u)|| (the last residual, moved to mu = 0), or ||grad f(x)||."""
+def _finalize(report, problem, point, reason, t0):
+    """Record a loop's end: converged iff `reason` is "", the last iterate, its
+    sign on the free dofs and ||evaluate(point, 0)||: ||G(u)|| (the last residual,
+    moved to mu = 0; <= eps when a FEM loop gives no reason), or ||grad f(x)||."""
+    report.converged, report.failure_reason = not reason, reason
     final = problem.evaluate(point, 0.0)
     report.solution = np.array(final.u)
     report.sign = classify_sign(final.u[problem.free])
@@ -375,8 +386,8 @@ def _finalize(report, problem, point, t0):
 
 
 def _solve_fem(method, spec, mesh, u0, config):
-    """Run the PDE driver `method`: "newton", "safeguarded" or "barrier".
-    Converged means no failure reason and ||G|| <= eps at the last iterate."""
+    """Run the PDE driver `method`: "newton", "safeguarded" or "barrier";
+    each ends in a Newton loop at mu = 0 and then in `_finalize`."""
     config = config or SolverConfig()
     t0 = time.perf_counter()
     u = apply_dirichlet(u0, mesh, spec).coefficients
@@ -385,13 +396,10 @@ def _solve_fem(method, spec, mesh, u0, config):
         raise NonpositiveState(f"{method} requires a strictly positive start")
     report = SolveReport(method=method)
     if method == "barrier":
-        point, reason = _continuation(problem, u, config, report, config.final_polish)
+        point, reason = _continuation(problem, u, config, report, polish=True)
     else:
         point, _, reason = _newton(problem, u, 0.0, config, report, method == "safeguarded")
-    _finalize(report, problem, point, t0)
-    report.converged = not reason and report.final_residual <= config.eps
-    report.failure_reason = reason or ("" if report.converged else "unbarriered residual above eps")
-    return report
+    return _finalize(report, problem, point, reason, t0)
 
 
 def newton_standard(spec, mesh, u0, config=None):
@@ -418,10 +426,10 @@ def barrier_solve(spec, mesh, u0, config=None):
     Runs safeguarded Newton on each barrier subproblem
     [G' + mu M] w = -[G - mu H], shrinking mu by gamma whenever the
     subproblem tolerance is met and warm-starting from the previous
-    solution; once mu drops below eps a final subproblem with mu = 0
-    polishes to ||G|| <= eps (the reported, unbarriered convergence
-    test).  mu0 = 0 degenerates to safeguarded Newton on the original
-    problem.
+    solution; once mu drops below eps (or after max_outer stages) a final
+    subproblem with mu = 0 always polishes to ||G|| <= eps (the reported,
+    unbarriered convergence test).  Multiplier estimates are mu/u at the
+    last positive stage; mu0 = 0 is safeguarded Newton, with none.
     """
     return _solve_fem("barrier", spec, mesh, u0, config)
 
@@ -446,6 +454,5 @@ def classical_barrier_minimize(f, grad, hess, x0, config=None):
         raise ValueError("classical barrier requires mu0 > 0")
     problem = _DenseProblem(f, grad, hess, x.size)
     report = SolveReport(method="classical_barrier")
-    point, report.failure_reason = _continuation(problem, x, config, report, polish=False)
-    report.converged = not report.failure_reason
-    return _finalize(report, problem, point, t0).solution.copy(), report
+    point, reason = _continuation(problem, x, config, report, polish=False)
+    return _finalize(report, problem, point, reason, t0).solution.copy(), report

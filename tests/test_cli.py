@@ -303,6 +303,10 @@ class TestMainEntry:
             ("mesh.kind = interval\nsolver.max_inner = -3\n", "line 3: max_inner must be >= 0"),
             ("mesh.kind = interval\nsolver.mu0 = -1\n", "line 3: mu0 must be >= 0"),
             ("mesh.kind = interval\nsolver.eps = inf\n", "line 3: eps must be > 0 and finite"),
+            (
+                "mesh.kind = interval\nsolver.final_polish = false\n",
+                "line 3: key 'solver.final_polish' is unknown or does not apply",
+            ),
             (None, "No such file or directory"),
             ("mesh.kind = file\nmesh.path = {tmp}/none.mesh\n", "none.mesh"),
             ("mesh.kind = interval\nu0.file = {tmp}/none.txt\n", "none.txt"),
@@ -332,8 +336,8 @@ class TestMainEntry:
                 "line 4: key 'mesh.inner_marker' is unknown or does not apply",
             ),
         ],
-        ids=["gamma", "max_inner", "mu0", "eps_inf", "config_file", "mesh_path", "u0_file",
-             "u0_file_short", "u0_file_not_numeric", "u0_file_inf", "u0_constant_nan",
+        ids=["gamma", "max_inner", "mu0", "eps_inf", "final_polish", "config_file", "mesh_path",
+             "u0_file", "u0_file_short", "u0_file_not_numeric", "u0_file_inf", "u0_constant_nan",
              "u0_constant_inf", "u0_file_and_constant", "shells_outer_marker",
              "file_inner_marker"],
     )

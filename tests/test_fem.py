@@ -9,7 +9,9 @@ import pytest
 import scipy.sparse as sp
 
 from barrierfem import fem
-from barrierfem.errors import CoefficientViolation, DimensionMismatch, NonpositiveState
+from barrierfem.errors import (
+    CoefficientViolation, DimensionMismatch, InvalidGeometry, NonpositiveState,
+)
 from barrierfem.fem import (
     State,
     apply_dirichlet,
@@ -21,12 +23,13 @@ from barrierfem.fem import (
 )
 from barrierfem.mesh import (
     Marker,
+    SimplicialMesh,
     generate_annulus_mesh,
     generate_interval_mesh,
     generate_shell_mesh,
 )
 from barrierfem.problem import FeFunction, ProblemSpec, builtin_example
-from barrierfem.solvers import newton_standard
+from barrierfem.solvers import barrier_solve, newton_standard
 
 
 @pytest.fixture(scope="module")
@@ -476,6 +479,16 @@ class TestGuards:
         mesh = generate_interval_mesh(0, 1, 4)
         with pytest.raises(DimensionMismatch):
             assemble_residual(ProblemSpec(), mesh, FeFunction(np.ones(3)))
+
+    def test_degenerate_cell_is_invalid_geometry(self):
+        # a zero measure would give infinite gradients (cof / det)
+        flat = SimplicialMesh(2, [[0, 0], [1, 0], [2, 0]], [[0, 1, 2]], fix_orientation=False)
+        with pytest.raises(InvalidGeometry, match="cell 0 has measure 0.0"):
+            workspace_for(flat)
+        repeated = SimplicialMesh(1, [[0.0], [1.0], [1.0]], [[0, 1], [1, 2]], [[0], [2]],
+                                  ["dirichlet"] * 2)
+        with pytest.raises(InvalidGeometry, match="cell 1 has measure 0.0"):
+            barrier_solve(builtin_example(3), repeated, FeFunction.constant(repeated, 1.0))
 
 
 class TestManufacturedSolutions:

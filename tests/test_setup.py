@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import barrierfem.fem as fem
+from barrierfem.errors import InvalidGeometry
 from barrierfem.fem import _rule_points, _Workspace
 from barrierfem.mesh import (
     Marker,
@@ -236,6 +237,13 @@ def perturbed_meshes(draw):
 def test_perturbed_mesh_matches_references(mesh):
     assert_bits(mesh.cell_volumes, recomputed_measures(mesh))
     assert validate(mesh) == reference_validate(mesh)
+    if not np.all(mesh.cell_volumes > 0):
+        # a cell left in negative orientation would get negative weights;
+        # the same cells with their orientation fixed are compared instead
+        with pytest.raises(InvalidGeometry, match="not > 0 and finite"):
+            _Workspace(mesh)
+        markers = np.where(mesh.robin, R.value, D.value)
+        mesh = SimplicialMesh(mesh.dim, mesh.vertices, mesh.cells, mesh.facets, markers)
     assert_workspace_matches_references(mesh)
 
 

@@ -15,7 +15,8 @@ from barrierfem.mesh import (
     generate_interval_mesh,
     generate_shell_mesh,
 )
-from barrierfem.problem import FeFunction, ProblemSpec, builtin_example
+from barrierfem.cli import run_method
+from barrierfem.problem import FeFunction, ProblemSpec, builtin_example, lichnerowicz_spec
 from barrierfem import solvers
 from barrierfem.solvers import (
     Sign,
@@ -337,24 +338,31 @@ class TestBarrier:
             else:
                 assert stage.tolerance == config.eps
 
-    def test_multipliers_empty_after_polish(self, ex1_interval_reports):
-        assert ex1_interval_reports["barrier"].multiplier_estimates.size == 0
-
-    def test_multipliers_reported_without_polish(self, interval_robin):
-        config = SolverConfig(mu0=1.0, final_polish=False)
-        report = barrier_solve(
-            builtin_example(1), interval_robin, FeFunction.constant(interval_robin, 1.0), config
-        )
+    def test_multipliers_kept_after_polish(self, ex1_interval_reports):
+        # the mu = 0 polish leaves the last positive stage's estimates
+        report = ex1_interval_reports["barrier"]
+        assert report.stages[-1].mu == 0.0
         estimates = report.multiplier_estimates
-        assert estimates.size == interval_robin.num_vertices
-        assert np.all(estimates > 0)
+        assert estimates.size == report.solution.size  # every vertex is free
+        assert np.all(np.isfinite(estimates)) and np.all(estimates > 0)
+
+    def test_multipliers_at_last_positive_mu(self, interval_robin):
+        start = FeFunction.constant(interval_robin, 1.0)
+        report = barrier_solve(builtin_example(1), interval_robin, start)
+        last_mu = report.stages[-2].mu
+        assert np.isclose(last_mu, 1e-7, rtol=1e-12)  # the last mu >= eps
+        # mu/u before the polish, which moves u by O(mu) only
+        assert np.allclose(report.multiplier_estimates, last_mu / report.solution, rtol=1e-6)
+        assert np.all(report.multiplier_estimates > 0)
+        # mu0 = 0 runs no positive stage, so it has no estimate
+        report = barrier_solve(builtin_example(1), interval_robin, start, SolverConfig(mu0=0.0))
+        assert report.converged and report.multiplier_estimates.size == 0
 
     def test_multipliers_on_free_dofs_with_zero_dirichlet_data(self):
         # example 1 has u = 0 on the Dirichlet circle: mu/u is taken where
         # u > 0, and no division by zero occurs
         mesh = generate_annulus_mesh(1.0, 2.0, 4, 16, inner=Marker.DIRICHLET, outer=Marker.ROBIN)
-        config = SolverConfig(mu0=1.0, final_polish=False)
-        report = barrier_solve(builtin_example(1), mesh, FeFunction.constant(mesh, 1.0), config)
+        report = barrier_solve(builtin_example(1), mesh, FeFunction.constant(mesh, 1.0))
         assert report.converged and report.sign == Sign.POSITIVE
         free = mesh.num_vertices - len(mesh.dirichlet_vertices())
         assert report.multiplier_estimates.size == free
@@ -700,6 +708,35 @@ def test_solver_config_rejects_nonfinite_eps_and_mu0(field, value):
     # nan fails every comparison: it must not slip past the checks
     with pytest.raises(ValueError, match=f"^{field} must be "):
         SolverConfig(**{field: value})
+
+
+def test_converged_iff_no_failure_reason(interval_robin, ex1_interval_reports):
+    # _finalize decides every driver's outcome; a report for a raised error agrees
+    ones = FeFunction.constant(interval_robin, 1.0)
+    one_step = SolverConfig(max_inner=1)
+    dirichlet = generate_interval_mesh(0.1, 10, 20)
+    negative_data = lichnerowicz_spec(dirichlet_data=-1.0)  # u < 0 where fixed
+    linear = (lambda x: float(np.sum(x)), lambda x: np.ones_like(x),
+              lambda x: np.zeros((x.size, x.size)), np.array([1.0]))
+    reports = [
+        *ex1_interval_reports.values(),
+        newton_standard(builtin_example(1), interval_robin, ones, one_step),
+        newton_safeguarded(builtin_example(1), interval_robin, ones, one_step),
+        barrier_solve(builtin_example(1), interval_robin, ones, one_step),
+        barrier_solve(negative_data, dirichlet, FeFunction.constant(dirichlet, 1.0)),
+        classical_barrier_minimize(*linear)[1],
+        classical_barrier_minimize(*linear, SolverConfig(gamma=0.9))[1],
+        run_method("barrier", builtin_example(1), interval_robin,
+                   FeFunction.constant(interval_robin, -1.0), SolverConfig()),
+    ]
+    for report in reports:
+        assert report.converged == (report.failure_reason == ""), report.method
+    reasons = [report.failure_reason for report in reports]
+    assert reasons[:3] + reasons[7:8] == ["", "", "", ""]
+    assert all(reason.startswith("no convergence in 1 iterations") for reason in reasons[3:6])
+    assert reasons[6].startswith("nonpositive state: ")
+    assert reasons[8].startswith("max_outer = 60 stages")
+    assert reasons[9] == "barrier requires a strictly positive start"
 
 
 def test_reports_carry_wall_time(ex1_interval_reports):
