@@ -19,13 +19,19 @@ one more power term, p = -1 with coefficient -mu.  So the residual is
 f = G - mu H and the Jacobian B = J + mu M, with H_i = int u_h^-1 phi_i
 and M_ij = int u_h^-2 phi_j phi_i.
 
-One power pass (problem.power_sums) over the quadrature points serves
-both.  It runs in cache-sized blocks of cells, and its only full-size
-arrays are its outputs.  assemble_residual sums k_mu and, in the same
-loop over the terms, k' of the spec's terms, and weights k_mu in
-place.  Given a `State`, it keeps the pass (the spec's fields, k' and
-u^-2) on that state; assemble_jacobian at that state, at any mu, adds
-the barrier's mu u^-2 to k' and needs no pass of its own, and at
+One power pass over the quadrature points serves both.  It runs per
+row block of cells (problem._row_blocks): it gathers u at the block's
+points into a block buffer, where problem._power_kernel, the kernel of
+power_sum, sums k_mu and, in the same loop over the terms, k' of the
+spec's terms; k_mu is weighted there and taken to the cell's local
+vector.  The only full-size arrays a step makes are the k' and u^-2 the
+pass keeps and the (M, d+1) and (M, K) local arrays.  Every product is
+a matmul on a row block, so it runs on one BLAS thread, and it has the
+bits of the product over all cells (see _row_blocks); the Jacobian's
+weighted slope and the barrier gradient go per block the same way.
+Given a `State`, assemble_residual keeps the pass (the spec's fields,
+k' and u^-2) on that state; assemble_jacobian at that state, at any mu,
+adds the barrier's mu u^-2 to k' and needs no pass of its own, and at
 anything else it runs the pass.  A Newton step takes its matrix at the
 state of its last residual, so each step makes one pass, and a caller
 pays for the matrix only when it takes a step.  At a fixed u, f is
@@ -34,10 +40,14 @@ product and one bincount, no power pass), so f at a second mu costs
 f(mu1) + (mu1 - mu2) H.
 
 The workspace is built once per mesh.  Its quadrature points are
-summed one coordinate at a time over cache-sized blocks of cells, and
-its CSR patterns come from one sort of the canonical (row <= col)
-pairs and a second of those pairs and their mirrors; both give the
-arrays of the einsum and of a sort over both orientations bit for bit.
+summed one coordinate at a time over row blocks of cells, its
+gradients and their Gram products are formed per row block, and
+fields_for evaluates each field, with the diffusion and source
+products, per row block too: the only (M, Q) arrays a spec keeps are
+its varying power coefficients.  The CSR patterns come from one sort of
+the canonical (row <= col) pairs and a second of those pairs and their
+mirrors; both give the arrays of the einsum and of a sort over both
+orientations bit for bit.
 
 A and the Jacobian share one scatter.  The upper triangle of every
 local matrix goes into the canonical (row <= col) slots of the mesh's
@@ -63,7 +73,8 @@ from .errors import CoefficientViolation, DimensionMismatch, InvalidGeometry, No
 from .linalg import SparseMatrix, add_scaled  # noqa: F401
 from .mesh import simplex_geometry
 from .problem import (
-    _BLOCK_ELEMENTS, FeFunction, as_coefficients, barrier_slope, power_sum, power_sums,
+    FeFunction, _needs_inv_u2, _power_kernel, _row_blocks, as_coefficients, barrier_slope,
+    power_sum,
 )
 from .quadrature import REFERENCE_MEASURE, simplex_rule
 
@@ -92,6 +103,8 @@ class _Workspace:
     def __init__(self, mesh):
         d, n = mesh.dim, mesh.num_vertices
         vol = mesh.cell_volumes
+        if not len(vol):
+            raise InvalidGeometry("mesh has no cells")
         bad = np.flatnonzero(~((vol > 0) & (vol < np.inf)))
         if bad.size:  # the gradients below divide by each cell's det
             raise InvalidGeometry(f"cell {bad[0]} has measure {vol[bad[0]]}, not > 0 and finite")
@@ -99,11 +112,13 @@ class _Workspace:
         self.cells = cells = mesh.cells                  # (M, d+1)
         self.lam, self.qw = simplex_rule(d)              # (Q, d+1), (Q,)
         verts = mesh.vertices
-        det, cof = simplex_geometry(verts, cells)
-        grads = cof / det[:, None, None]                 # barycentric gradients 1..d
-        grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
         iu, ju = np.triu_indices(d + 1)
-        self.grad_gram = np.einsum("mkd,mkd->mk", grads[:, iu], grads[:, ju])
+        self.grad_gram = np.empty((len(cells), len(iu)))  # (M, K)
+        for b in _row_blocks(len(cells), len(iu) * d)[0]:
+            det, cof = simplex_geometry(verts, cells[b])
+            grads = cof / det[:, None, None]             # barycentric gradients 1..d
+            grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
+            self.grad_gram[b] = np.einsum("mkd,mkd->mk", grads[:, iu], grads[:, ju])
         self.phi2 = self.lam[:, iu] * self.lam[:, ju]    # (Q, K)
         self.scale = vol / REFERENCE_MEASURE[d]
         self.wq = self.scale[:, None] * self.qw          # (M, Q)
@@ -144,7 +159,7 @@ class _Workspace:
         self.full_indices = ucols.astype(np.int32)
         canonical_slot = slot[: len(canonical)]
         self.upper_slots = canonical_slot[canonical_of[:m]].astype(np.int32)
-        self.full_mirror = np.empty(len(keys), dtype=np.int64)
+        self.full_mirror = np.empty(len(keys), dtype=np.int32)
         self.full_mirror[canonical_slot] = canonical_slot
         self.full_mirror[slot[len(canonical):]] = canonical_slot[off]
         free = ~self.dirichlet_mask
@@ -184,28 +199,48 @@ class _Workspace:
         cached = self.spec_fields.get(spec)
         if cached is not None:
             return cached
+        (m, q), k = self.wq.shape, self.grad_gram.shape[1]
 
-        def at(field, facets=False):
-            """A field at the cell (or Robin facet) quadrature points."""
-            pts, wq = (self.fxq_flat, self.fwq) if facets else (self.xq_flat, self.wq)
-            return np.asarray(field(pts), dtype=float).reshape(wq.shape)
+        def at(field, rows):
+            """A field at the quadrature points of the cells `rows`."""
+            points = self.xq_flat[rows.start * q : rows.stop * q]
+            return np.asarray(field(points), dtype=float).reshape(-1, q)
 
-        diff = at(spec.diffusion)
-        if not np.all((diff > 0) & (diff < np.inf)):
-            raise CoefficientViolation("diffusion must be > 0 and finite at quadrature points")
-        coeffs = []
-        for p, c in spec.power_terms:
-            c = at(c)
-            # a constant coefficient is kept as a scalar: power_sum broadcasts it
-            coeffs.append((p, c.flat[0] if np.all(c == c.flat[0]) else c))
+        # the cells' upper-triangle stiffness and load vectors lead, the
+        # Robin facets' follow
+        local = np.empty(m * k + self.fphi2.shape[1] * len(self.fwq))
+        stiffness = local[: m * k].reshape(m, k)
+        load = np.empty(self.cells.size + self.robin_idx.size)
+        cell_load = load[: self.cells.size].reshape(self.cells.shape)
+        values = [None] * len(spec.power_terms)  # each c_p, a scalar while it is constant
+        for b in _row_blocks(m, q)[0]:
+            diff = at(spec.diffusion, b)
+            if not np.all((diff > 0) & (diff < np.inf)):
+                raise CoefficientViolation("diffusion must be > 0 and finite at quadrature points")
+            np.multiply((self.scale[b] * (diff @ self.qw))[:, None], self.grad_gram[b],
+                        out=stiffness[b])
+            np.matmul(self.wq[b] * at(spec.source, b), self.lam, out=cell_load[b])
+            for i, (_, field) in enumerate(spec.power_terms):
+                c = at(field, b)
+                value = c.flat[0] if values[i] is None else values[i]
+                if np.ndim(value) == 0 and not np.all(c == value):
+                    value = np.empty((m, q))  # at every point, from the first block that varies
+                    if b.start:
+                        value[: b.start] = at(field, slice(0, b.start))
+                if np.ndim(value):
+                    value[b] = c
+                values[i] = value
+        # a constant coefficient is kept as a scalar: power_sum broadcasts it
+        coeffs = [(p, value) for (p, _), value in zip(spec.power_terms, values)]
 
-        stiffness = (self.scale * (diff @ self.qw))[:, None] * self.grad_gram
-        robin_mass = (self.fwq * at(spec.robin_coeff, True)) @ self.fphi2
-        local = np.concatenate([stiffness.ravel(), robin_mass.ravel()])
+        def on_facets(field):
+            """A field, weighted, at the Robin facet quadrature points."""
+            return self.fwq * np.asarray(field(self.fxq_flat), dtype=float).reshape(self.fwq.shape)
+
+        local[m * k :] = (on_facets(spec.robin_coeff) @ self.fphi2).ravel()
+        load[self.cells.size :] = (on_facets(spec.robin_data) @ self.flam).ravel()
         sums = np.bincount(self.upper_slots, local, minlength=len(self.full_indices) + 1)
         sums[-1] = 1.0
-        load = [(self.wq * at(spec.source)) @ self.lam,
-                (self.fwq * at(spec.robin_data, True)) @ self.flam]
         vertices = np.concatenate([self.cells.ravel(), self.robin_idx.ravel()])
         fields = {
             "coeffs": coeffs,
@@ -213,9 +248,7 @@ class _Workspace:
                 self.full_indptr, self.full_indices, sums[self.full_mirror]
             ),
             "operator_sums": sums,
-            "load": np.bincount(
-                vertices, np.concatenate([v.ravel() for v in load]), minlength=self.num_vertices
-            ),
+            "load": np.bincount(vertices, load, minlength=self.num_vertices),
         }
         self.spec_fields[spec] = fields
         return fields
@@ -225,22 +258,20 @@ def _rule_points(lam, vertices, simplices):
     """(len(simplices) * Q, dim) physical points of the barycentric rule
     points `lam` (Q, k) on each simplex (k vertex indices).
 
-    One coordinate at a time over cache-sized blocks of simplices, each
+    One coordinate at a time over the `_row_blocks` of simplices, each
     point is 0.0 + the k products lam[q, r] * x_r summed in r order, so
     the points are bit for bit those of einsum("qk,mkd->mqd"), with no
     (M, Q, d) temporaries."""
     q, k = lam.shape
     dim = vertices.shape[1]
     points = np.empty((len(simplices), q, dim))
-    rows = max(1, _BLOCK_ELEMENTS // q)
-    for lo in range(0, len(simplices), rows):
-        block = simplices[lo : lo + rows]
+    for b in _row_blocks(len(simplices), q)[0]:
         for j in range(dim):
-            x = vertices[block, j]                               # (b, k)
+            x = vertices[simplices[b], j]                        # (b, k)
             total = np.add(0.0, np.multiply.outer(x[:, 0], lam[:, 0]))  # -0.0 becomes 0.0
             for r in range(1, k):
                 total += np.multiply.outer(x[:, r], lam[:, r])
-            points[lo : lo + rows, :, j] = total
+            points[b, :, j] = total
     return points.reshape(-1, dim)
 
 
@@ -290,10 +321,35 @@ class State(FeFunction):
         self.coefficients.setflags(write=False)
 
 
+def _at_points(ws, x):
+    """(cells, x at their quadrature points) for each of the workspace's
+    row blocks; the values are in one block buffer, overwritten by the next."""
+    q = len(ws.lam)
+    blocks, rows = _row_blocks(len(ws.cells), q)
+    buffer = np.empty(rows * q)
+    for b in blocks:
+        uq = buffer[: (b.stop - b.start) * q].reshape(-1, q)
+        yield b, np.matmul(x[ws.cells[b]], ws.lam.T, out=uq)
+
+
 def _power_pass(ws, fields, x, mu):
-    """k_mu at the quadrature points of x, and the (fields, k', u^-2) a State keeps."""
-    (k, slope), inv_u2 = power_sums(fields["coeffs"], x[ws.cells] @ ws.lam.T, (0, 1), mu)
-    return k, (fields, slope, inv_u2)
+    """The (M, d+1) local vectors int k_mu phi_i of x, and the (fields, k',
+    u^-2) a State keeps: only those two and the locals are full-size."""
+    coeffs = fields["coeffs"]
+    shape = ws.wq.shape
+    slope = np.empty(shape)
+    inv_u2 = np.empty(shape) if _needs_inv_u2(coeffs, mu) else None
+    local = np.empty(ws.cells.shape)
+    k, u2, power = np.empty((3, _row_blocks(*shape)[1] * shape[1]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for b, uq in _at_points(ws, x):
+            kb, u2b, powerb = (a[: uq.size].reshape(uq.shape) for a in (k, u2, power))
+            _power_kernel([(p, c if np.ndim(c) == 0 else c[b]) for p, c in coeffs], uq,
+                          (0, 1), mu, (kb, slope[b]), None if inv_u2 is None else inv_u2[b],
+                          u2b, powerb)
+            kb *= ws.wq[b]
+            np.matmul(kb, ws.lam, out=local[b])
+    return local, (fields, slope, inv_u2)
 
 
 def assemble_residual(spec, mesh, u, mu=0.0):
@@ -301,12 +357,11 @@ def assemble_residual(spec, mesh, u, mu=0.0):
     Dirichlet entries zeroed; at a State, keeps the pass on it."""
     x, ws, fields = _state_fields(spec, mesh, u, mu)
     linear = fields["operator"] @ x - fields["load"]
-    k, kept = _power_pass(ws, fields, x, mu)
+    local, kept = _power_pass(ws, fields, x, mu)
     if isinstance(u, State):
         u.power_pass = kept
-    with np.errstate(invalid="ignore"):  # k is +-inf at an overflowed u: f is nonfinite
-        k *= ws.wq  # in place: k is the pass's own array
-        return ws.vertex_sum(k @ ws.lam, linear)
+    with np.errstate(invalid="ignore"):  # local is +-inf at an overflowed u: f is nonfinite
+        return ws.vertex_sum(local, linear)
 
 
 def assemble_barrier_gradient(mesh, u):
@@ -314,7 +369,10 @@ def assemble_barrier_gradient(mesh, u):
     f(u, mu2) = f(u, mu1) + (mu1 - mu2) H(u); u must pass _check_state."""
     ws = workspace_for(mesh)
     u = _check_state(ws, u, True)
-    return ws.vertex_sum((ws.wq / (u[ws.cells] @ ws.lam.T)) @ ws.lam)
+    local = np.empty(ws.cells.shape)
+    for b, uq in _at_points(ws, u):
+        np.matmul(np.divide(ws.wq[b], uq, out=uq), ws.lam, out=local[b])
+    return ws.vertex_sum(local)
 
 
 def assemble_jacobian(spec, mesh, u, mu=0.0):
@@ -327,7 +385,14 @@ def assemble_jacobian(spec, mesh, u, mu=0.0):
     if kept is None or kept[0] is not fields or (mu > 0 and kept[2] is None):
         _, kept = _power_pass(ws, fields, x, mu)
     _, slope, inv_u2 = kept
-    local = (ws.wq * barrier_slope(slope, inv_u2, mu)) @ ws.phi2
+    local = np.empty(ws.grad_gram.shape)
+    blocks, rows = _row_blocks(*slope.shape)
+    buffer = np.empty(rows * slope.shape[1])
+    for b in blocks:
+        weighted = barrier_slope(slope[b], None if inv_u2 is None else inv_u2[b], mu,
+                                 buffer[: slope[b].size].reshape(-1, slope.shape[1]))
+        weighted *= ws.wq[b]
+        np.matmul(weighted, ws.phi2, out=local[b])
     data = ws.scatter(local, fields["operator_sums"])
     return SparseMatrix.from_pattern(ws.indptr, ws.indices, data)
 

@@ -186,11 +186,11 @@ def _facet_groups(mesh):
 
 
 def validate(mesh):
-    """Check the mesh invariants the constructor does not: finite
-    vertices, positive finite cell measures, and boundary facets that are
-    each listed once and a face of exactly one cell.  Returns a list of
-    violations (empty = ok)."""
-    violations = []
+    """Check the mesh invariants the constructor does not: at least one
+    cell, finite vertices, positive finite cell measures, and boundary
+    facets that are each listed once and a face of exactly one cell.
+    Returns a list of violations (empty = ok)."""
+    violations = [] if len(mesh.cells) else ["mesh has no cells"]
     finite = np.isfinite(mesh.vertices).all(axis=1)
     for v in np.flatnonzero(~finite):
         violations.append(f"vertex {v} has nonfinite coordinates")

@@ -4,12 +4,15 @@ A problem is described by a scalar diffusion field and a sum of power
 terms sum_p c_p(x) u^p with odd integer exponents; the Hamiltonian
 constraint uses p in {1, 5, -3, -7} and the Yamabe examples use subsets
 of {1, 5}.  power_sum evaluates k(u), its derivative k'(u) and its
-antiderivative (the energy density) from the same representation, and
-power_sums evaluates several of them in one pass over the terms.  The
-pass runs in cache-sized blocks of rows, and the only full-size arrays
-it makes are its outputs.  The assembly adds the barrier -mu ln u to k
-as the term (p, c) = (-1, -mu); no ProblemSpec holds it, since it has
-no power-law antiderivative.
+antiderivative (the energy density) from the same representation.  One
+kernel, _power_kernel, evaluates one block of points, for one or more
+of these orders, into the arrays it is given; power_sum runs it over
+the row blocks of u, and the assembly (fem) runs it per block of cells.
+A row block (_row_blocks) holds about _BLOCK_ELEMENTS values, so its
+temporaries stay in cache and a matrix product on it runs on one BLAS
+thread.  The only full-size array power_sum makes is its result.  The
+assembly adds the barrier -mu ln u to k as the term (p, c) = (-1, -mu);
+no ProblemSpec holds it, since it has no power-law antiderivative.
 
 Coefficient fields are closures of position: they receive an (n, dim)
 array of points and return n values, so sharp fields like 1/r^3 are
@@ -126,6 +129,78 @@ def _power_into(out, base, e):
         out[...] = base
 
 
+#: blocked passes run over the leading axis of their arrays in blocks of
+#: about this many elements, so that each block's temporaries stay in
+#: cache and its matrix products run on one BLAS thread
+_BLOCK_ELEMENTS = 2**15
+
+
+def _row_blocks(n, row):
+    """(slices, most rows) of the blocks over n rows of `row` elements.
+
+    A block has about _BLOCK_ELEMENTS elements in a multiple of 4 rows, at
+    least 4, and a last block of one row joins the block before it.  The
+    alignment is there for the matrix products on a block: OpenBLAS's
+    matrix-vector kernels take rows in groups of 4, and numpy sends a
+    one-row matmul to them, so a matmul per block has the bits of one over
+    all n rows.  That was verified with OpenBLAS 0.3.31 (Haswell kernels,
+    x86-64) at one and two threads only; on other BLAS builds or kernels
+    the per-block products are unverified."""
+    rows = max(4, _BLOCK_ELEMENTS // max(1, row) // 4 * 4)
+    starts = list(range(0, max(n, 1), rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    blocks = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+    return blocks, max(b.stop - b.start for b in blocks)
+
+
+def _needs_inv_u2(coeffs, mu):
+    """Whether a pass at mu over these terms needs u^-2."""
+    return mu > 0 or any(p < 0 for p, _ in coeffs)
+
+
+def _power_kernel(coeffs, u, derivatives, mu, totals, inv, u2, power):
+    """The power pass on one block of points, into the arrays it is given.
+
+    Each array of `totals` gets the power_sum of its order in `derivatives`
+    ((-1,), (0,), (1,) or (0, 1)) at u, with the barrier -mu ln u added to
+    order 0 after the other terms, and `inv` gets u^-2 (None when
+    _needs_inv_u2 is false).  Each c_p of `coeffs` is a scalar or an array
+    of the totals' shape; u2 (u's shape) and power (the totals') are
+    scratch.  Every step is elementwise, so a pass in blocks has the bits
+    of one over the whole array.  The caller sets np.errstate."""
+    np.multiply(u, u, out=u2)
+    if inv is not None:
+        np.divide(1.0, u2, out=inv)
+    if not coeffs:
+        for total in totals:
+            total.fill(0.0)
+    for i, (p, c) in enumerate(coeffs):
+        if p == 1:
+            term = c  # c u^0, never scaled in place: k' scales it by 1
+        else:
+            _power_into(power, u2 if p > 0 else inv, abs(p - 1) // 2)
+            power *= c
+            term = power
+        # order 0 comes first, so order 1 can scale term in place
+        for total, derivative in zip(totals, derivatives):
+            if derivative == -1:
+                term = np.divide(term, p + 1, out=power)
+            elif derivative == 1 and p != 1:
+                term *= p
+            if i:
+                total += term
+            elif np.ndim(term):
+                np.add(0.0, term, out=total)  # as from zeros: -0.0 becomes 0.0
+            else:
+                total.fill(0.0 + term)  # a scalar-to-array add is slower than a fill
+    for total, derivative in zip(totals, derivatives):
+        if derivative == 0 and mu > 0:
+            total += np.multiply(inv, -mu, out=power)
+        if derivative != 1:
+            total *= u2 if derivative == -1 else u
+
+
 def power_sum(coeffs, u, derivative=0):
     """sum_p c_p u^p (derivative 0), its u-derivative (1) or antiderivative (-1).
 
@@ -137,92 +212,47 @@ def power_sum(coeffs, u, derivative=0):
     As p is odd, u^(p-1) is a power of u^2 or u^-2, formed once per term
     by repeated multiplication: k = u sum c_p u^(p-1), k' = sum p c_p
     u^(p-1), and the antiderivative is u^2 sum c_p u^(p-1)/(p+1).
+
+    _power_kernel runs over u's `_row_blocks` (a 0-d or 1-d u, or one the
+    coefficients broadcast, in one block): a block's u^2, u^-2, scratch
+    power and part of the result stay in cache, and the result is the
+    only full-size array made.
     """
-    return power_sums(coeffs, u, (derivative,))[0][0]
-
-
-#: power_sums runs over the leading axis of u in blocks of about this
-#: many elements, so that each block's temporaries stay in cache
-_BLOCK_ELEMENTS = 2**15
-
-
-def power_sums(coeffs, u, derivatives, mu=0.0):
-    """power_sum of each order in `derivatives`, from one pass over the terms.
-
-    `derivatives` is one order, or (0, 1).  With mu > 0 the
-    barrier -mu ln u joins k (order 0) as the term (-1, -mu), added
-    after the others.  Returns (sums, inv_u2): one array per order, and
-    u^-2 when a term or the barrier needs it, else None.  barrier_slope
-    turns k' and u^-2 at one state into k'_mu there at any mu, so a
-    single pass serves k_mu and every k'_mu.
-
-    The pass runs over u's leading axis in blocks of rows (a 0-d or 1-d
-    u, or one the coefficients broadcast, in one block): a block's u^2,
-    its scratch power and its part of the totals stay in cache, and the
-    only full-size arrays made are the returned sums and u^-2.  Each
-    step is elementwise, so the sums are bit for bit those of one pass
-    over the whole array.
-    """
-    if tuple(derivatives) not in ((-1,), (0,), (1,), (0, 1)):
-        raise ValueError(f"derivative must be -1, 0 or 1, or (0, 1); got {derivatives}")
-    if -1 in derivatives and any(p == -1 for p, _ in coeffs):
+    if derivative not in (-1, 0, 1):
+        raise ValueError(f"derivative must be -1, 0 or 1; got {derivative}")
+    if derivative == -1 and any(p == -1 for p, _ in coeffs):
         raise ValueError("exponent -1 has no power-law antiderivative")
     u = np.asarray(u, dtype=float)
     shape = np.broadcast_shapes(u.shape, *(np.shape(c) for _, c in coeffs))
-    # each total starts as 0.0 + its first term; with no terms it stays 0
-    totals = [(np.empty if coeffs else np.zeros)(shape) for _ in derivatives]
-    inv_u2 = np.empty(u.shape) if mu > 0 or any(p < 0 for p, _ in coeffs) else None
-    coeffs = [(p, c if np.ndim(c) == 0 else np.broadcast_to(c, shape)) for p, c in coeffs]
-    if u.ndim < 2 or u.shape != shape:
-        blocks = [...]
-        u2_buf, power_buf = np.empty(u.size), np.empty(math.prod(shape))
-    else:
+    total = np.empty(shape)
+    if u.ndim > 1 and u.shape == shape:
         row = math.prod(shape[1:])
-        rows = max(1, _BLOCK_ELEMENTS // max(1, row))
-        blocks = [slice(lo, lo + rows) for lo in range(0, len(u), rows)]
-        u2_buf, power_buf = np.empty((2, min(rows, len(u)) * row))
+        blocks, rows = _row_blocks(len(u), row)
+        size = rows * row
+        coeffs = [(p, c if np.ndim(c) == 0 else np.broadcast_to(c, shape)) for p, c in coeffs]
+    else:
+        blocks, size = [...], total.size
+    needs_inv = _needs_inv_u2(coeffs, 0.0)
+    u2_buf, inv_buf, power_buf = np.empty((3, size))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for block in blocks:
-            ub = u[block]
-            block_totals = [total[block] for total in totals]
-            u2 = np.multiply(ub, ub, out=u2_buf[: ub.size].reshape(ub.shape))
-            inv = None if inv_u2 is None else np.divide(1.0, u2, out=inv_u2[block])
-            power = power_buf[: block_totals[0].size].reshape(block_totals[0].shape)
-            for i, (p, c) in enumerate(coeffs):
-                c = c if np.ndim(c) == 0 else c[block]
-                if p == 1:
-                    term = c  # c u^0, never scaled in place: k' scales it by 1
-                else:
-                    _power_into(power, u2 if p > 0 else inv, abs(p - 1) // 2)
-                    power *= c
-                    term = power
-                # order 0 comes first, so order 1 can scale term in place
-                for total, derivative in zip(block_totals, derivatives):
-                    if derivative == -1:
-                        term = np.divide(term, p + 1, out=power)
-                    elif derivative == 1 and p != 1:
-                        term *= p
-                    if i:
-                        total += term
-                    elif np.ndim(term):
-                        np.add(0.0, term, out=total)  # as from zeros: -0.0 becomes 0.0
-                    else:
-                        total.fill(0.0 + term)  # a scalar-to-array add is slower than a fill
-            for total, derivative in zip(block_totals, derivatives):
-                if derivative == 0 and mu > 0:
-                    total += np.multiply(inv, -mu, out=power)
-                if derivative != 1:
-                    total *= u2 if derivative == -1 else ub
-    return totals, inv_u2
+            ub, tb = u[block], total[block]
+            u2, inv = (buf[: ub.size].reshape(ub.shape) for buf in (u2_buf, inv_buf))
+            _power_kernel([(p, c if np.ndim(c) == 0 else c[block]) for p, c in coeffs],
+                          ub, (derivative,), 0.0, (tb,), inv if needs_inv else None, u2,
+                          power_buf[: tb.size].reshape(tb.shape))
+    return total
 
 
-def barrier_slope(slope, inv_u2, mu):
-    """k'_mu = k' + mu u^-2 from k' and u^-2 of power_sums: the slope of
-    the barrier term (-1, -mu), added after the others as in power_sum."""
+def barrier_slope(slope, inv_u2, mu, out):
+    """out = k'_mu = k' + mu u^-2 from k' and u^-2 of a power pass: the
+    slope of the barrier term (-1, -mu), added after the others as in
+    _power_kernel."""
     if not mu > 0:
-        return slope
+        out[...] = slope
+        return out
     with np.errstate(invalid="ignore", over="ignore"):
-        return slope + mu * inv_u2
+        return np.add(slope, np.multiply(inv_u2, mu, out=out), out=out)
 
 
 def lichnerowicz_spec(

@@ -309,6 +309,7 @@ class TestMainEntry:
             ),
             (None, "No such file or directory"),
             ("mesh.kind = file\nmesh.path = {tmp}/none.mesh\n", "none.mesh"),
+            ("mesh.kind = file\nmesh.path = {tmp}/empty.mesh\n", "mesh has no cells"),
             ("mesh.kind = interval\nu0.file = {tmp}/none.txt\n", "none.txt"),
             (
                 "mesh.kind = interval\nmesh.n_cells = 8\nmesh.inner_marker = dirichlet\n"
@@ -337,6 +338,7 @@ class TestMainEntry:
             ),
         ],
         ids=["gamma", "max_inner", "mu0", "eps_inf", "final_polish", "config_file", "mesh_path",
+             "mesh_without_cells",
              "u0_file", "u0_file_short", "u0_file_not_numeric", "u0_file_inf", "u0_constant_nan",
              "u0_constant_inf", "u0_file_and_constant", "shells_outer_marker",
              "file_inner_marker"],
@@ -346,6 +348,9 @@ class TestMainEntry:
         (tmp_path / "words.txt").write_text("one\ntwo\n")
         (tmp_path / "short_inf.txt").write_text("1.0\ninf\n1.0\n")
         save_mesh(generate_interval_mesh(0.1, 10, 4), tmp_path / "iv.mesh")
+        (tmp_path / "empty.mesh").write_text(
+            "dim 1\nvertices 2\n0.0\n1.0\ncells 0\nboundary_facets 0\n"
+        )
         cfg = tmp_path / "exp.cfg"
         if text is not None:
             cfg.write_text("problem.example = 1\n" + text.format(tmp=tmp_path))

@@ -1,20 +1,23 @@
 """Assembly: residual/Jacobian/energy consistency, constraints, MMS."""
 
+import functools
 import gc
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from barrierfem import fem
+from barrierfem import fem, problem
 from barrierfem.errors import (
     CoefficientViolation, DimensionMismatch, InvalidGeometry, NonpositiveState,
 )
 from barrierfem.fem import (
     State,
     apply_dirichlet,
+    assemble_barrier_gradient,
     assemble_jacobian,
     assemble_residual,
     compute_energy,
@@ -360,6 +363,91 @@ class TestAssemblyPattern:
             assert np.array_equal(b[:, mask], eye[:, mask])
 
 
+#: _BLOCK_ELEMENTS values for TestBlocks.  1 is below Q, so every pass
+#: takes the 4-row floor (the 1D mesh's 9 cells as 4 + 5: a last row joins
+#: the block before it); 150 and 660 give ragged last blocks (2D: 20-row
+#: blocks of the pass, 3D: 44-row blocks of the pass and 20-row ones of
+#: grad_gram's)
+BLOCK_ELEMENTS = [1, 150, 660]
+
+
+@functools.cache
+def _blocked_values(name, block_elements):
+    """What the per-block passes give on a new MIXED_MESHES[name] at
+    _BLOCK_ELEMENTS = block_elements (None: the module's own, one block on
+    these meshes): the workspace's grad_gram, fields_for's A, b and
+    coefficients, and at a positive state the residual, the Jacobian data
+    (from the residual's kept pass and from a pass of its own) and the
+    barrier gradient."""
+    size = block_elements or problem._BLOCK_ELEMENTS
+    with mock.patch.object(problem, "_BLOCK_ELEMENTS", size):
+        mesh = MIXED_MESHES[name]()
+        ws = workspace_for(mesh)
+        # constant on the first 4-row block and varying after it, so that
+        # fields_for keeps it at every point only from a later block
+        cut = ws.xq_flat[: 4 * len(ws.lam), 0].max()
+        spec = replace(
+            PATTERN_SPEC,
+            power_terms=((1, 1.0), (-3, lambda x: np.maximum(np.atleast_2d(x)[:, 0], cut)),
+                         (5, lambda x: 1.0 + 0.1 * np.atleast_2d(x)[:, -1] ** 2)),
+            source=lambda x: 3.0 + np.sum(np.atleast_2d(x), axis=1),
+        )
+        fields = ws.fields_for(spec)
+        values = {
+            "grad_gram": ws.grad_gram,
+            "operator": fields["operator"].data,
+            "load": fields["load"],
+            "coeffs": [(p, np.ndim(c), np.asarray(c)) for p, c in fields["coeffs"]],
+        }
+        u = apply_dirichlet(random_positive_state(mesh, seed=3)[0], mesh, spec).coefficients
+        for mu in (0.0, 0.7):
+            state = State(u)
+            values[f"residual at {mu}"] = assemble_residual(spec, mesh, state, mu)
+            values[f"kept-pass jacobian at {mu}"] = assemble_jacobian(spec, mesh, state, mu).data
+            values[f"jacobian at {mu}"] = assemble_jacobian(spec, mesh, u, mu).data
+        values["barrier gradient"] = assemble_barrier_gradient(mesh, u)
+    return values
+
+
+def _assert_same_bits(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block_elements", BLOCK_ELEMENTS)
+@pytest.mark.parametrize("name", sorted(MIXED_MESHES))
+class TestBlocks:
+    """Every per-block pass gives the bits of its default blocks at blocks
+    of a few rows."""
+
+    def assert_blocked_matches(self, name, block_elements, *keys):
+        blocked, default = _blocked_values(name, block_elements), _blocked_values(name, None)
+        for key in keys:
+            _assert_same_bits(blocked[key], default[key])
+
+    def test_grad_gram(self, name, block_elements):
+        self.assert_blocked_matches(name, block_elements, "grad_gram")
+
+    def test_fields(self, name, block_elements):
+        self.assert_blocked_matches(name, block_elements, "operator", "load")
+        blocked, default = _blocked_values(name, block_elements), _blocked_values(name, None)
+        assert [c[:2] for c in default["coeffs"]] == [(1, 0), (-3, 2), (5, 2)]
+        assert [c[:2] for c in blocked["coeffs"]] == [c[:2] for c in default["coeffs"]]
+        for got, want in zip(blocked["coeffs"], default["coeffs"]):
+            _assert_same_bits(got[2], want[2])
+
+    def test_residual(self, name, block_elements):
+        self.assert_blocked_matches(name, block_elements, "residual at 0.0", "residual at 0.7")
+
+    def test_jacobian(self, name, block_elements):
+        self.assert_blocked_matches(name, block_elements, *(
+            f"{kind}jacobian at {mu}" for kind in ("", "kept-pass ") for mu in (0.0, 0.7)
+        ))
+
+    def test_barrier_gradient(self, name, block_elements):
+        self.assert_blocked_matches(name, block_elements, "barrier gradient")
+
+
 def test_workspace_freed_with_mesh():
     """A State's power pass, which the residual keeps for the Jacobian,
     does not keep a mesh's workspace alive."""
@@ -382,9 +470,9 @@ def test_jacobian_at_a_state_of_another_spec_runs_its_own_pass(small_shell, monk
     assemble_residual(builtin_example(1), small_shell, state, 0.5)
     spec = builtin_example(3)
     passes = []
-    real_power_sums = fem.power_sums
-    monkeypatch.setattr(fem, "power_sums",
-                        lambda *a, **k: passes.append(1) or real_power_sums(*a, **k))
+    real_pass = fem._power_pass
+    monkeypatch.setattr(fem, "_power_pass",
+                        lambda *a, **k: passes.append(1) or real_pass(*a, **k))
     b = assemble_jacobian(spec, small_shell, state, 0.5)
     assert len(passes) == 1
     assert np.array_equal(b.data, assemble_jacobian(spec, small_shell, u, 0.5).data)
@@ -489,6 +577,11 @@ class TestGuards:
                                   ["dirichlet"] * 2)
         with pytest.raises(InvalidGeometry, match="cell 1 has measure 0.0"):
             barrier_solve(builtin_example(3), repeated, FeFunction.constant(repeated, 1.0))
+
+    def test_mesh_without_cells_is_invalid_geometry(self):
+        # the constructor takes it (load_mesh then fails validation)
+        with pytest.raises(InvalidGeometry, match="mesh has no cells"):
+            workspace_for(SimplicialMesh(1, [[0.0], [1.0]], []))
 
 
 class TestManufacturedSolutions:

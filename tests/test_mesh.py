@@ -488,6 +488,14 @@ class TestMeshIO:
             load_mesh(path)
         assert err.value.line == line
 
+    def test_file_without_cells_is_invalid(self, tmp_path):
+        # it parses, but a mesh needs a cell to assemble anything on
+        path = tmp_path / "empty.mesh"
+        path.write_text("dim 1\nvertices 2\n0.0\n1.0\ncells 0\nboundary_facets 0\n")
+        with pytest.raises(ValidationError) as err:
+            load_mesh(path)
+        assert err.value.violations == ["mesh has no cells"]
+
     @pytest.mark.parametrize("lines", [VALID_1D, VALID_3D], ids=["1d", "3d"])
     def test_malformed_table_base_is_valid(self, tmp_path, lines):
         path = tmp_path / "ok.mesh"

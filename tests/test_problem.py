@@ -21,7 +21,6 @@ from barrierfem.problem import (
     constant_field,
     lichnerowicz_spec,
     power_sum,
-    power_sums,
     radial_field,
 )
 
@@ -200,8 +199,8 @@ class TestPowerSumAccuracy:
 
 
 def whole_array_power_sums(coeffs, u, derivatives, mu=0.0):
-    """power_sums as one pass over the whole array, every temporary of
-    u's size: what the blocked pass must give bit for bit."""
+    """The power pass as one pass over the whole array, every temporary
+    of u's size: what the blocked passes must give bit for bit."""
 
     def power_into(out, base, e):
         square = base
@@ -249,13 +248,32 @@ def assert_same_bits(got, want):
         assert got.tobytes() == want.tobytes()  # unlike ==, tells -0.0 from 0.0 and NaN apart
 
 
+def kernel_pass(coeffs, u, derivatives, mu):
+    """_power_kernel over the _row_blocks of an (M, Q) u, as fem's pass
+    runs it: (totals, u^-2 or None)."""
+    totals = [np.empty(u.shape) for _ in derivatives]
+    inv_u2 = np.empty(u.shape) if problem._needs_inv_u2(coeffs, mu) else None
+    u2, power = np.empty((2, *u.shape))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for b in problem._row_blocks(*u.shape)[0]:
+            problem._power_kernel([(p, c if np.ndim(c) == 0 else c[b]) for p, c in coeffs],
+                                  u[b], derivatives, mu, [total[b] for total in totals],
+                                  None if inv_u2 is None else inv_u2[b], u2[b], power[b])
+    return totals, inv_u2
+
+
 def assert_pass_matches_whole_array(coeffs, u, derivatives, mu):
-    sums, inv_u2 = power_sums(coeffs, u, derivatives, mu)
+    """The kernel in blocks of an (M, Q) u, and power_sum for one order at
+    mu = 0, give the whole-array pass bit for bit."""
     want_sums, want_inv_u2 = whole_array_power_sums(coeffs, u, derivatives, mu)
-    assert len(sums) == len(want_sums)
-    for got, want in zip(sums, want_sums):
-        assert_same_bits(got, want)
-    assert_same_bits(inv_u2, want_inv_u2)
+    if np.ndim(u) == 2 and all(np.shape(c) in ((), np.shape(u)) for _, c in coeffs):
+        sums, inv_u2 = kernel_pass(coeffs, u, derivatives, mu)
+        assert len(sums) == len(want_sums)
+        for got, want in zip(sums, want_sums):
+            assert_same_bits(got, want)
+        assert_same_bits(inv_u2, want_inv_u2)
+    if len(derivatives) == 1 and mu == 0:
+        assert_same_bits(power_sum(coeffs, u, derivatives[0]), want_sums[0])
 
 
 ORDERS = [(-1,), (0,), (1,), (0, 1)]
@@ -286,7 +304,8 @@ def pass_inputs(draw):
 
 
 class TestBlockedPass:
-    """power_sums runs in row blocks, bit for bit the whole-array pass."""
+    """The power kernel runs in row blocks, in power_sum and as fem runs it,
+    bit for bit the whole-array pass."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(pass_inputs())
@@ -315,12 +334,14 @@ class TestBlockedPass:
 
     @pytest.mark.parametrize("derivatives", ORDERS)
     def test_one_block_shapes(self, derivatives):
-        # 0-d and 1-d u, and a u that a coefficient broadcasts, run as one block
+        # power_sum runs a 0-d or 1-d u, and a u that a coefficient
+        # broadcasts, as one block
         terms = [(1, 2.0), (5, np.linspace(0.5, 1.5, 6).reshape(2, 3)), (-3, -1.0)]
         for u in (np.float64(1.3), np.linspace(0.2, 4.0, 7), np.full((1, 3), 0.8)):
             coeffs = terms if np.ndim(u) == 2 else terms[::2]
-            assert_pass_matches_whole_array(coeffs, u, derivatives, 0.3)
-            assert_pass_matches_whole_array([], u, derivatives, 0.3)
+            for derivative in derivatives:
+                assert_pass_matches_whole_array(coeffs, u, (derivative,), 0.0)
+                assert_pass_matches_whole_array([], u, (derivative,), 0.0)
 
 
 class TestPositivity:

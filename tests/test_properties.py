@@ -109,7 +109,7 @@ def test_jacobian_after_residual_equals_a_cold_one(case):
         kept = state.power_pass
         for m in (residual_mu, 0.1 * mu, 0.0, mu):
             cold = assemble_jacobian(spec, mesh, u, m).data
-            with mock.patch.object(fem, "power_sums", wraps=fem.power_sums) as passes:
+            with mock.patch.object(fem, "_power_pass", wraps=fem._power_pass) as passes:
                 warm = assemble_jacobian(spec, mesh, state, m).data
             assert np.array_equal(warm, cold)
             assert passes.call_count == (0 if kept[2] is not None or m == 0 else 1)
