@@ -19,16 +19,18 @@ one more power term, p = -1 with coefficient -mu.  So the residual is
 f = G - mu H and the Jacobian B = J + mu M, with H_i = int u_h^-1 phi_i
 and M_ij = int u_h^-2 phi_j phi_i.
 
-One power pass over the quadrature points serves both.  It runs per
-row block of cells (problem._row_blocks): it gathers u at the block's
-points into a block buffer, where problem._power_kernel, the kernel of
-power_sum, sums k_mu and, in the same loop over the terms, k' of the
-spec's terms; k_mu is weighted there and taken to the cell's local
-vector.  The only full-size arrays a step makes are the k' and u^-2 the
-pass keeps and the (M, d+1) and (M, K) local arrays.  Every product is
-a matmul on a row block, so it runs on one BLAS thread, and it has the
-bits of the product over all cells (see _row_blocks); the Jacobian's
-weighted slope and the barrier gradient go per block the same way.
+This module owns the row blocks (_row_blocks, about _BLOCK_ELEMENTS
+values each), and one walker, _at_points, hands each pass over the
+quadrature points its cells, u at their points and block scratch.  One
+power pass serves the residual and the Jacobian: problem._power_kernel,
+power_sum's kernel, sums k_mu and, in the same loop over the terms, k';
+k_mu is weighted there and taken to the cells' local vectors.  The only
+full-size arrays a step makes are the k' and u^-2 the pass keeps and
+the (M, d+1) and (M, K) locals.  Every product is a matmul on a row
+block, so it runs on one BLAS thread, and it has the bits of the
+product over all cells (see _row_blocks).  The Jacobian's weighted
+slope and the barrier gradient go per block the same way, and
+compute_energy and l2_error fill their one (M, Q) integrand per block.
 Given a `State`, assemble_residual keeps the pass (the spec's fields,
 k' and u^-2) on that state; assemble_jacobian at that state, at any mu,
 adds the barrier's mu u^-2 to k' and needs no pass of its own, and at
@@ -72,11 +74,32 @@ from .errors import CoefficientViolation, DimensionMismatch, InvalidGeometry, No
 # add_scaled is unused here; the traced benchmark run wraps fem.add_scaled
 from .linalg import SparseMatrix, add_scaled  # noqa: F401
 from .mesh import simplex_geometry
-from .problem import (
-    FeFunction, _needs_inv_u2, _power_kernel, _row_blocks, as_coefficients, barrier_slope,
-    power_sum,
-)
+from .problem import FeFunction, _power_kernel, as_coefficients
 from .quadrature import REFERENCE_MEASURE, simplex_rule
+
+#: blocked passes run over the leading axis of their arrays in blocks of
+#: about this many elements, so that each block's temporaries stay in
+#: cache and its matrix products run on one BLAS thread
+_BLOCK_ELEMENTS = 2**15
+
+
+def _row_blocks(n, row):
+    """(slices, most rows) of the blocks over n rows of `row` elements.
+
+    A block has about _BLOCK_ELEMENTS elements in a multiple of 4 rows, at
+    least 4, and a last block of one row joins the block before it.  The
+    alignment is there for the matrix products on a block: OpenBLAS's
+    matrix-vector kernels take rows in groups of 4, and numpy sends a
+    one-row matmul to them, so a matmul per block has the bits of one over
+    all n rows.  That was verified with OpenBLAS 0.3.31 (Haswell kernels,
+    x86-64) at one and two threads only; on other BLAS builds or kernels
+    the per-block products are unverified."""
+    rows = max(4, _BLOCK_ELEMENTS // max(1, row) // 4 * 4)
+    starts = list(range(0, max(n, 1), rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    blocks = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+    return blocks, max(b.stop - b.start for b in blocks)
 
 
 class _Workspace:
@@ -230,7 +253,7 @@ class _Workspace:
                 if np.ndim(value):
                     value[b] = c
                 values[i] = value
-        # a constant coefficient is kept as a scalar: power_sum broadcasts it
+        # a constant coefficient is kept as a scalar: the power kernel broadcasts it
         coeffs = [(p, value) for (p, _), value in zip(spec.power_terms, values)]
 
         def on_facets(field):
@@ -287,8 +310,9 @@ def workspace_for(mesh):
 
 
 def _check_state(ws, u, positive):
-    """u as coefficients; with `positive`, u must be > 0 at every free
-    vertex and >= 0 at every vertex (zero Dirichlet data is allowed)."""
+    """u as the coefficients of ws, a workspace (or a mesh, without `positive`);
+    with `positive`, u must be > 0 at every free vertex and >= 0 at every
+    vertex (zero Dirichlet data is allowed)."""
     u = as_coefficients(u)
     if len(u) != ws.num_vertices:
         raise DimensionMismatch(
@@ -321,34 +345,34 @@ class State(FeFunction):
         self.coefficients.setflags(write=False)
 
 
-def _at_points(ws, x):
-    """(cells, x at their quadrature points) for each of the workspace's
-    row blocks; the values are in one block buffer, overwritten by the next."""
+def _at_points(ws, x, scratch=0):
+    """(cells, x at their quadrature points, *scratch) for each of the
+    workspace's row blocks: (rows, Q) views of block buffers that the next
+    block overwrites.  With x None, the first view is scratch too."""
     q = len(ws.lam)
     blocks, rows = _row_blocks(len(ws.cells), q)
-    buffer = np.empty(rows * q)
+    buffers = np.empty((1 + scratch, rows * q))
     for b in blocks:
-        uq = buffer[: (b.stop - b.start) * q].reshape(-1, q)
-        yield b, np.matmul(x[ws.cells[b]], ws.lam.T, out=uq)
+        views = [a[: (b.stop - b.start) * q].reshape(-1, q) for a in buffers]
+        if x is not None:
+            np.matmul(x[ws.cells[b]], ws.lam.T, out=views[0])
+        yield b, *views
 
 
 def _power_pass(ws, fields, x, mu):
     """The (M, d+1) local vectors int k_mu phi_i of x, and the (fields, k',
     u^-2) a State keeps: only those two and the locals are full-size."""
     coeffs = fields["coeffs"]
-    shape = ws.wq.shape
-    slope = np.empty(shape)
-    inv_u2 = np.empty(shape) if _needs_inv_u2(coeffs, mu) else None
+    slope = np.empty(ws.wq.shape)
+    inv_u2 = np.empty(ws.wq.shape) if mu > 0 or any(p < 0 for p, _ in coeffs) else None
     local = np.empty(ws.cells.shape)
-    k, u2, power = np.empty((3, _row_blocks(*shape)[1] * shape[1]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for b, uq in _at_points(ws, x):
-            kb, u2b, powerb = (a[: uq.size].reshape(uq.shape) for a in (k, u2, power))
+        for b, uq, k, u2, power in _at_points(ws, x, 3):
             _power_kernel([(p, c if np.ndim(c) == 0 else c[b]) for p, c in coeffs], uq,
-                          (0, 1), mu, (kb, slope[b]), None if inv_u2 is None else inv_u2[b],
-                          u2b, powerb)
-            kb *= ws.wq[b]
-            np.matmul(kb, ws.lam, out=local[b])
+                          (0, 1), mu, (k, slope[b]), None if inv_u2 is None else inv_u2[b],
+                          u2, power)
+            k *= ws.wq[b]
+            np.matmul(k, ws.lam, out=local[b])
     return local, (fields, slope, inv_u2)
 
 
@@ -386,12 +410,14 @@ def assemble_jacobian(spec, mesh, u, mu=0.0):
         _, kept = _power_pass(ws, fields, x, mu)
     _, slope, inv_u2 = kept
     local = np.empty(ws.grad_gram.shape)
-    blocks, rows = _row_blocks(*slope.shape)
-    buffer = np.empty(rows * slope.shape[1])
-    for b in blocks:
-        weighted = barrier_slope(slope[b], None if inv_u2 is None else inv_u2[b], mu,
-                                 buffer[: slope[b].size].reshape(-1, slope.shape[1]))
-        weighted *= ws.wq[b]
+    for b, weighted in _at_points(ws, None):
+        # k'_mu = k' + mu u^-2, the barrier term added last as in the kernel
+        if mu > 0:
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.add(slope[b], np.multiply(inv_u2[b], mu, out=weighted), out=weighted)
+            weighted *= ws.wq[b]
+        else:
+            np.multiply(slope[b], ws.wq[b], out=weighted)
         np.matmul(weighted, ws.phi2, out=local[b])
     data = ws.scatter(local, fields["operator_sums"])
     return SparseMatrix.from_pattern(ws.indptr, ws.indices, data)
@@ -400,17 +426,21 @@ def assemble_jacobian(spec, mesh, u, mu=0.0):
 def compute_energy(spec, mesh, u, mu=0.0):
     """0.5 u.Au - b.u + int K(u_h), and the barrier -mu*int(ln u_h) when mu > 0."""
     u, ws, fields = _state_fields(spec, mesh, u, mu)
-    uq = u[ws.cells] @ ws.lam.T
-    density = power_sum(fields["coeffs"], uq, derivative=-1)
-    if mu > 0:
-        density -= mu * np.log(uq)
+    coeffs = fields["coeffs"]
+    density = np.empty(ws.wq.shape)
+    for b, uq, u2, power, inv in _at_points(ws, u, 3):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _power_kernel([(p, c if np.ndim(c) == 0 else c[b]) for p, c in coeffs], uq,
+                          (-1,), 0.0, (density[b],), inv, u2, power)
+        if mu > 0:
+            density[b] -= np.multiply(np.log(uq, out=power), mu, out=power)
     linear = 0.5 * (fields["operator"] @ u) - fields["load"]
     return float(u @ linear) + float(np.einsum("mq,mq->", ws.wq, density))
 
 
 def apply_dirichlet(u, mesh, spec):
     """Overwrite Dirichlet-vertex coefficients with the boundary data."""
-    coeffs = as_coefficients(u).copy()
+    coeffs = _check_state(mesh, u, False).copy()
     dv = mesh.dirichlet_vertices()
     if dv.size:
         coeffs[dv] = spec.dirichlet_data(mesh.vertices[dv])
@@ -419,8 +449,11 @@ def apply_dirichlet(u, mesh, spec):
 
 def l2_error(mesh, u, exact):
     """L2 norm of u_h - exact over the mesh (degree-5 quadrature)."""
-    u = as_coefficients(u)
     ws = workspace_for(mesh)
-    uq = u[ws.cells] @ ws.lam.T
-    eq = np.asarray(exact(ws.xq_flat), dtype=float).reshape(uq.shape)
-    return float(np.sqrt(np.einsum("mq,mq->", ws.wq, (uq - eq) ** 2)))
+    u = _check_state(ws, u, False)
+    q = len(ws.lam)
+    square = np.empty(ws.wq.shape)
+    for b, uq in _at_points(ws, u):
+        eq = np.asarray(exact(ws.xq_flat[b.start * q : b.stop * q]), dtype=float).reshape(-1, q)
+        np.square(np.subtract(uq, eq, out=square[b]), out=square[b])
+    return float(np.sqrt(np.einsum("mq,mq->", ws.wq, square)))

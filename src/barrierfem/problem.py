@@ -3,16 +3,14 @@
 A problem is described by a scalar diffusion field and a sum of power
 terms sum_p c_p(x) u^p with odd integer exponents; the Hamiltonian
 constraint uses p in {1, 5, -3, -7} and the Yamabe examples use subsets
-of {1, 5}.  power_sum evaluates k(u), its derivative k'(u) and its
-antiderivative (the energy density) from the same representation.  One
-kernel, _power_kernel, evaluates one block of points, for one or more
-of these orders, into the arrays it is given; power_sum runs it over
-the row blocks of u, and the assembly (fem) runs it per block of cells.
-A row block (_row_blocks) holds about _BLOCK_ELEMENTS values, so its
-temporaries stay in cache and a matrix product on it runs on one BLAS
-thread.  The only full-size array power_sum makes is its result.  The
-assembly adds the barrier -mu ln u to k as the term (p, c) = (-1, -mu);
-no ProblemSpec holds it, since it has no power-law antiderivative.
+of {1, 5}.  Everything here is pointwise.  power_sum evaluates k(u),
+its derivative k'(u) and its antiderivative (the energy density) from
+the same representation, as one call of the kernel _power_kernel, which
+evaluates one array of points, for one or more of these orders, into
+the arrays it is given.  The assembly (fem) runs the same kernel per
+row block of cells, and adds the barrier -mu ln u to k as the term
+(p, c) = (-1, -mu); no ProblemSpec holds it, since it has no power-law
+antiderivative.
 
 Coefficient fields are closures of position: they receive an (n, dim)
 array of points and return n values, so sharp fields like 1/r^3 are
@@ -129,44 +127,14 @@ def _power_into(out, base, e):
         out[...] = base
 
 
-#: blocked passes run over the leading axis of their arrays in blocks of
-#: about this many elements, so that each block's temporaries stay in
-#: cache and its matrix products run on one BLAS thread
-_BLOCK_ELEMENTS = 2**15
-
-
-def _row_blocks(n, row):
-    """(slices, most rows) of the blocks over n rows of `row` elements.
-
-    A block has about _BLOCK_ELEMENTS elements in a multiple of 4 rows, at
-    least 4, and a last block of one row joins the block before it.  The
-    alignment is there for the matrix products on a block: OpenBLAS's
-    matrix-vector kernels take rows in groups of 4, and numpy sends a
-    one-row matmul to them, so a matmul per block has the bits of one over
-    all n rows.  That was verified with OpenBLAS 0.3.31 (Haswell kernels,
-    x86-64) at one and two threads only; on other BLAS builds or kernels
-    the per-block products are unverified."""
-    rows = max(4, _BLOCK_ELEMENTS // max(1, row) // 4 * 4)
-    starts = list(range(0, max(n, 1), rows))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    blocks = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
-    return blocks, max(b.stop - b.start for b in blocks)
-
-
-def _needs_inv_u2(coeffs, mu):
-    """Whether a pass at mu over these terms needs u^-2."""
-    return mu > 0 or any(p < 0 for p, _ in coeffs)
-
-
 def _power_kernel(coeffs, u, derivatives, mu, totals, inv, u2, power):
-    """The power pass on one block of points, into the arrays it is given.
+    """The power pass on an array of points, into the arrays it is given.
 
     Each array of `totals` gets the power_sum of its order in `derivatives`
     ((-1,), (0,), (1,) or (0, 1)) at u, with the barrier -mu ln u added to
-    order 0 after the other terms, and `inv` gets u^-2 (None when
-    _needs_inv_u2 is false).  Each c_p of `coeffs` is a scalar or an array
-    of the totals' shape; u2 (u's shape) and power (the totals') are
+    order 0 after the other terms, and `inv` gets u^-2 (None when neither
+    mu > 0 nor any p < 0 needs it).  Each c_p of `coeffs` broadcasts to
+    the totals' shape; u2 (u's shape) and power (the totals') are
     scratch.  Every step is elementwise, so a pass in blocks has the bits
     of one over the whole array.  The caller sets np.errstate."""
     np.multiply(u, u, out=u2)
@@ -211,48 +179,21 @@ def power_sum(coeffs, u, derivative=0):
 
     As p is odd, u^(p-1) is a power of u^2 or u^-2, formed once per term
     by repeated multiplication: k = u sum c_p u^(p-1), k' = sum p c_p
-    u^(p-1), and the antiderivative is u^2 sum c_p u^(p-1)/(p+1).
-
-    _power_kernel runs over u's `_row_blocks` (a 0-d or 1-d u, or one the
-    coefficients broadcast, in one block): a block's u^2, u^-2, scratch
-    power and part of the result stay in cache, and the result is the
-    only full-size array made.
+    u^(p-1), and the antiderivative is u^2 sum c_p u^(p-1)/(p+1).  It is
+    one _power_kernel call over the whole array; the assembly (fem) runs
+    the same kernel per row block of cells.
     """
     if derivative not in (-1, 0, 1):
         raise ValueError(f"derivative must be -1, 0 or 1; got {derivative}")
     if derivative == -1 and any(p == -1 for p, _ in coeffs):
         raise ValueError("exponent -1 has no power-law antiderivative")
     u = np.asarray(u, dtype=float)
-    shape = np.broadcast_shapes(u.shape, *(np.shape(c) for _, c in coeffs))
-    total = np.empty(shape)
-    if u.ndim > 1 and u.shape == shape:
-        row = math.prod(shape[1:])
-        blocks, rows = _row_blocks(len(u), row)
-        size = rows * row
-        coeffs = [(p, c if np.ndim(c) == 0 else np.broadcast_to(c, shape)) for p, c in coeffs]
-    else:
-        blocks, size = [...], total.size
-    needs_inv = _needs_inv_u2(coeffs, 0.0)
-    u2_buf, inv_buf, power_buf = np.empty((3, size))
+    total = np.empty(np.broadcast_shapes(u.shape, *(np.shape(c) for _, c in coeffs)))
+    inv = np.empty(u.shape) if any(p < 0 for p, _ in coeffs) else None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for block in blocks:
-            ub, tb = u[block], total[block]
-            u2, inv = (buf[: ub.size].reshape(ub.shape) for buf in (u2_buf, inv_buf))
-            _power_kernel([(p, c if np.ndim(c) == 0 else c[block]) for p, c in coeffs],
-                          ub, (derivative,), 0.0, (tb,), inv if needs_inv else None, u2,
-                          power_buf[: tb.size].reshape(tb.shape))
+        _power_kernel(coeffs, u, (derivative,), 0.0, (total,), inv, np.empty(u.shape),
+                      np.empty(total.shape))
     return total
-
-
-def barrier_slope(slope, inv_u2, mu, out):
-    """out = k'_mu = k' + mu u^-2 from k' and u^-2 of a power pass: the
-    slope of the barrier term (-1, -mu), added after the others as in
-    _power_kernel."""
-    if not mu > 0:
-        out[...] = slope
-        return out
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.add(slope, np.multiply(inv_u2, mu, out=out), out=out)
 
 
 def lichnerowicz_spec(

@@ -32,7 +32,7 @@ from barrierfem.mesh import (
     generate_shell_mesh,
 )
 from barrierfem.problem import FeFunction, ProblemSpec, builtin_example
-from barrierfem.solvers import barrier_solve, newton_standard
+from barrierfem.solvers import barrier_solve, newton_safeguarded, newton_standard
 
 
 @pytest.fixture(scope="module")
@@ -377,10 +377,10 @@ def _blocked_values(name, block_elements):
     _BLOCK_ELEMENTS = block_elements (None: the module's own, one block on
     these meshes): the workspace's grad_gram, fields_for's A, b and
     coefficients, and at a positive state the residual, the Jacobian data
-    (from the residual's kept pass and from a pass of its own) and the
-    barrier gradient."""
-    size = block_elements or problem._BLOCK_ELEMENTS
-    with mock.patch.object(problem, "_BLOCK_ELEMENTS", size):
+    (from the residual's kept pass and from a pass of its own), the energy,
+    the barrier gradient and the L2 error."""
+    size = block_elements or fem._BLOCK_ELEMENTS
+    with mock.patch.object(fem, "_BLOCK_ELEMENTS", size):
         mesh = MIXED_MESHES[name]()
         ws = workspace_for(mesh)
         # constant on the first 4-row block and varying after it, so that
@@ -405,7 +405,10 @@ def _blocked_values(name, block_elements):
             values[f"residual at {mu}"] = assemble_residual(spec, mesh, state, mu)
             values[f"kept-pass jacobian at {mu}"] = assemble_jacobian(spec, mesh, state, mu).data
             values[f"jacobian at {mu}"] = assemble_jacobian(spec, mesh, u, mu).data
+            values[f"energy at {mu}"] = np.array(compute_energy(spec, mesh, u, mu))
         values["barrier gradient"] = assemble_barrier_gradient(mesh, u)
+        values["l2 error"] = np.array(
+            l2_error(mesh, u, lambda x: 2.0 + np.sin(3.0 * np.atleast_2d(x)[:, 0])))
     return values
 
 
@@ -446,6 +449,10 @@ class TestBlocks:
 
     def test_barrier_gradient(self, name, block_elements):
         self.assert_blocked_matches(name, block_elements, "barrier gradient")
+
+    def test_energy_and_l2_error(self, name, block_elements):
+        self.assert_blocked_matches(name, block_elements, "energy at 0.0", "energy at 0.7",
+                                    "l2 error")
 
 
 def test_workspace_freed_with_mesh():
@@ -563,10 +570,18 @@ class TestGuards:
         with pytest.raises(CoefficientViolation, match="finite"):
             assemble_jacobian(ProblemSpec(diffusion=value), mesh, FeFunction.constant(mesh, 1.0))
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize("length", [3, 8])  # the mesh has 5 vertices
+    @pytest.mark.parametrize("call", [
+        lambda mesh, u: assemble_residual(ProblemSpec(), mesh, u),
+        lambda mesh, u: l2_error(mesh, u, lambda x: np.ones(len(x))),
+        lambda mesh, u: newton_standard(ProblemSpec(), mesh, u),
+        lambda mesh, u: newton_safeguarded(ProblemSpec(), mesh, u),
+        lambda mesh, u: barrier_solve(ProblemSpec(), mesh, u),
+    ], ids=["residual", "l2_error", "newton_standard", "newton_safeguarded", "barrier_solve"])
+    def test_length_mismatch(self, call, length):
         mesh = generate_interval_mesh(0, 1, 4)
         with pytest.raises(DimensionMismatch):
-            assemble_residual(ProblemSpec(), mesh, FeFunction(np.ones(3)))
+            call(mesh, FeFunction(np.ones(length)))
 
     def test_degenerate_cell_is_invalid_geometry(self):
         # a zero measure would give infinite gradients (cof / det)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from barrierfem import problem
+from barrierfem import fem, problem
 from barrierfem.errors import CoefficientViolation, UnknownExample
 from barrierfem.fem import workspace_for
 from barrierfem.mesh import generate_shell_mesh
@@ -249,13 +249,13 @@ def assert_same_bits(got, want):
 
 
 def kernel_pass(coeffs, u, derivatives, mu):
-    """_power_kernel over the _row_blocks of an (M, Q) u, as fem's pass
+    """_power_kernel over fem's _row_blocks of an (M, Q) u, as fem's pass
     runs it: (totals, u^-2 or None)."""
     totals = [np.empty(u.shape) for _ in derivatives]
-    inv_u2 = np.empty(u.shape) if problem._needs_inv_u2(coeffs, mu) else None
+    inv_u2 = np.empty(u.shape) if mu > 0 or any(p < 0 for p, _ in coeffs) else None
     u2, power = np.empty((2, *u.shape))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for b in problem._row_blocks(*u.shape)[0]:
+        for b in fem._row_blocks(*u.shape)[0]:
             problem._power_kernel([(p, c if np.ndim(c) == 0 else c[b]) for p, c in coeffs],
                                   u[b], derivatives, mu, [total[b] for total in totals],
                                   None if inv_u2 is None else inv_u2[b], u2[b], power[b])
@@ -304,13 +304,13 @@ def pass_inputs(draw):
 
 
 class TestBlockedPass:
-    """The power kernel runs in row blocks, in power_sum and as fem runs it,
-    bit for bit the whole-array pass."""
+    """The power kernel in row blocks, as fem runs it, and power_sum, one
+    kernel call, give the whole-array pass bit for bit."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(pass_inputs())
     def test_small_blocks(self, inputs):
-        with mock.patch.object(problem, "_BLOCK_ELEMENTS", BLOCK_ROWS * POINTS):
+        with mock.patch.object(fem, "_BLOCK_ELEMENTS", BLOCK_ROWS * POINTS):
             assert_pass_matches_whole_array(*inputs)
 
     @pytest.mark.parametrize("extra_rows", [-1, 0, 1, 2 * (2**15 // 15) + 7])
@@ -329,13 +329,13 @@ class TestBlockedPass:
         u = np.full((BLOCK_ROWS + 1, POINTS), 2.0)
         for c in (-0.0, np.full(u.shape, -0.0)):
             for p in (1, 3, -3):
-                with mock.patch.object(problem, "_BLOCK_ELEMENTS", BLOCK_ROWS * POINTS):
+                with mock.patch.object(fem, "_BLOCK_ELEMENTS", BLOCK_ROWS * POINTS):
                     assert_pass_matches_whole_array([(p, c)], u, derivatives, 0.0)
 
     @pytest.mark.parametrize("derivatives", ORDERS)
     def test_one_block_shapes(self, derivatives):
-        # power_sum runs a 0-d or 1-d u, and a u that a coefficient
-        # broadcasts, as one block
+        # power_sum takes a 0-d or 1-d u, and a u that a coefficient
+        # broadcasts
         terms = [(1, 2.0), (5, np.linspace(0.5, 1.5, 6).reshape(2, 3)), (-3, -1.0)]
         for u in (np.float64(1.3), np.linspace(0.2, 4.0, 7), np.full((1, 3), 0.8)):
             coeffs = terms if np.ndim(u) == 2 else terms[::2]

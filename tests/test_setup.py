@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import barrierfem.problem as problem
+import barrierfem.fem as fem
 from barrierfem.errors import InvalidGeometry
 from barrierfem.fem import _rule_points, _Workspace
 from barrierfem.mesh import (
@@ -336,5 +336,5 @@ def test_rule_points_match_einsum(dim, simplices, block_rows, data):
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.einsum("qk,mkd->mqd", lam, vertices[ids]).reshape(-1, dim)
         assert_bits(_rule_points(lam, vertices, ids), want)
-        with mock.patch.object(problem, "_BLOCK_ELEMENTS", block_rows * len(lam)):
+        with mock.patch.object(fem, "_BLOCK_ELEMENTS", block_rows * len(lam)):
             assert_bits(_rule_points(lam, vertices, ids), want)
