@@ -44,18 +44,19 @@ f(mu1) + (mu1 - mu2) H.
 The workspace is built once per mesh.  Its quadrature points are
 summed one coordinate at a time over row blocks of cells, its
 gradients and their Gram products are formed per row block, and
-fields_for evaluates each field, with the diffusion and source
-products, per row block too: the only (M, Q) arrays a spec keeps are
-its varying power coefficients.  The CSR patterns come from one sort of
-the canonical (row <= col) pairs and a second of those pairs and their
-mirrors; both give the arrays of the einsum and of a sort over both
-orientations bit for bit.
+fields_for evaluates each field at a block's points (_Workspace.at),
+with the diffusion and source products, per row block too: the only
+(M, Q) arrays a spec keeps are its power coefficients that are not a
+constant_field.  The CSR patterns come from one sort of the canonical
+(row <= col) pairs, which numbers them, and a second of those pairs
+and their mirrors; both give the arrays of the einsum and of a sort
+over both orientations bit for bit.
 
 A and the Jacobian share one scatter.  The upper triangle of every
-local matrix goes into the canonical (row <= col) slots of the mesh's
-full pattern with one bincount, and one gather mirrors the sums onto a
-pattern: the full one for A, the Dirichlet-reduced one for the
-Jacobian, whose sums are A's plus its power part's.
+local matrix is summed per pair with one bincount, and one gather
+mirrors the sums onto a pattern: the full one for A, the
+Dirichlet-reduced one for the Jacobian, whose sums are A's plus its
+power part's.
 
 Dirichlet constraints are imposed by row/column reduction: constrained
 rows and columns of the Jacobian become identity and constrained
@@ -110,14 +111,15 @@ class _Workspace:
     P1 pattern (`full_indptr`, `full_indices`) carries the linear
     operator A, the Dirichlet-reduced one (`indptr`, `indices`:
     free-free pairs and every diagonal) the Jacobian.  `_build_patterns`
-    sorts the canonical (row <= col) pairs once and builds the full
-    pattern from them and their mirrors.  Local matrices are kept on their
-    upper triangle.  `upper_slots` sends each upper entry, cells then
-    Robin facets, to the canonical slot (row <= col) of its pair in the
-    full pattern; `full_mirror` and `mirror` send each full and each
-    reduced slot to its canonical one, and the reduced pattern's fixed
-    diagonal to the slot one past the full pattern.  So a symmetric
-    operator is one bincount and one gather, and A == A.T bit for bit.
+    sorts the canonical (row <= col) pairs once, which numbers them
+    0..num_pairs-1, and builds the full pattern from them and their
+    mirrors.  Local matrices are kept on their upper triangle.  Every
+    sum is per pair: `upper_slots` sends each upper entry, cells then
+    Robin facets, to its pair; `full_mirror` and `mirror` send each full
+    and each reduced slot to its pair, and the reduced pattern's fixed
+    diagonal to num_pairs, one past the last.  So a symmetric operator
+    is one bincount of num_pairs + 1 bins and one gather, and A == A.T
+    bit for bit.
 
     Holds no reference to the mesh itself, so a mesh and its workspace
     are freed together once the mesh is no longer used.
@@ -163,41 +165,40 @@ class _Workspace:
         self.spec_fields = WeakKeyDictionary()
 
     def _build_patterns(self, rows, cols):
+        """The two patterns and the pair maps of the upper-triangle entries
+        (rows[i], cols[i]); the inverse of one np.unique over their
+        canonical keys is each entry's pair."""
         n, m = self.num_vertices, len(rows)
         fixed = np.flatnonzero(self.dirichlet_mask)
-        # one sort of the canonical (row <= col) keys; the full pattern
-        # adds the mirror of each off-diagonal pair
+        # one sort numbers the canonical (row <= col) pairs; the full
+        # pattern adds the mirror of each off-diagonal pair
         upper = np.concatenate([np.minimum(rows, cols) * n + np.maximum(rows, cols),
                                 fixed * (n + 1)])
-        canonical, canonical_of = np.unique(upper, return_inverse=True)
+        canonical, pair = np.unique(upper, return_inverse=True)
+        self.num_pairs = len(canonical)
         ci, cj = np.divmod(canonical, n)
-        off = ci != cj
+        off = np.flatnonzero(ci != cj)
         keys = np.concatenate([canonical, cj[off] * n + ci[off]])
         order = np.argsort(keys)  # the keys are distinct
         unique = keys[order]
-        slot = np.empty(len(keys), dtype=np.int64)
-        slot[order] = np.arange(len(keys))
         urows, ucols = np.divmod(unique, n)
         self.full_indptr = np.searchsorted(unique, np.arange(n + 1) * n).astype(np.int32)
         self.full_indices = ucols.astype(np.int32)
-        canonical_slot = slot[: len(canonical)]
-        self.upper_slots = canonical_slot[canonical_of[:m]].astype(np.int32)
-        self.full_mirror = np.empty(len(keys), dtype=np.int32)
-        self.full_mirror[canonical_slot] = canonical_slot
-        self.full_mirror[slot[len(canonical):]] = canonical_slot[off]
+        self.upper_slots = pair[:m].astype(np.int32)
+        self.full_mirror = np.concatenate([np.arange(self.num_pairs), off])[order].astype(np.int32)
         free = ~self.dirichlet_mask
         free_pair = free[urows] & free[ucols]
         reduced = free_pair | (urows == ucols)
         self.indptr = np.searchsorted(unique[reduced], np.arange(n + 1) * n).astype(np.int32)
         self.indices = self.full_indices[reduced]
-        self.mirror = np.where(free_pair, self.full_mirror, len(unique))[reduced]
+        self.mirror = np.where(free_pair, self.full_mirror, self.num_pairs)[reduced]
 
     def scatter(self, local, sums):
         """Reduced-pattern data: `sums` (A's "operator_sums", or 0.0) plus
-        one bincount of the (M, K) upper-triangle local cell matrices, whose
-        slots lead `upper_slots`, gathered by `mirror`."""
+        one bincount, per pair, of the (M, K) upper-triangle local cell
+        matrices, whose pairs lead `upper_slots`, gathered by `mirror`."""
         power = np.bincount(self.upper_slots[: local.size], weights=local.ravel(),
-                            minlength=len(self.full_indices) + 1)
+                            minlength=self.num_pairs + 1)
         return (sums + power)[self.mirror]
 
     def vertex_sum(self, local, offset=0.0):
@@ -209,13 +210,20 @@ class _Workspace:
         total[self.dirichlet_mask] = 0.0
         return total
 
+    def at(self, field, rows):
+        """A field at the quadrature points of the cells `rows`, as (rows, Q)."""
+        q = len(self.qw)
+        return np.asarray(field(self.xq_flat[rows.start * q : rows.stop * q]),
+                          dtype=float).reshape(-1, q)
+
     def fields_for(self, spec):
         """The u-independent part of the system, assembled once per spec.
 
-        A dict of "coeffs", the (p, c_p) power terms with c_p at the
-        quadrature points (a scalar when constant); "operator", the
-        linear operator A (stiffness plus Robin mass) on the full
-        pattern; "operator_sums", A's sums in the canonical slots and a
+        A dict of "coeffs", the (p, c_p) power terms, c_p the `value` of a
+        constant field (constant_field, or a number given to the spec)
+        and any other field's (M, Q) values at the quadrature points;
+        "operator", the linear operator A (stiffness plus Robin mass) on
+        the full pattern; "operator_sums", A's sums per pair and a
         trailing 1.0 for the fixed diagonal, which `scatter` takes; and
         "load", the vector b (source plus Robin data).
         """
@@ -223,38 +231,26 @@ class _Workspace:
         if cached is not None:
             return cached
         (m, q), k = self.wq.shape, self.grad_gram.shape[1]
-
-        def at(field, rows):
-            """A field at the quadrature points of the cells `rows`."""
-            points = self.xq_flat[rows.start * q : rows.stop * q]
-            return np.asarray(field(points), dtype=float).reshape(-1, q)
-
         # the cells' upper-triangle stiffness and load vectors lead, the
         # Robin facets' follow
         local = np.empty(m * k + self.fphi2.shape[1] * len(self.fwq))
         stiffness = local[: m * k].reshape(m, k)
         load = np.empty(self.cells.size + self.robin_idx.size)
         cell_load = load[: self.cells.size].reshape(self.cells.shape)
-        values = [None] * len(spec.power_terms)  # each c_p, a scalar while it is constant
+        # a constant is kept as its scalar, which the power kernel
+        # broadcasts; any other field fills its (M, Q) values per block
+        coeffs = [(p, field.value if hasattr(field, "value") else np.empty((m, q)))
+                  for p, field in spec.power_terms]
         for b in _row_blocks(m, q)[0]:
-            diff = at(spec.diffusion, b)
+            diff = self.at(spec.diffusion, b)
             if not np.all((diff > 0) & (diff < np.inf)):
                 raise CoefficientViolation("diffusion must be > 0 and finite at quadrature points")
             np.multiply((self.scale[b] * (diff @ self.qw))[:, None], self.grad_gram[b],
                         out=stiffness[b])
-            np.matmul(self.wq[b] * at(spec.source, b), self.lam, out=cell_load[b])
-            for i, (_, field) in enumerate(spec.power_terms):
-                c = at(field, b)
-                value = c.flat[0] if values[i] is None else values[i]
-                if np.ndim(value) == 0 and not np.all(c == value):
-                    value = np.empty((m, q))  # at every point, from the first block that varies
-                    if b.start:
-                        value[: b.start] = at(field, slice(0, b.start))
-                if np.ndim(value):
-                    value[b] = c
-                values[i] = value
-        # a constant coefficient is kept as a scalar: the power kernel broadcasts it
-        coeffs = [(p, value) for (p, _), value in zip(spec.power_terms, values)]
+            np.matmul(self.wq[b] * self.at(spec.source, b), self.lam, out=cell_load[b])
+            for (_, c), (_, field) in zip(coeffs, spec.power_terms):
+                if np.ndim(c):
+                    c[b] = self.at(field, b)
 
         def on_facets(field):
             """A field, weighted, at the Robin facet quadrature points."""
@@ -262,7 +258,7 @@ class _Workspace:
 
         local[m * k :] = (on_facets(spec.robin_coeff) @ self.fphi2).ravel()
         load[self.cells.size :] = (on_facets(spec.robin_data) @ self.flam).ravel()
-        sums = np.bincount(self.upper_slots, local, minlength=len(self.full_indices) + 1)
+        sums = np.bincount(self.upper_slots, local, minlength=self.num_pairs + 1)
         sums[-1] = 1.0
         vertices = np.concatenate([self.cells.ravel(), self.robin_idx.ravel()])
         fields = {
@@ -451,9 +447,7 @@ def l2_error(mesh, u, exact):
     """L2 norm of u_h - exact over the mesh (degree-5 quadrature)."""
     ws = workspace_for(mesh)
     u = _check_state(ws, u, False)
-    q = len(ws.lam)
     square = np.empty(ws.wq.shape)
     for b, uq in _at_points(ws, u):
-        eq = np.asarray(exact(ws.xq_flat[b.start * q : b.stop * q]), dtype=float).reshape(-1, q)
-        np.square(np.subtract(uq, eq, out=square[b]), out=square[b])
+        np.square(np.subtract(uq, ws.at(exact, b), out=square[b]), out=square[b])
     return float(np.sqrt(np.einsum("mq,mq->", ws.wq, square)))

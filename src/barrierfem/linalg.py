@@ -78,9 +78,11 @@ def cg_solve(a, b):
     The Jacobi preconditioner falls back to the identity when the
     diagonal is not strictly positive.
 
-    Returns CgResult; status INDEFINITE means a direction with
-    p^T A p <= 0 was met, and x is the last iterate before breakdown
-    (the zero vector when breakdown happens on the first step).
+    Returns CgResult; status INDEFINITE means a direction whose
+    curvature p^T A p is not > 0 and finite was met, and x is the last
+    iterate before breakdown (the zero vector when breakdown happens on
+    the first step).  So a NaN or inf in a, or a NaN in b, which makes
+    the curvature NaN or inf, stops the solve at once with a finite x.
 
     An iteration allocates nothing: each product A p goes into one
     buffer through scipy's CSR kernel, the one `a @ p` calls, and the
@@ -111,7 +113,7 @@ def cg_solve(a, b):
     for k in range(max_iters):
         _matvec_into(a, p, ap)
         pap = float(p.dot(ap))
-        if pap <= 0.0:
+        if not 0.0 < pap < math.inf:
             return CgResult(x, CgStatus.INDEFINITE, k)
         alpha = rz / pap
         x += np.multiply(p, alpha, out=step)

@@ -18,6 +18,7 @@ that needs the boundary conditions reads these two arrays.
 """
 
 import math
+import numbers
 from enum import Enum
 from functools import cached_property, reduce
 
@@ -224,6 +225,14 @@ def _require_valid(mesh):
     return mesh
 
 
+def _count(name, value, least):
+    """`value` as an int, or InvalidGeometry unless it is an integer >=
+    least (a float, NaN included, is not)."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidGeometry(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def generate_interval_mesh(a, b, n_cells, left=Marker.DIRICHLET, right=Marker.DIRICHLET):
     """Uniform 1D mesh of [a, b] with `n_cells` cells.
 
@@ -231,8 +240,7 @@ def generate_interval_mesh(a, b, n_cells, left=Marker.DIRICHLET, right=Marker.DI
     """
     if not -math.inf < a < b < math.inf:
         raise InvalidGeometry(f"need -inf < a < b < inf, got a={a}, b={b}")
-    if n_cells < 1:
-        raise InvalidGeometry("n_cells must be >= 1")
+    n_cells = _count("n_cells", n_cells, 1)
     x = np.linspace(a, b, n_cells + 1)
     cells = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
     return _require_valid(SimplicialMesh(1, x[:, None], cells, [[0], [n_cells]], [left, right]))
@@ -249,8 +257,7 @@ def generate_annulus_mesh(
     """
     if not 0 < r_in < r_out < math.inf:
         raise InvalidGeometry(f"need 0 < r_in < r_out < inf, got {r_in}, {r_out}")
-    if n_radial < 1 or n_angular < 3:
-        raise InvalidGeometry("need n_radial >= 1 and n_angular >= 3")
+    n_radial, n_angular = _count("n_radial", n_radial, 1), _count("n_angular", n_angular, 3)
     radii = np.linspace(r_in, r_out, n_radial + 1)
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
     verts = np.stack([np.outer(radii, np.cos(theta)), np.outer(radii, np.sin(theta))], axis=-1)
@@ -330,11 +337,8 @@ def generate_shell_mesh(
         raise InvalidGeometry(
             f"need 0 < r_in < r_out < inf and a finite r_out / r_in, got {r_in}, {r_out}"
         )
-    if refinement < 0:
-        raise InvalidGeometry("refinement must be >= 0")
-    layers = (refinement + 1) if n_layers is None else int(n_layers)
-    if layers < 1:
-        raise InvalidGeometry("n_layers must be >= 1")
+    refinement = _count("refinement", refinement, 0)
+    layers = refinement + 1 if n_layers is None else _count("n_layers", n_layers, 1)
 
     surf_v, surf_f = _icosphere(refinement)
     ns = len(surf_v)

@@ -26,12 +26,14 @@ from .errors import CoefficientViolation, UnknownExample
 
 
 def constant_field(value):
-    """Coefficient field equal to `value` everywhere."""
+    """Coefficient field equal to `value` everywhere; its `value`
+    attribute holds the float, which the assembly keeps as a scalar."""
     value = float(value)
 
     def f(x):
         return np.full(np.atleast_2d(x).shape[0], value)
 
+    f.value = value
     return f
 
 
@@ -66,6 +68,9 @@ class ProblemSpec:
     power_terms maps odd integer exponents p (p != -1) to coefficient
     fields c_p.  A field is a callable of position or a number; source,
     robin_coeff, robin_data and dirichlet_data default to 0, diffusion to 1.
+    A number becomes a constant_field, the only field that the assembly
+    keeps as a scalar; any other callable is kept at every quadrature
+    point, even where its values are equal.
     """
 
     diffusion: object = field(default_factory=lambda: constant_field(1.0))

@@ -26,6 +26,7 @@ is the previous step's merit after, bit for bit.  Every driver ends in
 `_finalize`: a solve converged iff its loop returned no failure reason.
 """
 
+import numbers
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -92,7 +93,10 @@ class SolverConfig:
         if not 0 < self.backtrack < 1:
             raise ValueError("backtrack must lie in (0, 1)")
         for name in ("max_outer", "max_inner"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):  # a float, NaN included
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0")
 
 

@@ -352,6 +352,23 @@ class TestAssemblyPattern:
         ref = _full_bincount(ws, [stiffness, robin_mass], [ws.cells, ws.robin_idx])
         assert np.array_equal(ws.fields_for(PATTERN_SPEC)["operator"].data, ref)
 
+    def test_constant_kept_by_construction(self, case):
+        """A number's coefficient is kept as a scalar and a callable's at
+        every point, even where its values are equal, with the same bits."""
+        mesh, u, _ = case
+        ws = workspace_for(mesh)
+        number = replace(PATTERN_SPEC, power_terms=((5, 0.5),))
+        callable_ = replace(PATTERN_SPEC, power_terms=((5, lambda x: np.full(len(x), 0.5)),))
+        [(_, c)] = ws.fields_for(number)["coeffs"]
+        assert np.ndim(c) == 0 and c == 0.5
+        [(_, c)] = ws.fields_for(callable_)["coeffs"]
+        assert c.shape == ws.wq.shape and np.all(c == 0.5)
+        for mu in (0.0, 0.7):
+            _assert_same_bits(assemble_residual(callable_, mesh, u, mu),
+                              assemble_residual(number, mesh, u, mu))
+            _assert_same_bits(assemble_jacobian(callable_, mesh, u, mu).data,
+                              assemble_jacobian(number, mesh, u, mu).data)
+
     def test_dirichlet_rows_and_columns(self, case):
         mesh, _, matrices = case
         mask = workspace_for(mesh).dirichlet_mask
@@ -383,8 +400,8 @@ def _blocked_values(name, block_elements):
     with mock.patch.object(fem, "_BLOCK_ELEMENTS", size):
         mesh = MIXED_MESHES[name]()
         ws = workspace_for(mesh)
-        # constant on the first 4-row block and varying after it, so that
-        # fields_for keeps it at every point only from a later block
+        # constant on the first 4-row block and varying after it: a
+        # callable, so fields_for keeps it at every point from the first block
         cut = ws.xq_flat[: 4 * len(ws.lam), 0].max()
         spec = replace(
             PATTERN_SPEC,

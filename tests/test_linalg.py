@@ -97,6 +97,21 @@ class TestCg:
         assert result.status == CgStatus.INDEFINITE
         assert result.iterations > 0 and result.x.any()
 
+    @pytest.mark.parametrize("a_entry, b_entry", [(np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan)],
+                             ids=["nan_in_a", "inf_in_a", "nan_in_b"])
+    def test_nonfinite_curvature_is_indefinite(self, a_entry, b_entry):
+        # the curvature is NaN or inf, never <= 0: the solve stops at once,
+        # with no RuntimeWarning, instead of running all 10 N steps
+        n = 500
+        a = sp.diags([-np.ones(n - 1), np.full(n, 2.0), -np.ones(n - 1)], [-1, 0, 1],
+                     format="csr")
+        a[7, 7] = a_entry
+        b = np.ones(n)
+        b[5] = b_entry
+        result = cg_solve(SparseMatrix(a), b)
+        assert (result.status, result.iterations) == (CgStatus.INDEFINITE, 0)
+        assert np.array_equal(result.x, np.zeros(n))
+
     def test_random_spd_against_dense_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
@@ -161,7 +176,7 @@ def reference_cg(a, b):
     for k in range(10 * n):
         ap = a @ p
         pap = float(np.dot(p, ap))
-        if pap <= 0.0:
+        if not 0.0 < pap < np.inf:
             return x, CgStatus.INDEFINITE, k
         alpha = rz / pap
         x = x + alpha * p

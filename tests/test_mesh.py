@@ -200,12 +200,21 @@ class TestShell:
         (generate_annulus_mesh, (1.0, np.inf, 1, 3)),
         (generate_shell_mesh, (1.0, np.inf, 0)),
         (generate_shell_mesh, (1e-300, 1e300, 0)),  # finite radii, infinite ratio
+        (generate_interval_mesh, (0.0, 1.0, 2.5)),
+        (generate_interval_mesh, (0.0, 1.0, np.nan)),
+        (generate_annulus_mesh, (1.0, 2.0, 2, 3.5)),
+        (generate_annulus_mesh, (1.0, 2.0, 2.0, 4)),
+        (generate_shell_mesh, (1.0, 2.0, 1.5)),
+        (generate_shell_mesh, (1.0, 2.0, 1, Marker.ROBIN, Marker.ROBIN, 2.5)),
     ],
-    ids=["interval_b", "interval_a", "annulus", "shell", "shell_ratio"],
+    ids=["interval_b", "interval_a", "annulus", "shell", "shell_ratio", "interval_n_cells",
+         "interval_nan_n_cells", "annulus_n_angular", "annulus_n_radial", "shell_refinement",
+         "shell_n_layers"],
 )
 def test_generators_reject_infinite_bounds(generate, args):
     # rejected before any array is built, so no RuntimeWarning (an error
-    # under pytest) and a one-line message, not a list of every vertex
+    # under pytest) and a one-line message, not a list of every vertex; the
+    # same holds for a count that is not an integer
     with pytest.raises(InvalidGeometry) as err:
         generate(*args)
     assert "\n" not in str(err.value) and len(str(err.value)) < 100

@@ -134,7 +134,10 @@ def reference_validate(mesh):
 
 def reference_patterns(ws):
     """The workspace's pattern arrays from one np.unique over the keys of
-    both orientations of every local upper-triangle entry."""
+    both orientations of every local upper-triangle entry.  A sum's index
+    is its pair's: the rank of the pair's canonical (row <= col) slot
+    among the canonical slots, and the fixed diagonal's index is one past
+    the last pair."""
     d = ws.cells.shape[1] - 1
     n = ws.num_vertices
     iu, ju = np.triu_indices(d + 1)
@@ -146,21 +149,24 @@ def reference_patterns(ws):
     keys = np.concatenate([rows * n + cols, cols * n + rows, fixed * (n + 1)])
     unique, slot = np.unique(keys, return_inverse=True)
     urows, ucols = np.divmod(unique, n)
-    out = {
-        "full_indptr": np.searchsorted(unique, np.arange(n + 1) * n).astype(np.int32),
-        "full_indices": ucols.astype(np.int32),
-        "upper_slots": np.minimum(slot[:m], slot[m : 2 * m]).astype(np.int32),
-    }
-    full_mirror = np.arange(len(unique))
-    full_mirror[slot[:m]] = full_mirror[slot[m : 2 * m]] = out["upper_slots"]
+    canonical = urows <= ucols
+    pair = np.cumsum(canonical) - 1  # at each canonical slot, its pair's index
+    lower = np.minimum(slot[:m], slot[m : 2 * m])  # each entry's canonical slot
+    canonical_slot = np.arange(len(unique))
+    canonical_slot[slot[:m]] = canonical_slot[slot[m : 2 * m]] = lower
+    full_mirror = pair[canonical_slot]
     free = ~ws.dirichlet_mask
     free_pair = free[urows] & free[ucols]
     reduced = free_pair | (urows == ucols)
-    out["full_mirror"] = full_mirror.astype(np.int32)
-    out["indptr"] = np.searchsorted(unique[reduced], np.arange(n + 1) * n).astype(np.int32)
-    out["indices"] = out["full_indices"][reduced]
-    out["mirror"] = np.where(free_pair, full_mirror, len(unique))[reduced].astype(np.int32)
-    return out
+    return {
+        "full_indptr": np.searchsorted(unique, np.arange(n + 1) * n).astype(np.int32),
+        "full_indices": ucols.astype(np.int32),
+        "upper_slots": full_mirror[slot[:m]].astype(np.int32),
+        "full_mirror": full_mirror.astype(np.int32),
+        "indptr": np.searchsorted(unique[reduced], np.arange(n + 1) * n).astype(np.int32),
+        "indices": ucols[reduced].astype(np.int32),
+        "mirror": np.where(free_pair, full_mirror, canonical.sum())[reduced].astype(np.int32),
+    }
 
 
 def assert_workspace_matches_references(mesh):

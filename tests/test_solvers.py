@@ -700,6 +700,12 @@ def test_solver_config_rejects_negative_counts_and_mu0(field):
     with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
         SolverConfig(**{field: -3})
     assert getattr(SolverConfig(**{field: 0}), field) == 0
+    if field != "mu0":
+        # a count is an integer: a float (NaN never compares < 0) is rejected
+        for value in (2.5, 3.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                SolverConfig(**{field: value})
+        assert getattr(SolverConfig(**{field: np.int64(2)}), field) == 2
 
 
 @pytest.mark.parametrize("field", ["eps", "mu0"])
