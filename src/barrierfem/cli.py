@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BarrierFemError, ConfigError, InvalidGeometry, InvalidRange
+from .errors import BarrierFemError, ConfigError, InvalidGeometry, InvalidRange, ValidationError
 from .mesh import (
     Marker,
     generate_annulus_mesh,
@@ -214,7 +214,7 @@ def load_experiment(path):
             raise ConfigError(
                 f"unknown mesh.kind {kind!r}", line=ent.line_of("mesh.kind")
             )
-    except InvalidGeometry as exc:
+    except (InvalidGeometry, ValidationError) as exc:
         raise ConfigError(str(exc), line=ent.line_of("mesh.kind")) from exc
 
     methods_text = ent.take("methods", "newton")

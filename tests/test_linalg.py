@@ -97,11 +97,14 @@ class TestCg:
         assert result.status == CgStatus.INDEFINITE
         assert result.iterations > 0 and result.x.any()
 
-    @pytest.mark.parametrize("a_entry, b_entry", [(np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan)],
-                             ids=["nan_in_a", "inf_in_a", "nan_in_b"])
+    @pytest.mark.parametrize("a_entry, b_entry",
+                             [(np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan), (2.0, np.inf),
+                              (2.0, -np.inf)],
+                             ids=["nan_in_a", "inf_in_a", "nan_in_b", "inf_in_b", "minus_inf_in_b"])
     def test_nonfinite_curvature_is_indefinite(self, a_entry, b_entry):
-        # the curvature is NaN or inf, never <= 0: the solve stops at once,
-        # with no RuntimeWarning, instead of running all 10 N steps
+        # the curvature is NaN or inf, never <= 0, or ||b|| is not finite:
+        # the solve stops at once, with no RuntimeWarning, instead of
+        # running all 10 N steps
         n = 500
         a = sp.diags([-np.ones(n - 1), np.full(n, 2.0), -np.ones(n - 1)], [-1, 0, 1],
                      format="csr")

@@ -220,29 +220,44 @@ def test_generators_reject_infinite_bounds(generate, args):
     assert "\n" not in str(err.value) and len(str(err.value)) < 100
 
 
+def violations(*args, **kwargs):
+    """The violations of the ValidationError that SimplicialMesh(*args,
+    **kwargs) raises: an invalid mesh is never built."""
+    with pytest.raises(ValidationError) as err:
+        SimplicialMesh(*args, **kwargs)
+    return err.value.violations
+
+
 class TestValidate:
     def test_duplicate_facet_markers(self):
         mesh = generate_interval_mesh(0, 1, 2)
-        bad = SimplicialMesh(
-            1,
-            mesh.vertices,
-            mesh.cells,
-            [[0], [0], [2]],
-            [Marker.DIRICHLET, Marker.ROBIN, Marker.DIRICHLET],
-        )
-        assert "facet (0,) listed more than once (markers dirichlet, robin)" in validate(bad)
+        found = violations(1, mesh.vertices, mesh.cells, [[0], [0], [2]],
+                           [Marker.DIRICHLET, Marker.ROBIN, Marker.DIRICHLET])
+        assert "facet (0,) listed more than once (markers dirichlet, robin)" in found
 
     def test_inverted_cell(self):
-        bad = SimplicialMesh(
-            1, [[0.0], [1.0]], [[1, 0]], [[0]], [Marker.DIRICHLET], fix_orientation=False
-        )
-        assert any("nonpositive measure" in v for v in validate(bad))
+        found = violations(1, [[0.0], [1.0]], [[1, 0]], [[0]], [Marker.DIRICHLET],
+                           fix_orientation=False)
+        assert any("nonpositive measure" in v for v in found)
         # a NaN coordinate gives NaN measures, which are not > 0 either
-        nan = SimplicialMesh(1, [[0.0], [np.nan], [1.0]], [[0, 1], [1, 2]], [[0], [2]],
-                             [Marker.DIRICHLET] * 2, fix_orientation=False)
-        assert validate(nan) == ["vertex 1 has nonfinite coordinates",
-                                 "cell 0 has nonpositive measure nan",
-                                 "cell 1 has nonpositive measure nan"]
+        assert violations(1, [[0.0], [np.nan], [1.0]], [[0, 1], [1, 2]], [[0], [2]],
+                          [Marker.DIRICHLET] * 2, fix_orientation=False) == [
+            "vertex 1 has nonfinite coordinates",
+            "cell 0 has nonpositive measure nan",
+            "cell 1 has nonpositive measure nan",
+        ]
+
+    @pytest.mark.parametrize("facets, markers, violation", [
+        ([[0], [0], [20]], ["robin"] * 3,
+         "facet (0,) listed more than once (markers robin, robin)"),
+        ([[0], [20], [10]], ["robin", "robin", "dirichlet"],
+         "facet (10,) is a face of 2 cells, expected exactly 1"),
+    ], ids=["robin_end_twice", "interior_dirichlet_vertex"])
+    def test_invalid_boundary_raises_at_construction(self, facets, markers, violation):
+        # a solve on either would be wrong: the first counts the Robin
+        # term at x = 0.1 twice, the second pins u = 0 at an interior vertex
+        mesh = generate_interval_mesh(0.1, 10, 20, Marker.ROBIN, Marker.ROBIN)
+        assert violations(1, mesh.vertices, mesh.cells, facets, markers) == [violation]
 
     def test_orientation_fix(self):
         fixed = SimplicialMesh(1, [[0.0], [1.0]], [[1, 0]])
@@ -250,7 +265,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("mesh", [
         SimplicialMesh(1, [[0.0], [1.0]], [[1, 0]], [[0]], ["robin"]),
-        SimplicialMesh(1, [[0.0], [1.0]], [[1, 0]], [[0]], ["robin"], fix_orientation=False),
+        SimplicialMesh(1, [[0.0], [1.0]], [[0, 1]], [[0]], ["robin"], fix_orientation=False),
         generate_interval_mesh(0, 1, 2),
         generate_annulus_mesh(1, 2, 1, 3),
         generate_shell_mesh(1, 2, 0),
@@ -270,10 +285,9 @@ class TestValidate:
 
     def test_interior_facet_rejected(self):
         mesh = generate_interval_mesh(0, 1, 2)
-        bad = SimplicialMesh(
-            1, mesh.vertices, mesh.cells, [[1]], [Marker.DIRICHLET]
-        )  # vertex 1 is shared by both cells
-        assert any("expected exactly 1" in v for v in validate(bad))
+        # vertex 1 is shared by both cells
+        found = violations(1, mesh.vertices, mesh.cells, [[1]], [Marker.DIRICHLET])
+        assert any("expected exactly 1" in v for v in found)
 
     @pytest.mark.parametrize(
         "facets, markers",
@@ -329,9 +343,9 @@ class TestValidate:
         assert message in str(err.value) and "\n" not in str(err.value)
 
     def test_no_cells(self):
-        # load_mesh passes an empty list for `cells 0`
-        mesh = SimplicialMesh(1, [[0.0], [1.0]], [])
-        assert mesh.cells.shape == (0, 2) and mesh.cells.dtype == np.int64
+        # load_mesh passes an empty list for `cells 0`: it is read as no
+        # cells, (0, 2), not as a malformed shape, and that mesh is invalid
+        assert violations(1, [[0.0], [1.0]], []) == ["mesh has no cells"]
 
     def test_overflowed_measure(self):
         # finite vertices whose volumes overflow: inf without a RuntimeWarning

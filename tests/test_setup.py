@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import barrierfem.fem as fem
-from barrierfem.errors import InvalidGeometry
+from barrierfem.errors import ValidationError
 from barrierfem.fem import _rule_points, _Workspace
 from barrierfem.mesh import (
     Marker,
@@ -85,28 +85,37 @@ def reference_icosphere(subdivisions):
     return np.array(verts), np.array(faces, dtype=np.int64)
 
 
-def reference_validate(mesh):
-    """validate with a second determinant pass for the measures, a
-    three-key lexsort for the facet groups and np.unique for the first
-    facet on the same vertices."""
+def mesh_arrays(mesh):
+    """The constructor arguments that rebuild `mesh` as it is."""
+    markers = np.where(mesh.robin, R.value, D.value)
+    return mesh.dim, mesh.vertices, mesh.cells, mesh.facets, markers, False
+
+
+def reference_validate(dim, vertices, cells, facets, markers, fix_orientation):
+    """validate of SimplicialMesh(dim, vertices, cells, facets, markers,
+    fix_orientation), from those arrays alone (indices in range): the
+    measures from a second kernel pass over the cells as they end up,
+    with a negative cell's last two vertices swapped when orientation is
+    fixed, a three-key lexsort for the facet groups and np.unique for
+    the first facet on the same vertices."""
     violations = []
-    n = mesh.num_vertices
-    if mesh.cells.size and (mesh.cells.min() < 0 or mesh.cells.max() >= n):
-        violations.append("cell vertex index out of range")
-    if mesh.facets.size and (mesh.facets.min() < 0 or mesh.facets.max() >= n):
-        violations.append("facet vertex index out of range")
-    if violations:
-        return violations
-    for v in np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1)):
+    vertices = np.asarray(vertices, dtype=float)
+    cells = np.array(cells, dtype=np.int64).reshape(-1, dim + 1)
+    facets = np.asarray(facets, dtype=np.int64).reshape(-1, dim)
+    if not len(cells):
+        violations.append("mesh has no cells")
+    if fix_orientation:
+        flip = simplex_geometry(vertices, cells)[0] < 0
+        cells[flip] = cells[flip][:, list(range(dim - 1)) + [dim, dim - 1]]
+    for v in np.flatnonzero(~np.isfinite(vertices).all(axis=1)):
         violations.append(f"vertex {v} has nonfinite coordinates")
-    measures = recomputed_measures(mesh)
+    measures = simplex_geometry(vertices, cells)[0] / math.factorial(dim)
     for c in np.flatnonzero(~(measures > 0)):
         violations.append(f"cell {c} has nonpositive measure {measures[c]:.3e}")
 
-    d = mesh.dim
-    keep = np.array([[j for j in range(d + 1) if j != r] for r in range(d + 1)])
-    faces = np.sort(mesh.cells[:, keep], axis=-1).reshape(-1, d)
-    rows = np.concatenate([faces, np.sort(mesh.facets, axis=1)])
+    keep = np.array([[j for j in range(dim + 1) if j != r] for r in range(dim + 1)])
+    faces = np.sort(cells[:, keep], axis=-1).reshape(-1, dim)
+    rows = np.concatenate([faces, np.sort(facets, axis=1)])
     order = np.lexsort(rows.T[::-1])
     ranked = rows[order]
     starts = np.ones(len(rows), dtype=bool)
@@ -119,12 +128,12 @@ def reference_validate(mesh):
     _, first, inverse = np.unique(group, return_index=True, return_inverse=True)
     first = first[inverse]
     repeated = first != np.arange(len(group))
-    names = np.where(mesh.robin, Marker.ROBIN.value, Marker.DIRICHLET.value)
+    names = [Marker(m).value for m in markers]
     for i in np.flatnonzero(repeated | (owners != 1)).tolist():
-        facet = tuple(mesh.facets[i].tolist())
+        facet = tuple(facets[i].tolist())
         if repeated[i]:
-            markers = f"{names[first[i]]}, {names[i]}"
-            violations.append(f"facet {facet} listed more than once (markers {markers})")
+            pair = f"{names[first[i]]}, {names[i]}"
+            violations.append(f"facet {facet} listed more than once (markers {pair})")
         if owners[i] != 1:
             violations.append(
                 f"facet {facet} is a face of {owners[i]} cells, expected exactly 1"
@@ -207,16 +216,18 @@ def test_icosphere_matches_reference(subdivisions):
 def test_generated_mesh_matches_references(generate, args, kwargs):
     mesh = generate(*args, **kwargs)
     assert_bits(mesh.cell_volumes, recomputed_measures(mesh))
-    assert validate(mesh) == reference_validate(mesh) == []
+    assert validate(mesh) == reference_validate(*mesh_arrays(mesh)) == []
     assert_workspace_matches_references(mesh)
 
 
 @st.composite
 def perturbed_meshes(draw):
-    """A small generated mesh whose cells list their vertices in drawn
-    orders, so some have negative measure, with a boundary drawn from its
-    boundary facets, repeats of them and interior faces, in drawn orders,
-    with drawn markers; orientation is fixed or not."""
+    """(arguments, kept): the constructor arguments of a small generated
+    mesh whose cells list their vertices in drawn orders, so some have
+    negative measure, with a boundary drawn from its boundary facets,
+    repeats of them and interior faces, in drawn orders, with drawn
+    markers, and orientation fixed or not; `kept` marks the facets drawn
+    once each from its boundary facets."""
     kind = draw(st.sampled_from(["interval", "annulus", "shell"]))
     if kind == "interval":
         base = generate_interval_mesh(0.0, 1.0, draw(st.integers(1, 6)))
@@ -233,35 +244,41 @@ def perturbed_meshes(draw):
     kept = base.facets[rng.random(len(base.facets)) < draw(st.floats(0.0, 1.0))]
     extra = np.concatenate([base.facets, faces])[
         rng.integers(0, len(base.facets) + len(faces), draw(st.integers(0, 12)))]
-    facets = rng.permuted(rng.permutation(np.concatenate([kept, extra])), axis=1)
+    order = rng.permutation(len(kept) + len(extra))
+    facets = rng.permuted(np.concatenate([kept, extra])[order], axis=1)
     markers = rng.choice([R.value, D.value], len(facets))
-    return SimplicialMesh(d, base.vertices, cells, facets, markers,
-                          fix_orientation=draw(st.booleans()))
+    args = (d, base.vertices, cells, facets, markers, draw(st.booleans()))
+    return args, order < len(kept)
 
 
 @SETTINGS
 @given(perturbed_meshes())
-def test_perturbed_mesh_matches_references(mesh):
+def test_perturbed_mesh_matches_references(case):
+    args, kept = case
+    want = reference_validate(*args)
+    if want:
+        with pytest.raises(ValidationError) as err:
+            SimplicialMesh(*args)
+        assert err.value.violations == want
+        # no mesh is built; the same cells with their orientation fixed
+        # and only the kept boundary facets are compared instead
+        dim, vertices, cells, facets, markers, _ = args
+        args = (dim, vertices, cells, facets[kept], markers[kept], True)
+        assert reference_validate(*args) == []
+    mesh = SimplicialMesh(*args)
     assert_bits(mesh.cell_volumes, recomputed_measures(mesh))
-    assert validate(mesh) == reference_validate(mesh)
-    if not np.all(mesh.cell_volumes > 0):
-        # a cell left in negative orientation would get negative weights;
-        # the same cells with their orientation fixed are compared instead
-        with pytest.raises(InvalidGeometry, match="not > 0 and finite"):
-            _Workspace(mesh)
-        markers = np.where(mesh.robin, R.value, D.value)
-        mesh = SimplicialMesh(mesh.dim, mesh.vertices, mesh.cells, mesh.facets, markers)
+    assert validate(mesh) == []
     assert_workspace_matches_references(mesh)
 
 
 def test_validate_messages_in_order():
     """Every kind of violation, listed in the order validate reports them."""
-    mesh = SimplicialMesh(
-        1, [[0.0], [1.0], [np.inf], [3.0], [4.0]], [[1, 0], [1, 2], [2, 3], [3, 4]],
-        [[3], [1], [0], [3], [1], [4]], ["robin", "dirichlet", "dirichlet", "dirichlet",
-                                         "robin", "robin"],
-        fix_orientation=False)
-    assert validate(mesh) == reference_validate(mesh) == [
+    line = (1, [[0.0], [1.0], [np.inf], [3.0], [4.0]], [[1, 0], [1, 2], [2, 3], [3, 4]],
+            [[3], [1], [0], [3], [1], [4]],
+            ["robin", "dirichlet", "dirichlet", "dirichlet", "robin", "robin"], False)
+    with pytest.raises(ValidationError) as err:
+        SimplicialMesh(*line)
+    assert err.value.violations == reference_validate(*line) == [
         "vertex 2 has nonfinite coordinates",
         "cell 0 has nonpositive measure -1.000e+00",
         "cell 2 has nonpositive measure -inf",
@@ -272,11 +289,12 @@ def test_validate_messages_in_order():
         "facet (1,) listed more than once (markers dirichlet, robin)",
         "facet (1,) is a face of 2 cells, expected exactly 1",
     ]
-    square = SimplicialMesh(
-        2, [[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 1, 2], [2, 1, 3]],
-        [[1, 2], [2, 0], [0, 1], [1, 0], [3, 1], [2, 3], [0, 1]],
-        ["robin", "dirichlet", "dirichlet", "robin", "robin", "dirichlet", "robin"])
-    assert validate(square) == reference_validate(square) == [
+    square = (2, [[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 1, 2], [2, 1, 3]],
+              [[1, 2], [2, 0], [0, 1], [1, 0], [3, 1], [2, 3], [0, 1]],
+              ["robin", "dirichlet", "dirichlet", "robin", "robin", "dirichlet", "robin"], True)
+    with pytest.raises(ValidationError) as err:
+        SimplicialMesh(*square)
+    assert err.value.violations == reference_validate(*square) == [
         "facet (1, 2) is a face of 2 cells, expected exactly 1",
         "facet (1, 0) listed more than once (markers dirichlet, robin)",
         "facet (0, 1) listed more than once (markers dirichlet, robin)",
