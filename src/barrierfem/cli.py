@@ -29,7 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BarrierFemError, ConfigError, InvalidGeometry, InvalidRange, ValidationError
+from .errors import (
+    BarrierFemError,
+    ConfigError,
+    InvalidGeometry,
+    InvalidRange,
+    ParseError,
+    ValidationError,
+)
 from .mesh import (
     Marker,
     generate_annulus_mesh,
@@ -209,7 +216,12 @@ def load_experiment(path):
             mesh_path = ent.take("mesh.path")
             if mesh_path is None:
                 raise ConfigError("mesh.kind = file requires mesh.path")
-            meshes = [(Path(mesh_path).stem, load_mesh(mesh_path))]
+            try:  # only this call: a ConfigError is a ParseError too
+                mesh = load_mesh(mesh_path)
+            except (ParseError, InvalidGeometry, ValidationError) as exc:
+                raise ConfigError(f"mesh file {mesh_path}: {exc}",
+                                  line=ent.line_of("mesh.path")) from exc
+            meshes = [(Path(mesh_path).stem, mesh)]
         else:
             raise ConfigError(
                 f"unknown mesh.kind {kind!r}", line=ent.line_of("mesh.kind")

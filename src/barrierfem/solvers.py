@@ -27,7 +27,6 @@ is the previous step's merit after, bit for bit.  Every driver ends in
 `_finalize`: a solve converged iff its loop returned no failure reason.
 """
 
-import numbers
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -66,9 +65,18 @@ def classify_sign(u):
     return Sign.MIXED
 
 
+#: the schedule's factor: stage k + 1 runs at GAMMA * mu_k
+GAMMA = 0.1
+#: Armijo's sufficient-decrease constant and its step factor per trial
+ARMIJO_ETA = 1.0e-4
+BACKTRACK = 0.5
+#: steps one Newton loop (one stage) may take before it stops unconverged
+MAX_INNER = 100
+
+
 @dataclass
 class SolverConfig:
-    """Tolerances and schedule constants shared by all drivers.
+    """The tolerance and the schedule's start shared by all drivers.
 
     An invalid value raises ValueError; its message starts with the
     name of the field.
@@ -76,29 +84,12 @@ class SolverConfig:
 
     eps: float = 1.0e-7
     mu0: float = 1.0
-    gamma: float = 0.1
-    eta: float = 1.0e-4
-    backtrack: float = 0.5
-    max_outer: int = 60
-    max_inner: int = 100
 
     def __post_init__(self):
         if not 0 < self.eps < np.inf:
             raise ValueError("eps must be > 0 and finite")
         if not 0 <= self.mu0 < np.inf:
             raise ValueError("mu0 must be >= 0 and finite")
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must lie in (0, 1)")
-        if not 0 < self.eta < 0.5:
-            raise ValueError("eta must lie in (0, 1/2)")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtrack must lie in (0, 1)")
-        for name in ("max_outer", "max_inner"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):  # a float, NaN included
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -132,11 +123,11 @@ class StageRecord:
 class SolveReport:
     """What one solve did.  converged: no failure reason, which for a PDE
     driver (each ends at mu = 0) means ||G|| <= eps, and for the classical
-    barrier that every stage converged and mu fell below eps within
-    max_outer stages.  failure_reason: "" iff converged, else why the loop
-    stopped.  final_residual: ||G(u)|| (unbarriered), or ||grad f(x)||, at
-    the last iterate; sign: its sign on the free dofs.  multiplier_estimates:
-    mu/u on the free dofs at the end of the last positive-mu stage, if any."""
+    barrier that every stage of its schedule converged.  failure_reason:
+    "" iff converged, else why the loop stopped.  final_residual: ||G(u)||
+    (unbarriered), or ||grad f(x)||, at the last iterate; sign: its sign on
+    the free dofs.  multiplier_estimates: mu/u on the free dofs at the end
+    of the last positive-mu stage, if any."""
 
     method: str
     converged: bool = False
@@ -173,13 +164,13 @@ def step_to_boundary(u, w, free=None):
     return min(0.99 * alpha_max, 1.0)
 
 
-def armijo_backtrack(evaluate, phi0, grad_dot_dir, u, w, alpha_bar, eta=1.0e-4, backtrack=0.5):
-    """Largest alpha in {alpha_bar * backtrack^k} with sufficient decrease.
+def armijo_backtrack(evaluate, phi0, grad_dot_dir, u, w, alpha_bar):
+    """Largest alpha in {alpha_bar * BACKTRACK^k} with sufficient decrease.
 
     evaluate(v) returns (value, merit) at a trial point v = u + alpha*w;
     a trial that raises NonpositiveState has infinite merit.  phi0 is the
     merit at u, which is not evaluated.  Returns (alpha, evaluate(u + alpha*w))
-    for the first alpha with merit <= phi0 + eta*alpha*grad_dot_dir.
+    for the first alpha with merit <= phi0 + ARMIJO_ETA*alpha*grad_dot_dir.
     Raises LineSearchFailure once alpha_bar and 40 halvings are all rejected.
     """
     if not grad_dot_dir < 0:
@@ -194,9 +185,9 @@ def armijo_backtrack(evaluate, phi0, grad_dot_dir, u, w, alpha_bar, eta=1.0e-4, 
             trial = evaluate(u + alpha * w)
         except NonpositiveState:
             trial = (None, np.inf)
-        if np.isfinite(trial[1]) and trial[1] <= phi0 + eta * alpha * grad_dot_dir:
+        if np.isfinite(trial[1]) and trial[1] <= phi0 + ARMIJO_ETA * alpha * grad_dot_dir:
             return alpha, trial
-        alpha, trial = alpha * backtrack, None  # a rejected trial is freed before the next
+        alpha, trial = alpha * BACKTRACK, None  # a rejected trial is freed before the next
     raise LineSearchFailure(
         f"no sufficient decrease after 40 halvings (phi0={phi0:.3e})"
     )
@@ -289,7 +280,7 @@ def _newton(problem, point, mu, config, report, safeguarded):
 
     Converged once ||f|| <= subproblem_tolerance(mu, ||f(u0)||, eps), or
     eps at mu = 0.  Both step policies stop on a nonfinite residual,
-    after max_inner steps and after five negligible steps in a row.  A
+    after MAX_INNER steps and after five negligible steps in a row.  A
     standard step is the full Newton step.  A safeguarded step falls
     back to -f unless phi's slope along w is negative, stops unless the
     slope along the step is then negative, is capped by step_to_boundary
@@ -313,8 +304,8 @@ def _newton(problem, point, mu, config, report, safeguarded):
             report.residual_history.append(fn)
             if fn <= stage.tolerance:
                 return point, stage, ""
-            if stage.newton_iterations >= config.max_inner:
-                return point, stage, f"no convergence in {config.max_inner} iterations at mu={mu:g}"
+            if stage.newton_iterations >= MAX_INNER:
+                return point, stage, f"no convergence in {MAX_INNER} iterations at mu={mu:g}"
             w, cg_status, slope_along = problem.direction(point)
             alpha, alpha_bar, slope, fallback = 1.0, np.nan, np.nan, False
             if safeguarded:
@@ -328,8 +319,7 @@ def _newton(problem, point, mu, config, report, safeguarded):
                 try:
                     # the accepted trial at u + alpha*w is the new point, bit for bit
                     alpha, new = armijo_backtrack(
-                        lambda v: problem.evaluate(v, mu), point.phi, slope, point.u, w, alpha_bar,
-                        eta=config.eta, backtrack=config.backtrack,
+                        lambda v: problem.evaluate(v, mu), point.phi, slope, point.u, w, alpha_bar
                     )
                 except LineSearchFailure as exc:
                     return point, stage, f"line search failure at mu={mu:g}: {exc}"
@@ -351,18 +341,19 @@ def _newton(problem, point, mu, config, report, safeguarded):
 
 
 def _continuation(problem, point, config, report, polish):
-    """Safeguarded Newton on the stages mu0, gamma*mu0, ... >= eps (at
-    most max_outer), each warm-started, then with `polish` on mu = 0.
+    """Safeguarded Newton on the stages mu0, GAMMA*mu0, ... >= eps, each
+    warm-started, then with `polish` on mu = 0.  The schedule is finite,
+    since mu0 is finite and eps > 0: about log10(mu0/eps) + 1 stages.
 
     Multiplier estimates are mu/u on the free dofs at the end of the last
     positive stage; the polish keeps them.  Returns (point, reason); reason is
-    "" when every stage converged and, without the polish, mu fell below eps.
+    "" when every stage converged, else why the stage that failed stopped.
     """
     mu = float(config.mu0)
     schedule = []
-    while mu >= config.eps and len(schedule) < config.max_outer:
+    while mu >= config.eps:
         schedule.append(mu)
-        mu *= config.gamma
+        mu *= GAMMA
     for stage_mu in schedule + ([0.0] if polish else []):
         point, stage, reason = _newton(problem, point, stage_mu, config, report, safeguarded=True)
         if stage is not None:
@@ -371,8 +362,7 @@ def _continuation(problem, point, config, report, polish):
             return point, reason
         if stage_mu:
             report.multiplier_estimates = stage_mu / point.u[problem.free]
-    reason = f"max_outer = {config.max_outer} stages ended the schedule at mu={mu:g} >= eps"
-    return point, reason if mu >= config.eps and not polish else ""
+    return point, ""
 
 
 def _finalize(report, problem, point, reason, t0):
@@ -410,7 +400,7 @@ def _solve_fem(method, spec, mesh, u0, config):
 def newton_standard(spec, mesh, u0, config=None):
     """Plain Newton: full steps G'(u) w = -G(u), no positivity safeguard.
 
-    Stops when ||G|| <= eps, or unconverged after max_inner steps or
+    Stops when ||G|| <= eps, or unconverged after MAX_INNER steps or
     five negligible steps in a row.
     """
     return _solve_fem("newton", spec, mesh, u0, config)
@@ -431,10 +421,10 @@ def barrier_solve(spec, mesh, u0, config=None):
     Each stage seeks a stationary point of J_mu(u) = J(u) - mu int ln(u)
     by safeguarded Newton on [G' + mu M] w = -[G - mu H], with Armijo on
     the residual merit 0.5 ||G - mu H||^2, not on J_mu, warm-started from
-    the previous stage; mu shrinks by gamma whenever the stage tolerance
-    is met.  Once mu drops below eps (or after max_outer stages) a final
-    subproblem with mu = 0 always polishes to ||G|| <= eps (the reported,
-    unbarriered convergence test).  Multiplier estimates are mu/u at the
+    the previous stage; mu shrinks by GAMMA whenever the stage tolerance
+    is met.  Once mu drops below eps a final subproblem with mu = 0
+    always polishes to ||G|| <= eps (the reported, unbarriered
+    convergence test).  Multiplier estimates are mu/u at the
     last positive stage; mu0 = 0 is safeguarded Newton, with none.
     """
     return _solve_fem("barrier", spec, mesh, u0, config)
@@ -446,8 +436,8 @@ def classical_barrier_minimize(f, grad, hess, x0, config=None):
     Minimizes B_mu(x) = f(x) - mu sum(ln x_i) for the geometric mu
     schedule, solving (hess + mu diag(x^-2)) p = -(grad - mu x^-1) by a
     dense factorization at each inner step, with the 99% rule and Armijo
-    backtracking on B_mu itself.  Converged means every stage met its
-    tolerance and the schedule reached mu < eps within max_outer stages.
+    backtracking on B_mu itself.  Converged means every stage of the
+    schedule mu0, GAMMA*mu0, ... >= eps met its tolerance.
     Returns (x, report); the report's multiplier estimates are mu/x_i at
     the last solved positive mu.
     """

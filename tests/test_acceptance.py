@@ -30,6 +30,8 @@ from barrierfem.problem import (
     power_sum,
 )
 from barrierfem.solvers import (
+    ARMIJO_ETA,
+    GAMMA,
     Sign,
     SolverConfig,
     barrier_solve,
@@ -65,7 +67,7 @@ def ex1_shell_reports():
         reports[label] = {
             "newton": newton_standard(spec, mesh, one),
             "safeguarded": newton_safeguarded(spec, mesh, one),
-            "barrier": barrier_solve(spec, mesh, one, SolverConfig(mu0=1.0, gamma=0.1)),
+            "barrier": barrier_solve(spec, mesh, one, SolverConfig(mu0=1.0)),
             "newton_negative": newton_standard(spec, mesh, FeFunction.constant(mesh, -1.0)),
         }
     return reports
@@ -78,7 +80,7 @@ def ex4_shell_reports():
     for label, mesh in builtin_shell_meshes(Marker.DIRICHLET):
         one = FeFunction.constant(mesh, 1.0)
         reports[label] = {
-            "barrier": barrier_solve(spec, mesh, one, SolverConfig(mu0=10.0, gamma=0.1)),
+            "barrier": barrier_solve(spec, mesh, one, SolverConfig(mu0=10.0)),
             "newton": newton_standard(spec, mesh, one),
         }
     return reports
@@ -277,13 +279,13 @@ def test_criterion_07_feasibility_and_certificates(ex1_shell_reports, ex4_shell_
         for rec in report.iterations:
             assert rec.min_free_coeff > 0, "iterate left the positive orthant"
             assert rec.grad_dot_dir < 0
-            assert rec.phi_after <= rec.phi_before + config.eta * rec.alpha * rec.grad_dot_dir
+            assert rec.phi_after <= rec.phi_before + ARMIJO_ETA * rec.alpha * rec.grad_dot_dir
             checked_steps += 1
         mus = [stage.mu for stage in report.stages]
         positive = [m for m in mus if m > 0]
         assert all(b < a for a, b in zip(mus, mus[1:]))
         for a, b in zip(positive, positive[1:]):
-            assert np.isclose(b / a, config.gamma, rtol=1e-12)
+            assert np.isclose(b / a, GAMMA, rtol=1e-12)
         for stage in report.stages:
             if stage.mu > 0:
                 assert stage.tolerance == subproblem_tolerance(

@@ -21,6 +21,10 @@ from barrierfem.mesh import Marker, generate_interval_mesh, load_mesh, save_mesh
 from barrierfem.problem import FeFunction, builtin_example
 from barrierfem.solvers import SolverConfig
 
+#: solver.<name> keys that name no SolverConfig field: the schedule factor, the
+#: Armijo constants and the step cap are constants of solvers, and no stage cap exists
+NON_FIELD_SOLVER_KEYS = ("gamma", "eta", "backtrack", "max_outer", "max_inner")
+
 INTERVAL_CFG = """\
 # quick 1D benchmark
 problem.example = 1
@@ -107,13 +111,20 @@ class TestConfigParsing:
         config = load_experiment(write_cfg(tmp_path, text))
         assert {p for p, _ in config.spec.power_terms} == {1, 5, -3, -7}
 
-    @pytest.mark.parametrize("field", fields(SolverConfig), ids=lambda f: f.name)
-    def test_solver_key_of_each_field(self, tmp_path, field):
-        # a key that set no field would be rejected as unknown
-        text = f"mesh.kind = interval\nsolver.{field.name} = {field.default}\n"
-        config = load_experiment(write_cfg(tmp_path, text))
-        assert getattr(config.solver, field.name) == field.default
-        assert config.solver == SolverConfig()
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(SolverConfig)] + list(NON_FIELD_SOLVER_KEYS)
+    )
+    def test_solver_key_of_each_field(self, tmp_path, name):
+        # a key that sets no field is rejected as unknown
+        default = {f.name: f.default for f in fields(SolverConfig)}.get(name, 1)
+        cfg = write_cfg(tmp_path, f"mesh.kind = interval\nsolver.{name} = {default}\n")
+        if name in NON_FIELD_SOLVER_KEYS:
+            with pytest.raises(ConfigError, match=f"^line 2: key 'solver.{name}' is unknown"):
+                load_experiment(cfg)
+        else:
+            config = load_experiment(cfg)
+            assert getattr(config.solver, name) == default
+            assert config.solver == SolverConfig()
 
     def test_one_start_value(self, tmp_path):
         (tmp_path / "u0.txt").write_text("2.0\n" * 41)
@@ -138,8 +149,9 @@ class TestRun:
         assert (out / "run_metadata.txt").exists()
 
     def test_exit_code_on_failure(self, tmp_path):
-        text = INTERVAL_CFG.replace("methods = newton, safeguarded, barrier", "methods = newton")
-        text += "solver.max_inner = 1\n"
+        # safeguarded Newton needs a positive start: its row is an unconverged report
+        text = INTERVAL_CFG.replace("newton, safeguarded, barrier", "safeguarded")
+        text = text.replace("u0.constant = 1.0", "u0.constant = -1")
         cfg = write_cfg(tmp_path, text)
         assert run(cfg, tmp_path / "out") == 1
 
@@ -299,8 +311,14 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("mesh.kind = interval\nsolver.gamma = 2\n", "line 3: gamma must lie in (0, 1)"),
-            ("mesh.kind = interval\nsolver.max_inner = -3\n", "line 3: max_inner must be >= 0"),
+            (
+                "mesh.kind = interval\nsolver.gamma = 2\n",
+                "line 3: key 'solver.gamma' is unknown or does not apply",
+            ),
+            (
+                "mesh.kind = interval\nsolver.max_inner = -3\n",
+                "line 3: key 'solver.max_inner' is unknown or does not apply",
+            ),
             ("mesh.kind = interval\nsolver.mu0 = -1\n", "line 3: mu0 must be >= 0"),
             ("mesh.kind = interval\nsolver.eps = inf\n", "line 3: eps must be > 0 and finite"),
             (
@@ -309,7 +327,15 @@ class TestMainEntry:
             ),
             (None, "No such file or directory"),
             ("mesh.kind = file\nmesh.path = {tmp}/none.mesh\n", "none.mesh"),
-            ("mesh.kind = file\nmesh.path = {tmp}/empty.mesh\n", "line 2: mesh has no cells"),
+            (
+                "mesh.kind = file\nmesh.path = {tmp}/empty.mesh\n",
+                "line 3: mesh file {tmp}/empty.mesh: mesh has no cells",
+            ),
+            (
+                "mesh.kind = file\nmesh.path = {tmp}/bad_row.mesh\n",
+                "line 3: mesh file {tmp}/bad_row.mesh: line 4: bad vertices row: "
+                "could not convert string to float: '1.x'",
+            ),
             (
                 "mesh.kind = shell\nmesh.r_in = 1\nmesh.r_out = 1e300\nmesh.refinement = 0\n",
                 "line 2: 40 violations: cell 1 has infinite measure inf; ",
@@ -342,7 +368,7 @@ class TestMainEntry:
             ),
         ],
         ids=["gamma", "max_inner", "mu0", "eps_inf", "final_polish", "config_file", "mesh_path",
-             "mesh_without_cells", "shell_overflow",
+             "mesh_without_cells", "mesh_file_bad_row", "shell_overflow",
              "u0_file", "u0_file_short", "u0_file_not_numeric", "u0_file_inf", "u0_constant_nan",
              "u0_constant_inf", "u0_file_and_constant", "shells_outer_marker",
              "file_inner_marker"],
@@ -355,13 +381,16 @@ class TestMainEntry:
         (tmp_path / "empty.mesh").write_text(
             "dim 1\nvertices 2\n0.0\n1.0\ncells 0\nboundary_facets 0\n"
         )
+        (tmp_path / "bad_row.mesh").write_text(
+            "dim 1\nvertices 2\n0.0\n1.x\ncells 1\n0 1\nboundary_facets 0\n"
+        )
         cfg = tmp_path / "exp.cfg"
         if text is not None:
             cfg.write_text("problem.example = 1\n" + text.format(tmp=tmp_path))
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message.format(tmp=tmp_path) in err
         assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize(
