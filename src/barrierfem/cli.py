@@ -175,6 +175,12 @@ def _to_marker(text):
     return Marker(text.lower())
 
 
+def _reason(exc):
+    """An error's message without the file name the caller already gives:
+    the strerror of an OSError that has one ("No such file or directory")."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 def load_experiment(path):
     """Parse and validate a config file into an ExperimentConfig."""
     ent = _Entries(path)
@@ -218,8 +224,8 @@ def load_experiment(path):
                 raise ConfigError("mesh.kind = file requires mesh.path")
             try:  # only this call: a ConfigError is a ParseError too
                 mesh = load_mesh(mesh_path)
-            except (ParseError, InvalidGeometry, ValidationError) as exc:
-                raise ConfigError(f"mesh file {mesh_path}: {exc}",
+            except (OSError, ParseError, InvalidGeometry, ValidationError) as exc:
+                raise ConfigError(f"mesh file {mesh_path}: {_reason(exc)}",
                                   line=ent.line_of("mesh.path")) from exc
             meshes = [(Path(mesh_path).stem, mesh)]
         else:
@@ -245,8 +251,8 @@ def load_experiment(path):
         line = ent.line_of("u0.file")
         try:
             u0 = np.loadtxt(u0_file).ravel()
-        except ValueError as exc:
-            raise ConfigError(f"u0.file {u0_file}: {exc}", line=line) from None
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"u0.file {u0_file}: {_reason(exc)}", line=line) from None
         if not np.all(np.isfinite(u0)):
             raise ConfigError(f"u0.file {u0_file}: every value must be finite", line=line)
         for label, mesh in meshes:

@@ -8,7 +8,10 @@
   J_mu(u) = J(u) - mu int ln(u): each stage seeks a stationary point of
   J_mu, G - mu H = 0, by safeguarded Newton warm-started from the
   previous stage's point, with Armijo on the residual merit phi_mu
-  above (an energy merit is ROADMAP.md item 9), then polished at mu = 0;
+  above (an energy merit is ROADMAP.md item 9), then polished at mu = 0.
+  mu falls by the superlinear rule min(GAMMA mu, mu^1.5) of Waechter &
+  Biegler (2006), not by the purely geometric GAMMA mu: it takes fewer
+  stages near eps, where most stages take only one or two steps;
 * classical_barrier_minimize — the same continuation for smooth
   objectives on the positive orthant, used to validate the optimizer
   machinery on problems with known answers.
@@ -27,6 +30,7 @@ is the previous step's merit after, bit for bit.  Every driver ends in
 `_finalize`: a solve converged iff its loop returned no failure reason.
 """
 
+import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -65,8 +69,10 @@ def classify_sign(u):
     return Sign.MIXED
 
 
-#: the schedule's factor: stage k + 1 runs at GAMMA * mu_k
+#: the schedule's linear factor and superlinear exponent: stage k + 1 runs at
+#: min(GAMMA * mu_k, mu_k ** MU_POWER), the update of Waechter & Biegler (2006)
 GAMMA = 0.1
+MU_POWER = 1.5
 #: Armijo's sufficient-decrease constant and its step factor per trial
 ARMIJO_ETA = 1.0e-4
 BACKTRACK = 0.5
@@ -340,21 +346,32 @@ def _newton(problem, point, mu, config, report, safeguarded):
         return point, stage, f"nonpositive state: {exc}"
 
 
+def _mu_schedule(mu0, eps):
+    """The positive stages mu0 > mu_1 > ... >= eps of a barrier continuation.
+
+    mu_{k+1} = min(GAMMA * mu_k, mu_k ** MU_POWER): linear while mu > GAMMA^2,
+    then superlinear, so the stages near eps are fewer than in the geometric
+    schedule mu0, GAMMA*mu0, ... and never more.  mu ** 1.5 is taken as
+    mu * sqrt(mu) on Python floats: for a huge finite mu it is inf, which
+    min drops, where ** would raise OverflowError.  The schedule is finite,
+    since mu0 is finite and eps > 0: at most about log10(mu0/eps) + 1 stages.
+    """
+    mu, schedule = float(mu0), []
+    while mu >= eps:
+        schedule.append(mu)
+        mu = min(GAMMA * mu, mu * math.sqrt(mu))
+    return schedule
+
+
 def _continuation(problem, point, config, report, polish):
-    """Safeguarded Newton on the stages mu0, GAMMA*mu0, ... >= eps, each
-    warm-started, then with `polish` on mu = 0.  The schedule is finite,
-    since mu0 is finite and eps > 0: about log10(mu0/eps) + 1 stages.
+    """Safeguarded Newton on the stages of _mu_schedule(mu0, eps), each
+    warm-started, then with `polish` on mu = 0.
 
     Multiplier estimates are mu/u on the free dofs at the end of the last
     positive stage; the polish keeps them.  Returns (point, reason); reason is
     "" when every stage converged, else why the stage that failed stopped.
     """
-    mu = float(config.mu0)
-    schedule = []
-    while mu >= config.eps:
-        schedule.append(mu)
-        mu *= GAMMA
-    for stage_mu in schedule + ([0.0] if polish else []):
+    for stage_mu in _mu_schedule(config.mu0, config.eps) + ([0.0] if polish else []):
         point, stage, reason = _newton(problem, point, stage_mu, config, report, safeguarded=True)
         if stage is not None:
             report.stages.append(stage)
@@ -421,11 +438,12 @@ def barrier_solve(spec, mesh, u0, config=None):
     Each stage seeks a stationary point of J_mu(u) = J(u) - mu int ln(u)
     by safeguarded Newton on [G' + mu M] w = -[G - mu H], with Armijo on
     the residual merit 0.5 ||G - mu H||^2, not on J_mu, warm-started from
-    the previous stage; mu shrinks by GAMMA whenever the stage tolerance
-    is met.  Once mu drops below eps a final subproblem with mu = 0
-    always polishes to ||G|| <= eps (the reported, unbarriered
-    convergence test).  Multiplier estimates are mu/u at the
-    last positive stage; mu0 = 0 is safeguarded Newton, with none.
+    the previous stage; whenever the stage tolerance is met, mu shrinks
+    to min(GAMMA * mu, mu ** MU_POWER) (`_mu_schedule`).  Once mu drops
+    below eps a final subproblem with mu = 0 always polishes to
+    ||G|| <= eps (the reported, unbarriered convergence test).
+    Multiplier estimates are mu/u at the last positive stage; mu0 = 0 is
+    safeguarded Newton, with none.
     """
     return _solve_fem("barrier", spec, mesh, u0, config)
 
@@ -433,11 +451,11 @@ def barrier_solve(spec, mesh, u0, config=None):
 def classical_barrier_minimize(f, grad, hess, x0, config=None):
     """Log-barrier minimization of f on the positive orthant.
 
-    Minimizes B_mu(x) = f(x) - mu sum(ln x_i) for the geometric mu
-    schedule, solving (hess + mu diag(x^-2)) p = -(grad - mu x^-1) by a
+    Minimizes B_mu(x) = f(x) - mu sum(ln x_i) on the stages of
+    `_mu_schedule`, solving (hess + mu diag(x^-2)) p = -(grad - mu x^-1) by a
     dense factorization at each inner step, with the 99% rule and Armijo
     backtracking on B_mu itself.  Converged means every stage of the
-    schedule mu0, GAMMA*mu0, ... >= eps met its tolerance.
+    schedule mu0 > ... >= eps met its tolerance.
     Returns (x, report); the report's multiplier estimates are mu/x_i at
     the last solved positive mu.
     """

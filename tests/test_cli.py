@@ -295,8 +295,18 @@ class TestMainEntry:
         assert [(row[0], row[2], row[4], row[5]) for row in rows] == [
             ("newton", "8", "+", "true"),
             ("safeguarded", "8", "+", "true"),
-            ("barrier", "12", "+", "true"),
+            ("barrier", "11", "+", "true"),
         ]
+
+    def test_huge_mu0_ends_as_a_failed_row(self, tmp_path):
+        # mu0 = 1e300 is finite, so its schedule runs: mu * sqrt(mu) is inf
+        # there, never an OverflowError, and the first stage's residual is
+        # nonfinite, which ends the solve as a report
+        cfg = write_cfg(tmp_path, INTERVAL_CFG.replace("newton, safeguarded, barrier", "barrier")
+                        .replace("solver.mu0 = 1.0", "solver.mu0 = 1e300"))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert without_wall_ms(out / "results.csv")[1:] == ["barrier,interval,0,inf,+,false,1"]
 
     def test_plot_subcommand(self, tmp_path):
         out = tmp_path / "fig.csv"
@@ -326,7 +336,11 @@ class TestMainEntry:
                 "line 3: key 'solver.final_polish' is unknown or does not apply",
             ),
             (None, "No such file or directory"),
-            ("mesh.kind = file\nmesh.path = {tmp}/none.mesh\n", "none.mesh"),
+            (
+                "mesh.kind = file\nmesh.path = {tmp}/none.mesh\n",
+                "line 3: mesh file {tmp}/none.mesh: No such file or directory",
+            ),
+            ("mesh.kind = file\nmesh.path = {tmp}\n", "line 3: mesh file {tmp}: Is a directory"),
             (
                 "mesh.kind = file\nmesh.path = {tmp}/empty.mesh\n",
                 "line 3: mesh file {tmp}/empty.mesh: mesh has no cells",
@@ -340,7 +354,11 @@ class TestMainEntry:
                 "mesh.kind = shell\nmesh.r_in = 1\nmesh.r_out = 1e300\nmesh.refinement = 0\n",
                 "line 2: 40 violations: cell 1 has infinite measure inf; ",
             ),
-            ("mesh.kind = interval\nu0.file = {tmp}/none.txt\n", "none.txt"),
+            (
+                "mesh.kind = interval\nu0.file = {tmp}/none.txt\n",
+                "line 3: u0.file {tmp}/none.txt: {tmp}/none.txt not found",
+            ),
+            ("mesh.kind = interval\nu0.file = {tmp}\n", "line 3: u0.file {tmp}: Is a directory"),
             (
                 "mesh.kind = interval\nmesh.n_cells = 8\nmesh.inner_marker = dirichlet\n"
                 "u0.file = {tmp}/short.txt\n",
@@ -368,8 +386,8 @@ class TestMainEntry:
             ),
         ],
         ids=["gamma", "max_inner", "mu0", "eps_inf", "final_polish", "config_file", "mesh_path",
-             "mesh_without_cells", "mesh_file_bad_row", "shell_overflow",
-             "u0_file", "u0_file_short", "u0_file_not_numeric", "u0_file_inf", "u0_constant_nan",
+             "mesh_path_directory", "mesh_without_cells", "mesh_file_bad_row", "shell_overflow",
+             "u0_file", "u0_file_directory", "u0_file_short", "u0_file_not_numeric", "u0_file_inf", "u0_constant_nan",
              "u0_constant_inf", "u0_file_and_constant", "shells_outer_marker",
              "file_inner_marker"],
     )
@@ -391,6 +409,7 @@ class TestMainEntry:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message.format(tmp=tmp_path) in err
+        assert err.count("\n") == 1
         assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize(
@@ -478,7 +497,7 @@ SUITE_ROWS = {
         (6, 6, 6), ("4.544457e-12", "7.211493e-12", "8.537144e-12"), "+", "true", 1
     ),
     (1, "barrier@mu0=1"): (
-        (18, 19, 18), ("9.876165e-10", "1.572467e-09", "1.864565e-09"), "+", "true", 9
+        (15, 15, 14), ("3.126322e-09", "4.976534e-09", "5.899189e-09"), "+", "true", 7
     ),
     (2, "newton"): (
         (5, 5, 5), ("1.672850e+07", "2.583612e+07", "3.013931e+07"), "+", "false", 0
@@ -487,7 +506,7 @@ SUITE_ROWS = {
         (0, 0, 0), ("1.672850e+07", "2.583612e+07", "3.013931e+07"), "+", "false", 0
     ),
     (2, "barrier@mu0=50"): (
-        (12, 12, 12), ("4.148067e-09", "7.249510e-09", "7.526412e-09"), "+", "true", 10
+        (10, 10, 10), ("5.012120e-09", "9.328212e-09", "1.033444e-08"), "+", "true", 8
     ),
     (3, "newton"): (
         (1, 2, 3), ("1.989834e-08", "2.166254e-12", "3.097195e-12"), "+", "true", 0
@@ -496,7 +515,7 @@ SUITE_ROWS = {
         (1, 2, 3), ("1.989834e-08", "2.166254e-12", "3.097195e-12"), "+", "true", 0
     ),
     (3, "barrier@mu0=1"): (
-        (13, 18, 20), ("2.662088e-11", "1.188888e-09", "4.887660e-09"), "+", "true", 9
+        (12, 15, 16), ("8.351069e-11", "3.760061e-09", "1.545605e-08"), "+", "true", 7
     ),
     (4, "newton"): (
         (5, 5, 5), ("1.458568e+04", "1.821253e+04", "1.722521e+04"), "+", "false", 0
@@ -505,7 +524,7 @@ SUITE_ROWS = {
         (0, 0, 0), ("1.458568e+04", "1.821253e+04", "1.722521e+04"), "+", "false", 0
     ),
     (4, "barrier@mu0=10"): (
-        (14, 13, 16), ("4.784438e-11", "4.419354e-11", "4.836997e-11"), "+", "true", 10
+        (14, 13, 16), ("4.819252e-11", "5.998843e-11", "8.762479e-11"), "+", "true", 8
     ),
 }
 

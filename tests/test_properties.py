@@ -1,14 +1,16 @@
 """Property tests of the assembled system at mu, B(mu) = J + mu M and
 f = G - mu H, of the Jacobian's reuse of a State's power pass, of
 the barrier gradient H and of the energy on small random meshes with
-mixed boundary markers; and of the positivity cap of the safeguarded
-step."""
+mixed boundary markers; of the positivity cap of the safeguarded
+step; and of the barrier's mu schedule."""
 
+import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,7 +32,7 @@ from barrierfem.mesh import (
     generate_shell_mesh,
 )
 from barrierfem.problem import ProblemSpec
-from barrierfem.solvers import step_to_boundary
+from barrierfem.solvers import GAMMA, MU_POWER, _mu_schedule, step_to_boundary
 
 # few examples, no deadline and a fixed example sequence keep tier-1
 # short and reproducible
@@ -218,3 +220,31 @@ def test_step_to_boundary_keeps_free_dofs_positive(vectors, fractions):
         assert np.all((u + alpha * w)[free] > 0)
     if not np.any(w[free] < 0):
         assert cap == 1.0
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(0.0, 1.7e308), st.floats(0.0, 1.0, exclude_min=True))
+@example(1.0, 1e-7)
+@example(1e300, 1e-7)
+@example(1.7e308, 5e-324)
+@example(1e-8, 1e-7)
+def test_mu_schedule_is_the_superlinear_rule(mu0, eps):
+    """Each stage is min(GAMMA a, a sqrt(a)) of the one before, the stages
+    fall strictly and stay >= eps, the next one would not, and there are
+    no more of them than in the geometric schedule mu0, GAMMA mu0, ...
+    No finite mu0 overflows into an error."""
+    schedule = _mu_schedule(mu0, eps)
+    step = lambda a: min(GAMMA * a, a * math.sqrt(a))
+    assert schedule[:1] == ([mu0] if mu0 >= eps else [])
+    for a, b in zip(schedule, schedule[1:]):
+        assert b == step(a) and b < a
+    assert all(mu >= eps for mu in schedule)
+    if schedule:
+        assert step(schedule[-1]) < eps
+    for a in schedule:  # a * sqrt(a) is a ** MU_POWER where that is a normal float
+        if a <= 1 and a**MU_POWER >= sys.float_info.min:
+            assert math.isclose(a * math.sqrt(a), a**MU_POWER, rel_tol=1e-15)
+    geometric, mu = 0, mu0
+    while mu >= eps:
+        geometric, mu = geometric + 1, mu * GAMMA
+    assert len(schedule) <= geometric
