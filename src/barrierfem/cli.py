@@ -1,23 +1,10 @@
 """Batch experiment driver and command-line interface.
 
-Config files are flat ASCII `key = value` lines with `#` comments and
-dot-namespaced keys, e.g.::
-
-    problem.example = 1
-    mesh.kind = shells          # the three built-in spherical shells
-    methods = newton, safeguarded, barrier
-    u0.constant = 1.0
-    solver.mu0 = 1.0
-
-Every solve starts from one value: `u0.constant` (default 1.0) at each
-vertex, or the vector read from `u0.file`, which must hold one value per
-vertex of every mesh; a config may not set both.  Each `solver.<name>`
-key sets the SolverConfig field <name>.
-
-`solve` (results.csv) and `paper-suite` (example1.csv .. example4.csv)
-write their (method x mesh) grids through one function, one CSV row per
-solve with columns method,mesh,iterations,residual,sign,converged,
-mu_steps,wall_ms; `solve` exits 0 iff every requested solve converged.
+* `_Entries` and `load_experiment`: the `key = value` config file;
+* `MESH_KINDS`: the generated meshes, for config keys and mesh-gen flags;
+* `_write_grid`: the (method x mesh) CSV grid of `solve` and `paper-suite`;
+* `emit_paper_suite` and `_SUITE`: the benchmark grid and its expectations;
+* `main`: the subcommands; bad input ends as one `error:` line, exit 2.
 """
 
 import argparse
@@ -137,20 +124,23 @@ class _Entries:
     def __init__(self, path):
         self.entries = {}
         self.used = set()
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                text = raw.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                if "=" not in text:
-                    raise ConfigError("expected 'key = value'", line=lineno)
-                key, _, value = text.partition("=")
-                key, value = key.strip(), value.strip()
-                if not key or not value:
-                    raise ConfigError("empty key or value", line=lineno)
-                if key in self.entries:
-                    raise ConfigError(f"duplicate key {key!r}", line=lineno)
-                self.entries[key] = (value, lineno)
+        try:
+            with open(path) as fh:
+                for lineno, raw in enumerate(fh, 1):
+                    text = raw.split("#", 1)[0].strip()
+                    if not text:
+                        continue
+                    if "=" not in text:
+                        raise ConfigError("expected 'key = value'", line=lineno)
+                    key, _, value = text.partition("=")
+                    key, value = key.strip(), value.strip()
+                    if not key or not value:
+                        raise ConfigError("empty key or value", line=lineno)
+                    if key in self.entries:
+                        raise ConfigError(f"duplicate key {key!r}", line=lineno)
+                    self.entries[key] = (value, lineno)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path}: not a text file ({exc.reason})") from None
 
     def take(self, key, default=None, convert=str):
         if key not in self.entries:
@@ -182,7 +172,11 @@ def _reason(exc):
 
 
 def load_experiment(path):
-    """Parse and validate a config file into an ExperimentConfig."""
+    """Parse and validate a config file into an ExperimentConfig.
+
+    Every solve starts from one value: `u0.constant` (default 1.0) at each
+    vertex, or the `u0.file` vector of one value per vertex of every mesh;
+    a config may not set both."""
     ent = _Entries(path)
 
     example = ent.take("problem.example", convert=int)
@@ -329,7 +323,8 @@ def _write_grid(path, spec, methods, meshes, u0, solver_config):
 
 
 def run(config_path, out_dir="."):
-    """Execute every (method x mesh) solve of a config; returns exit code.
+    """Execute every (method x mesh) solve of a config; returns the exit
+    code, 0 iff every solve converged, else 1.
 
     Writes results.csv (deterministic modulo the wall_ms column) and
     run_metadata.txt (timestamps) into out_dir.

@@ -1,70 +1,25 @@
 """P1 Galerkin assembly of residuals, Jacobians and energies.
 
-The Galerkin system is a linear part plus a power-law part.  For a
-state u_h = sum_i u_i phi_i and a barrier parameter mu >= 0 the
-assembled objects are
+For a state u_h and a barrier parameter mu >= 0, with k_mu(u) = k(u) -
+mu u^-1 and K' = k, the module assembles
 
-    residual  = A u - b + [int k_mu(u_h) phi_i]_i
-    jacobian  = A + [int k_mu'(u_h) phi_j phi_i]_ij
-    energy    = 0.5 u.A u - b.u + int K(u_h) - mu int ln u_h
+    residual  f = A u - b + [int k_mu(u_h) phi_i]_i        = G - mu H
+    jacobian  B = A + [int k_mu'(u_h) phi_j phi_i]_ij      = J + mu M
+    energy    0.5 u.A u - b.u + int K(u_h) - mu int ln u_h
 
-with the linear operator A_ij = int a grad(phi_j).grad(phi_i) +
-int_Robin c phi_j phi_i, the load b_i = int source phi_i +
-int_Robin g phi_i, and K' = k.  A and b do not depend on u: the mesh
-workspace assembles them once per spec (`_Workspace.fields_for`), so
-each state costs the power terms only.
+where A is the stiffness plus the Robin mass, b the source plus the
+Robin load, H_i = int u_h^-1 phi_i and M_ij = int u_h^-2 phi_j phi_i.
+Where each mechanism is documented:
 
-k_mu(u) = k(u) - mu u^-1: the barrier -mu int ln u of the energy is
-one more power term, p = -1 with coefficient -mu.  So the residual is
-f = G - mu H and the Jacobian B = J + mu M, with H_i = int u_h^-1 phi_i
-and M_ij = int u_h^-2 phi_j phi_i.
-
-This module owns the row blocks (_row_blocks, about _BLOCK_ELEMENTS
-values each), and one walker, _at_points, hands each pass over the
-quadrature points its cells, u at their points and block scratch.  One
-power pass serves the residual and the Jacobian: problem._power_kernel,
-power_sum's kernel, sums k_mu and, in the same loop over the terms, k';
-k_mu is weighted there and taken to the cells' local vectors.  The only
-full-size arrays a step makes are the k' and u^-2 the pass keeps and
-the (M, d+1) and (M, K) locals.  Every product is a matmul on a row
-block, so it runs on one BLAS thread, and it has the bits of the
-product over all cells (see _row_blocks).  The Jacobian's weighted
-slope and the barrier gradient go per block the same way, and
-compute_energy and l2_error fill their one (M, Q) integrand per block.
-Given a `State`, assemble_residual keeps the pass (the spec's fields,
-k' and u^-2) on that state; assemble_jacobian at that state, at any mu,
-adds the barrier's mu u^-2 to k' and needs no pass of its own, and at
-anything else it runs the pass.  A Newton step takes its matrix at the
-state of its last residual, so each step makes one pass, and a caller
-pays for the matrix only when it takes a step.  At a fixed u, f is
-affine in mu, and assemble_barrier_gradient builds H alone (one
-product and one bincount, no power pass), so f at a second mu costs
-f(mu1) + (mu1 - mu2) H.
-
-The workspace is built once per mesh.  Its quadrature points are
-summed one coordinate at a time over row blocks of cells, its
-gradients and their Gram products are formed per row block, and
-fields_for evaluates each field at a block's points (_Workspace.at),
-with the diffusion and source products, per row block too: the only
-(M, Q) arrays a spec keeps are its power coefficients that are not a
-constant_field.  The CSR patterns come from one sort of the canonical
-(row <= col) pairs, which numbers them, and a second of those pairs
-and their mirrors; both give the arrays of the einsum and of a sort
-over both orientations bit for bit.
-
-A and the Jacobian share one scatter.  The upper triangle of every
-local matrix is summed per pair with one bincount, and one gather
-mirrors the sums onto a pattern: the full one for A, the
-Dirichlet-reduced one for the Jacobian, whose sums are A's plus its
-power part's.
-
-Dirichlet constraints are imposed by row/column reduction: constrained
-rows and columns of the Jacobian become identity and constrained
-entries of the residual are zeroed, which keeps the matrix symmetric.
-
-All integrals use the degree-5 rules from the quadrature module; the
-negative-power and logarithm integrands are thereby approximated by a
-finite sum with fixed positive weights.
+* `_row_blocks`: the blocks of cells every pass runs over;
+* `_Workspace`: what is kept per mesh (geometry, quadrature points, the
+  two CSR patterns, the pair scatter shared by A and B, Dirichlet
+  reduction) and, through `fields_for`, per spec (A, b, coefficients);
+* `_at_points`: the one walker that hands a pass its blocks;
+* `_power_pass` and `State`: the one power pass per state, which the
+  residual and the Jacobian share;
+* `assemble_residual`, `assemble_jacobian`, `assemble_barrier_gradient`,
+  `compute_energy` and `l2_error`: the assembled objects.
 """
 
 from weakref import WeakKeyDictionary
@@ -106,8 +61,11 @@ def _row_blocks(n, row):
 class _Workspace:
     """What assembly keeps per mesh and, through fields_for, per spec.
 
-    Per mesh: geometry, quadrature tables of the cells and of the Robin
-    facets (points from `_rule_points`), and two CSR patterns: the full
+    Per mesh: geometry (the basis gradients' Gram products `grad_gram`,
+    formed per row block from `simplex_geometry`; every mesh is valid by
+    construction, so no geometry is checked here), quadrature tables of
+    the cells and of the Robin facets (points from `_rule_points`), and
+    two CSR patterns: the full
     P1 pattern (`full_indptr`, `full_indices`) carries the linear
     operator A, the Dirichlet-reduced one (`indptr`, `indices`:
     free-free pairs and every diagonal) the Jacobian.  `_build_patterns`
@@ -119,7 +77,12 @@ class _Workspace:
     and each reduced slot to its pair, and the reduced pattern's fixed
     diagonal to num_pairs, one past the last.  So a symmetric operator
     is one bincount of num_pairs + 1 bins and one gather, and A == A.T
-    bit for bit.
+    and B == B.T bit for bit.
+
+    Dirichlet constraints are imposed by row/column reduction: the
+    Jacobian's Dirichlet rows and columns are those of the identity and
+    the residual's Dirichlet entries are zeroed (`vertex_sum`), which
+    keeps B symmetric.
 
     Holds no reference to the mesh itself, so a mesh and its workspace
     are freed together once the mesh is no longer used.
@@ -219,7 +182,9 @@ class _Workspace:
         "operator", the linear operator A (stiffness plus Robin mass) on
         the full pattern; "operator_sums", A's sums per pair and a
         trailing 1.0 for the fixed diagonal, which `scatter` takes; and
-        "load", the vector b (source plus Robin data).
+        "load", the vector b (source plus Robin data).  Fields are
+        evaluated per row block (`at`), so the only (M, Q) arrays a spec
+        keeps are its coefficients that are not constant.
         """
         cached = self.spec_fields.get(spec)
         if cached is not None:
@@ -302,7 +267,8 @@ def workspace_for(mesh):
 def _check_state(ws, u, positive):
     """u as the coefficients of ws, a workspace (or a mesh, without `positive`);
     with `positive`, u must be > 0 at every free vertex and >= 0 at every
-    vertex (zero Dirichlet data is allowed)."""
+    vertex: zero Dirichlet data is allowed, as u_h > 0 still holds at the
+    quadrature points of every cell that has a free vertex."""
     u = as_coefficients(u)
     if len(u) != ws.num_vertices:
         raise DimensionMismatch(
@@ -380,7 +346,8 @@ def assemble_residual(spec, mesh, u, mu=0.0):
 
 def assemble_barrier_gradient(mesh, u):
     """H_i = int u_h^-1 phi_i with Dirichlet entries zeroed, so that
-    f(u, mu2) = f(u, mu1) + (mu1 - mu2) H(u); u must pass _check_state."""
+    f(u, mu2) = f(u, mu1) + (mu1 - mu2) H(u), with no power pass; u must
+    pass _check_state."""
     ws = workspace_for(mesh)
     u = _check_state(ws, u, True)
     local = np.empty(ws.cells.shape)

@@ -1,20 +1,13 @@
 """Simplicial meshes: representation, generators, file I/O, geometry.
 
-Meshes are valid by construction and immutable: every array a mesh
-holds, its measures included, is read-only.  The constructor rejects a
-cell or facet row that is not its simplex's number of int64 vertex
-indices in range, computes every cell's signed measure, `cell_volumes`,
+Meshes are valid by construction and immutable (`SimplicialMesh`): the
+constructor checks shapes and indices, computes every cell's measure
 with `simplex_geometry`, the closed-form kernel that also gives assembly
-its basis gradients, and by default fixes cell orientation (a swap of
-the last two vertices whenever the measure is negative, which negates
-it exactly).  It ends with `validate` on those measures and raises
-ValidationError on any violation, so assembly can rely on a cell and on
-positive, finite measures without checking them again.
-
-The boundary is two arrays: `facets`, the vertex indices of each
-boundary facet, and `robin`, True where that facet carries a Robin
-condition and False where it carries a Dirichlet one.  Every module
-that needs the boundary conditions reads these two arrays.
+its basis gradients, fixes orientation by default and raises
+ValidationError on any violation `validate` lists, so assembly relies
+on a cell and on positive, finite measures without checking them again.
+Every module that needs the boundary conditions reads the two arrays
+`facets` and `robin`.
 """
 
 import math
@@ -371,8 +364,11 @@ def save_mesh(mesh, path):
 
 def load_mesh(path):
     """Read a mesh written by save_mesh; an inverted cell is rejected, not fixed."""
-    with open(path) as fh:
-        raw = fh.readlines()
+    try:
+        with open(path) as fh:
+            raw = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not a text file ({exc.reason})") from None
     # the fields of each nonblank line, comments removed, with its 1-based number
     lines = [(fields, i) for i, line in enumerate(raw, 1)
              if (fields := line.split("#", 1)[0].split())]

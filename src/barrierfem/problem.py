@@ -1,20 +1,10 @@
 """Problem data: PDE coefficients and the power-law nonlinearity.
 
-A problem is described by a scalar diffusion field and a sum of power
-terms sum_p c_p(x) u^p with odd integer exponents; the Hamiltonian
-constraint uses p in {1, 5, -3, -7} and the Yamabe examples use subsets
-of {1, 5}.  Everything here is pointwise.  power_sum evaluates k(u),
-its derivative k'(u) and its antiderivative (the energy density) from
-the same representation, as one call of the kernel _power_kernel, which
-evaluates one array of points, for one or more of these orders, into
-the arrays it is given.  The assembly (fem) runs the same kernel per
-row block of cells, and adds the barrier -mu ln u to k as the term
-(p, c) = (-1, -mu); no ProblemSpec holds it, since it has no power-law
-antiderivative.
-
-Coefficient fields are closures of position: they receive an (n, dim)
-array of points and return n values, so sharp fields like 1/r^3 are
-evaluated exactly at quadrature points with no interpolation error.
+Everything here is pointwise.  `ProblemSpec` holds a problem's
+coefficient fields, `lichnerowicz_spec` and `builtin_example` build
+the Hamiltonian-constraint and Yamabe-type ones, and `power_sum` and
+its kernel `_power_kernel`, which the assembly (fem) runs per row
+block with the barrier added, evaluate the nonlinearity.
 """
 
 import math
@@ -66,7 +56,9 @@ class ProblemSpec:
         u = dirichlet_data                                        on Dirichlet part
 
     power_terms maps odd integer exponents p (p != -1) to coefficient
-    fields c_p.  A field is a callable of position or a number; source,
+    fields c_p.  A field is a number or a callable of position, (n, dim)
+    points to n values, evaluated at the quadrature points, so a sharp
+    field like 1/r^3 has no interpolation error; source,
     robin_coeff, robin_data and dirichlet_data default to 0, diffusion to 1.
     A number becomes a constant_field, the only field that the assembly
     keeps as a scalar; any other callable is kept at every quadrature

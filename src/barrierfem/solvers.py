@@ -1,33 +1,17 @@
 """Nonlinear solution strategies for the positivity-constrained problems.
 
-* newton_standard — full Newton steps, no safeguards;
-* newton_safeguarded — Newton with fraction-to-the-boundary ("99% rule")
-  step caps and Armijo backtracking on the residual merit
-  phi_mu(u) = 0.5 ||G(u) - mu H(u)||^2;
-* barrier_solve — mu-continuation on the log-barrier energy
-  J_mu(u) = J(u) - mu int ln(u): each stage seeks a stationary point of
-  J_mu, G - mu H = 0, by safeguarded Newton warm-started from the
-  previous stage's point, with Armijo on the residual merit phi_mu
-  above (an energy merit is ROADMAP.md item 9), then polished at mu = 0.
-  mu falls by the superlinear rule min(GAMMA mu, mu^1.5) of Waechter &
-  Biegler (2006), not by the purely geometric GAMMA mu: it takes fewer
-  stages near eps, where most stages take only one or two steps;
-* classical_barrier_minimize — the same continuation for smooth
-  objectives on the positive orthant, used to validate the optimizer
-  machinery on problems with known answers.
+The drivers are newton_standard, newton_safeguarded, barrier_solve (the
+primal barrier energy method) and classical_barrier_minimize (the same
+continuation for smooth objectives on the positive orthant).  Where each
+mechanism is documented:
 
-All four run one Newton loop, with a full or a safeguarded step, and
-the two barrier drivers one mu schedule.  The loop sees a problem
-through an adapter, `_FemProblem` for the P1 system or `_DenseProblem`
-for a finite-dimensional barrier function, with two methods:
-`evaluate` (the `Point` (f, phi, u, mu, state) at a vector, or a point
-moved to another mu) and `direction` (the Newton direction at a point,
-the only place a matrix is built).  Every accepted step
-stores enough data (merit values, slope, step sizes, minimum
-coefficient) to replay the Armijo, descent and feasibility
-certificates after the fact; within a stage each step's merit before
-is the previous step's merit after, bit for bit.  Every driver ends in
-`_finalize`: a solve converged iff its loop returned no failure reason.
+* `_newton`: the one Newton loop, its full and safeguarded steps and its
+  stop rules; `step_to_boundary` and `armijo_backtrack` its safeguards;
+* `_mu_schedule` and `_continuation`: the one barrier continuation;
+* `_FemProblem` and `_DenseProblem`: the adapters through which the
+  loop sees a problem, as `Point`s (f, phi, u, mu, state);
+* `IterationRecord` and `StageRecord`: the replayable certificates;
+* `_finalize`: the one place that sets `converged` and `failure_reason`.
 """
 
 import math
@@ -100,8 +84,10 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
-    """One accepted Newton/backtracking step; grad_dot_dir < 0 certifies a
-    safeguarded step's descent (a standard step records nan there)."""
+    """One accepted Newton/backtracking step, with enough data to replay its
+    Armijo, descent and feasibility certificates after the fact;
+    grad_dot_dir < 0 certifies a safeguarded step's descent (a standard
+    step records nan there)."""
 
     mu: float
     residual_norm: float        # ||G - mu H|| before the step
@@ -139,7 +125,6 @@ class SolveReport:
     converged: bool = False
     total_newton_iterations: int = 0
     final_residual: float = np.inf
-    residual_history: list = field(default_factory=list)
     sign: Sign = Sign.MIXED
     multiplier_estimates: np.ndarray = field(default_factory=lambda: np.zeros(0))
     wall_time: float = 0.0
@@ -216,7 +201,10 @@ class _FemProblem:
     f is assembled once per point.  At a point's state, f at another mu
     is f + (point.mu - mu) H, since f is affine in mu.  So a later stage
     starts from the previous stage's last residual, and the final ||G||
-    of a polished solve is the polish's last residual.
+    of a polished solve is the polish's last residual.  B is assembled at
+    the point's State, reusing its residual's power pass, so a barrier
+    solve makes one residual per line-search trial plus one for the first
+    stage, and one matrix per linear solve.
     """
 
     def __init__(self, spec, mesh):
@@ -281,7 +269,8 @@ def _newton(problem, point, mu, config, report, safeguarded):
 
     The start is evaluated at mu; then a safeguarded step takes its point
     from its accepted line-search trial and a standard step evaluates the
-    new iterate, or keeps its point if its direction is zero.  The
+    new iterate, or keeps its point if its direction is zero (truncated CG
+    met indefinite curvature at once).  The
     direction, and with it a matrix, is only computed for a step.
 
     Converged once ||f|| <= subproblem_tolerance(mu, ||f(u0)||, eps), or
@@ -291,8 +280,9 @@ def _newton(problem, point, mu, config, report, safeguarded):
     back to -f unless phi's slope along w is negative, stops unless the
     slope along the step is then negative, is capped by step_to_boundary
     and backtracked on phi, which is infinite at a nonpositive trial.
-    Returns (point, stage, reason): the last point (the start itself if
-    it is nonpositive), its StageRecord (None then) and "" on
+    Each step's merit before is the previous step's merit after, bit for
+    bit.  Returns (point, stage, reason): the last point (the start itself
+    if it is nonpositive), its StageRecord (None then) and "" on
     convergence, else why the iteration stopped.
     """
     stage = None
@@ -307,7 +297,6 @@ def _newton(problem, point, mu, config, report, safeguarded):
                 stage = StageRecord(mu, tol, fn, 0)
             if not np.isfinite(fn):
                 return point, stage, "nonfinite residual"
-            report.residual_history.append(fn)
             if fn <= stage.tolerance:
                 return point, stage, ""
             if stage.newton_iterations >= MAX_INNER:

@@ -337,6 +337,10 @@ class TestMainEntry:
             ),
             (None, "No such file or directory"),
             (
+                "mesh.kind = interval\n\udcff\udcfe\x00bad\n",
+                "config file {tmp}/exp.cfg: not a text file",
+            ),
+            (
                 "mesh.kind = file\nmesh.path = {tmp}/none.mesh\n",
                 "line 3: mesh file {tmp}/none.mesh: No such file or directory",
             ),
@@ -349,6 +353,10 @@ class TestMainEntry:
                 "mesh.kind = file\nmesh.path = {tmp}/bad_row.mesh\n",
                 "line 3: mesh file {tmp}/bad_row.mesh: line 4: bad vertices row: "
                 "could not convert string to float: '1.x'",
+            ),
+            (
+                "mesh.kind = file\nmesh.path = {tmp}/binary.mesh\n",
+                "line 3: mesh file {tmp}/binary.mesh: not a text file",
             ),
             (
                 "mesh.kind = shell\nmesh.r_in = 1\nmesh.r_out = 1e300\nmesh.refinement = 0\n",
@@ -385,8 +393,9 @@ class TestMainEntry:
                 "line 4: key 'mesh.inner_marker' is unknown or does not apply",
             ),
         ],
-        ids=["gamma", "max_inner", "mu0", "eps_inf", "final_polish", "config_file", "mesh_path",
-             "mesh_path_directory", "mesh_without_cells", "mesh_file_bad_row", "shell_overflow",
+        ids=["gamma", "max_inner", "mu0", "eps_inf", "final_polish", "config_file",
+             "config_not_text", "mesh_path", "mesh_path_directory", "mesh_without_cells",
+             "mesh_file_bad_row", "mesh_file_not_text", "shell_overflow",
              "u0_file", "u0_file_directory", "u0_file_short", "u0_file_not_numeric", "u0_file_inf", "u0_constant_nan",
              "u0_constant_inf", "u0_file_and_constant", "shells_outer_marker",
              "file_inner_marker"],
@@ -402,9 +411,11 @@ class TestMainEntry:
         (tmp_path / "bad_row.mesh").write_text(
             "dim 1\nvertices 2\n0.0\n1.x\ncells 1\n0 1\nboundary_facets 0\n"
         )
+        (tmp_path / "binary.mesh").write_bytes(b"\xff\xfe\x00bad")
         cfg = tmp_path / "exp.cfg"
-        if text is not None:
-            cfg.write_text("problem.example = 1\n" + text.format(tmp=tmp_path))
+        if text is not None:  # a "\udcXX" in text is the byte 0xXX
+            cfg.write_text("problem.example = 1\n" + text.format(tmp=tmp_path),
+                           encoding="utf-8", errors="surrogateescape")
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -456,6 +456,12 @@ class TestMeshIO:
             load_mesh(path)
         assert err.value.line == 8
 
+    def test_file_not_text(self, tmp_path):
+        path = tmp_path / "binary.mesh"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        with pytest.raises(ParseError, match="not a text file"):
+            load_mesh(path)
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "bad.mesh"
         path.write_text("dim 1\nvertices 2\n0.0\n")

@@ -750,4 +750,5 @@ def test_converged_iff_no_failure_reason(interval_robin, ex1_interval_reports, m
 def test_reports_carry_wall_time(ex1_interval_reports):
     for report in ex1_interval_reports.values():
         assert report.wall_time >= 0.0
-        assert np.all(np.isfinite(report.residual_history))
+        assert all(np.isfinite(record.residual_norm) for record in report.iterations)
+        assert all(np.isfinite(stage.initial_residual_norm) for stage in report.stages)
