@@ -125,7 +125,7 @@ class _Entries:
         self.entries = {}
         self.used = set()
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is no key
                 for lineno, raw in enumerate(fh, 1):
                     text = raw.split("#", 1)[0].strip()
                     if not text:
@@ -244,7 +244,7 @@ def load_experiment(path):
     if u0_file is not None:
         line = ent.line_of("u0.file")
         try:
-            u0 = np.loadtxt(u0_file).ravel()
+            u0 = np.loadtxt(u0_file, encoding="utf-8-sig").ravel()
         except (OSError, ValueError) as exc:
             raise ConfigError(f"u0.file {u0_file}: {_reason(exc)}", line=line) from None
         if not np.all(np.isfinite(u0)):

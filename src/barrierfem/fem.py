@@ -1,20 +1,27 @@
 """P1 Galerkin assembly of residuals, Jacobians and energies.
 
-For a state u_h and a barrier parameter mu >= 0, with k_mu(u) = k(u) -
-mu u^-1 and K' = k, the module assembles
+For a state u_h and a barrier parameter mu >= 0, with K' = k, the
+module assembles
 
-    residual  f = A u - b + [int k_mu(u_h) phi_i]_i        = G - mu H
-    jacobian  B = A + [int k_mu'(u_h) phi_j phi_i]_ij      = J + mu M
-    energy    0.5 u.A u - b.u + int K(u_h) - mu int ln u_h
+    residual  f = A u - b + [int k(u_h) phi_i]_i - mu [m_i / u_i]_i     = G - mu H
+    jacobian  B = A + [int k'(u_h) phi_j phi_i]_ij + mu diag(m_i / u_i^2) = J + mu M
+    energy    0.5 u.A u - b.u + int K(u_h) - mu sum_i m_i ln u_i
 
 where A is the stiffness plus the Robin mass, b the source plus the
-Robin load, H_i = int u_h^-1 phi_i and M_ij = int u_h^-2 phi_j phi_i.
-Where each mechanism is documented:
+Robin load and m_i = int phi_i the lumped mass of a free vertex (0 at a
+Dirichlet vertex).  The barrier is nodal because the method keeps
+u_i > 0 at the free vertices (`solvers.step_to_boundary`): the nodal sum
+is infinite on exactly the faces u_i = 0, where -mu int ln u_h, summed at
+quadrature points inside the cells, stays finite.  This is the usual
+lumping of a logarithmic potential (Copetti & Elliott 1992).  So the
+barrier never enters the quadrature pass: H and the diagonal of M are
+vertex vectors.  Where each mechanism is documented:
 
 * `_row_blocks`: the blocks of cells every pass runs over;
 * `_Workspace`: what is kept per mesh (geometry, quadrature points, the
   two CSR patterns, the pair scatter shared by A and B, Dirichlet
-  reduction) and, through `fields_for`, per spec (A, b, coefficients);
+  reduction, the lumped mass) and, through `fields_for`, per spec (A, b,
+  coefficients);
 * `_at_points`: the one walker that hands a pass its blocks;
 * `_power_pass` and `State`: the one power pass per state, which the
   residual and the Jacobian share;
@@ -82,7 +89,10 @@ class _Workspace:
     Dirichlet constraints are imposed by row/column reduction: the
     Jacobian's Dirichlet rows and columns are those of the identity and
     the residual's Dirichlet entries are zeroed (`vertex_sum`), which
-    keeps B symmetric.
+    keeps B symmetric.  The barrier's vertex vectors come from `mass`,
+    the lumped mass m_i = int phi_i with Dirichlet entries 0, through
+    `lumped`; `diagonal` holds each row's diagonal slot in the reduced
+    pattern, where B takes mu m_i / u_i^2.
 
     Holds no reference to the mesh itself, so a mesh and its workspace
     are freed together once the mesh is no longer used.
@@ -116,6 +126,8 @@ class _Workspace:
 
         self.dirichlet_mask = np.zeros(n, dtype=bool)
         self.dirichlet_mask[mesh.dirichlet_vertices()] = True
+        self.free = ~self.dirichlet_mask
+        self.mass = self.vertex_sum(self.wq @ self.lam)
         rows = np.concatenate([cells[:, iu].ravel(), self.robin_idx[:, fiu].ravel()])
         cols = np.concatenate([cells[:, ju].ravel(), self.robin_idx[:, fju].ravel()])
         self._build_patterns(rows, cols)
@@ -126,11 +138,11 @@ class _Workspace:
         (rows[i], cols[i]); the inverse of one np.unique over their
         canonical keys is each entry's pair."""
         n, m = self.num_vertices, len(rows)
-        fixed = np.flatnonzero(self.dirichlet_mask)
-        # one sort numbers the canonical (row <= col) pairs; the full
+        # one sort numbers the canonical (row <= col) pairs, every
+        # diagonal among them (even one of a vertex in no cell); the full
         # pattern adds the mirror of each off-diagonal pair
-        upper = np.concatenate([np.minimum(rows, cols) * n + np.maximum(rows, cols),
-                                fixed * (n + 1)])
+        diagonal = np.arange(n) * (n + 1)
+        upper = np.concatenate([np.minimum(rows, cols) * n + np.maximum(rows, cols), diagonal])
         canonical, pair = np.unique(upper, return_inverse=True)
         self.num_pairs = len(canonical)
         ci, cj = np.divmod(canonical, n)
@@ -143,12 +155,12 @@ class _Workspace:
         self.full_indices = ucols.astype(np.int32)
         self.upper_slots = pair[:m].astype(np.int32)
         self.full_mirror = np.concatenate([np.arange(self.num_pairs), off])[order].astype(np.int32)
-        free = ~self.dirichlet_mask
-        free_pair = free[urows] & free[ucols]
+        free_pair = self.free[urows] & self.free[ucols]
         reduced = free_pair | (urows == ucols)
         self.indptr = np.searchsorted(unique[reduced], np.arange(n + 1) * n).astype(np.int32)
         self.indices = self.full_indices[reduced]
         self.mirror = np.where(free_pair, self.full_mirror, self.num_pairs)[reduced]
+        self.diagonal = np.searchsorted(unique[reduced], diagonal)
 
     def scatter(self, local, sums):
         """Reduced-pattern data: `sums` (A's "operator_sums", or 0.0) plus
@@ -166,6 +178,12 @@ class _Workspace:
         )
         total[self.dirichlet_mask] = 0.0
         return total
+
+    def lumped(self, u, power):
+        """[m_i / u_i^power]_i, 0 at the Dirichlet vertices, where u_i
+        may be 0; a u_i^power that underflows or overflows gives inf or 0."""
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.divide(self.mass, u**power, out=np.zeros(len(u)), where=self.free)
 
     def at(self, field, rows):
         """A field at the quadrature points of the cells `rows`, as (rows, Q)."""
@@ -267,8 +285,10 @@ def workspace_for(mesh):
 def _check_state(ws, u, positive):
     """u as the coefficients of ws, a workspace (or a mesh, without `positive`);
     with `positive`, u must be > 0 at every free vertex and >= 0 at every
-    vertex: zero Dirichlet data is allowed, as u_h > 0 still holds at the
-    quadrature points of every cell that has a free vertex."""
+    vertex: zero Dirichlet data is allowed, as the nodal barrier sums over
+    the free vertices only (m_i = 0 at a Dirichlet vertex) and u_h > 0
+    still holds at the quadrature points, where the power terms are
+    evaluated, of every cell that has a free vertex."""
     u = as_coefficients(u)
     if len(u) != ws.num_vertices:
         raise DimensionMismatch(
@@ -290,8 +310,8 @@ def _state_fields(spec, mesh, u, mu):
 
 
 class State(FeFunction):
-    """A read-only copy of the coefficients, and the (spec fields, k', u^-2)
-    of the residual's pass at them."""
+    """A read-only copy of the coefficients, and the (spec fields, k') of
+    the residual's pass at them."""
 
     power_pass = None
 
@@ -315,84 +335,81 @@ def _at_points(ws, x, scratch=0):
         yield b, *views
 
 
-def _power_pass(ws, fields, x, mu):
-    """The (M, d+1) local vectors int k_mu phi_i of x, and the (fields, k',
-    u^-2) a State keeps: only those two and the locals are full-size."""
+def _power_pass(ws, fields, x):
+    """The (M, d+1) local vectors int k phi_i of x, and the (fields, k') a
+    State keeps: only k' and the locals are full-size; u^-2, which only
+    p < 0 needs, is block scratch."""
     coeffs = fields["coeffs"]
+    negative = any(p < 0 for p, _ in coeffs)
     slope = np.empty(ws.wq.shape)
-    inv_u2 = np.empty(ws.wq.shape) if mu > 0 or any(p < 0 for p, _ in coeffs) else None
     local = np.empty(ws.cells.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for b, uq, k, u2, power in _at_points(ws, x, 3):
+        for b, uq, k, u2, power, inv in _at_points(ws, x, 4):
             _power_kernel([(p, c if np.ndim(c) == 0 else c[b]) for p, c in coeffs], uq,
-                          (0, 1), mu, (k, slope[b]), None if inv_u2 is None else inv_u2[b],
-                          u2, power)
+                          (0, 1), (k, slope[b]), inv if negative else None, u2, power)
             k *= ws.wq[b]
             np.matmul(k, ws.lam, out=local[b])
-    return local, (fields, slope, inv_u2)
+    return local, (fields, slope)
 
 
 def assemble_residual(spec, mesh, u, mu=0.0):
-    """Residual vector f = A u - b + int k_mu(u_h) phi_i = G - mu*H with
+    """Residual vector f = A u - b + int k(u_h) phi_i - mu H = G - mu*H with
     Dirichlet entries zeroed; at a State, keeps the pass on it."""
     x, ws, fields = _state_fields(spec, mesh, u, mu)
     linear = fields["operator"] @ x - fields["load"]
-    local, kept = _power_pass(ws, fields, x, mu)
+    local, kept = _power_pass(ws, fields, x)
     if isinstance(u, State):
         u.power_pass = kept
-    with np.errstate(invalid="ignore"):  # local is +-inf at an overflowed u: f is nonfinite
-        return ws.vertex_sum(local, linear)
+    # local is +-inf at an overflowed u, mu H at a huge mu: f is nonfinite
+    with np.errstate(invalid="ignore", over="ignore"):
+        f = ws.vertex_sum(local, linear)
+        if mu > 0:
+            f -= mu * ws.lumped(x, 1)
+    return f
 
 
 def assemble_barrier_gradient(mesh, u):
-    """H_i = int u_h^-1 phi_i with Dirichlet entries zeroed, so that
-    f(u, mu2) = f(u, mu1) + (mu1 - mu2) H(u), with no power pass; u must
-    pass _check_state."""
+    """H = [m_i / u_i]_i, zero at the Dirichlet vertices, so that
+    f(u, mu2) = f(u, mu1) + (mu1 - mu2) H(u); u must pass _check_state."""
     ws = workspace_for(mesh)
-    u = _check_state(ws, u, True)
-    local = np.empty(ws.cells.shape)
-    for b, uq in _at_points(ws, u):
-        np.matmul(np.divide(ws.wq[b], uq, out=uq), ws.lam, out=local[b])
-    return ws.vertex_sum(local)
+    return ws.lumped(_check_state(ws, u, True), 1)
 
 
 def assemble_jacobian(spec, mesh, u, mu=0.0):
-    """Jacobian B = J + mu*M at the state u, on the mesh's reduced CSR pattern.
+    """Jacobian B = J + mu*M at the state u, on the mesh's reduced CSR
+    pattern, M = diag(m_i / u_i^2) added on its diagonal slots.
 
-    Takes k' and u^-2 from a State's power_pass made for this spec (with
-    u^-2 at mu > 0, as a Newton step's residual makes it), else runs the pass."""
+    Takes k' from a State's power_pass made for this spec, else runs the pass."""
     x, ws, fields = _state_fields(spec, mesh, u, mu)
     kept = u.power_pass if isinstance(u, State) else None
-    if kept is None or kept[0] is not fields or (mu > 0 and kept[2] is None):
-        _, kept = _power_pass(ws, fields, x, mu)
-    _, slope, inv_u2 = kept
+    if kept is None or kept[0] is not fields:
+        _, kept = _power_pass(ws, fields, x)
+    slope = kept[1]
     local = np.empty(ws.grad_gram.shape)
     for b, weighted in _at_points(ws, None):
-        # k'_mu = k' + mu u^-2, the barrier term added last as in the kernel
-        if mu > 0:
-            with np.errstate(invalid="ignore", over="ignore"):
-                np.add(slope[b], np.multiply(inv_u2[b], mu, out=weighted), out=weighted)
-            weighted *= ws.wq[b]
-        else:
-            np.multiply(slope[b], ws.wq[b], out=weighted)
-        np.matmul(weighted, ws.phi2, out=local[b])
+        np.matmul(np.multiply(slope[b], ws.wq[b], out=weighted), ws.phi2, out=local[b])
     data = ws.scatter(local, fields["operator_sums"])
+    if mu > 0:
+        with np.errstate(invalid="ignore", over="ignore"):
+            data[ws.diagonal] += mu * ws.lumped(x, 2)
     return SparseMatrix.from_pattern(ws.indptr, ws.indices, data)
 
 
 def compute_energy(spec, mesh, u, mu=0.0):
-    """0.5 u.Au - b.u + int K(u_h), and the barrier -mu*int(ln u_h) when mu > 0."""
+    """0.5 u.Au - b.u + int K(u_h), and the barrier -mu sum m_i ln u_i
+    over the free vertices when mu > 0."""
     u, ws, fields = _state_fields(spec, mesh, u, mu)
     coeffs = fields["coeffs"]
     density = np.empty(ws.wq.shape)
     for b, uq, u2, power, inv in _at_points(ws, u, 3):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             _power_kernel([(p, c if np.ndim(c) == 0 else c[b]) for p, c in coeffs], uq,
-                          (-1,), 0.0, (density[b],), inv, u2, power)
-        if mu > 0:
-            density[b] -= np.multiply(np.log(uq, out=power), mu, out=power)
+                          (-1,), (density[b],), inv, u2, power)
     linear = 0.5 * (fields["operator"] @ u) - fields["load"]
-    return float(u @ linear) + float(np.einsum("mq,mq->", ws.wq, density))
+    energy = float(u @ linear) + float(np.einsum("mq,mq->", ws.wq, density))
+    if mu > 0:
+        energy -= mu * float(ws.mass @ np.log(u, out=np.zeros(len(u)), where=ws.free))
+    return energy
 
 
 def apply_dirichlet(u, mesh, spec):

@@ -365,7 +365,7 @@ def save_mesh(mesh, path):
 def load_mesh(path):
     """Read a mesh written by save_mesh; an inverted cell is rejected, not fixed."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is no keyword
             raw = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"not a text file ({exc.reason})") from None

@@ -4,7 +4,8 @@ Everything here is pointwise.  `ProblemSpec` holds a problem's
 coefficient fields, `lichnerowicz_spec` and `builtin_example` build
 the Hamiltonian-constraint and Yamabe-type ones, and `power_sum` and
 its kernel `_power_kernel`, which the assembly (fem) runs per row
-block with the barrier added, evaluate the nonlinearity.
+block, evaluate the nonlinearity.  The barrier is not pointwise: fem
+adds it at the vertices.
 """
 
 import math
@@ -124,16 +125,15 @@ def _power_into(out, base, e):
         out[...] = base
 
 
-def _power_kernel(coeffs, u, derivatives, mu, totals, inv, u2, power):
+def _power_kernel(coeffs, u, derivatives, totals, inv, u2, power):
     """The power pass on an array of points, into the arrays it is given.
 
     Each array of `totals` gets the power_sum of its order in `derivatives`
-    ((-1,), (0,), (1,) or (0, 1)) at u, with the barrier -mu ln u added to
-    order 0 after the other terms, and `inv` gets u^-2 (None when neither
-    mu > 0 nor any p < 0 needs it).  Each c_p of `coeffs` broadcasts to
-    the totals' shape; u2 (u's shape) and power (the totals') are
-    scratch.  Every step is elementwise, so a pass in blocks has the bits
-    of one over the whole array.  The caller sets np.errstate."""
+    ((-1,), (0,), (1,) or (0, 1)) at u, and `inv` gets u^-2 (None when no
+    p < 0 needs it).  Each c_p of `coeffs` broadcasts to the totals'
+    shape; u2 (u's shape) and power (the totals') are scratch.  Every
+    step is elementwise, so a pass in blocks has the bits of one over the
+    whole array.  The caller sets np.errstate."""
     np.multiply(u, u, out=u2)
     if inv is not None:
         np.divide(1.0, u2, out=inv)
@@ -160,8 +160,6 @@ def _power_kernel(coeffs, u, derivatives, mu, totals, inv, u2, power):
             else:
                 total.fill(0.0 + term)  # a scalar-to-array add is slower than a fill
     for total, derivative in zip(totals, derivatives):
-        if derivative == 0 and mu > 0:
-            total += np.multiply(inv, -mu, out=power)
         if derivative != 1:
             total *= u2 if derivative == -1 else u
 
@@ -188,7 +186,7 @@ def power_sum(coeffs, u, derivative=0):
     total = np.empty(np.broadcast_shapes(u.shape, *(np.shape(c) for _, c in coeffs)))
     inv = np.empty(u.shape) if any(p < 0 for p, _ in coeffs) else None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _power_kernel(coeffs, u, (derivative,), 0.0, (total,), inv, np.empty(u.shape),
+        _power_kernel(coeffs, u, (derivative,), (total,), inv, np.empty(u.shape),
                       np.empty(total.shape))
     return total
 

@@ -119,7 +119,9 @@ class SolveReport:
     "" iff converged, else why the loop stopped.  final_residual: ||G(u)||
     (unbarriered), or ||grad f(x)||, at the last iterate; sign: its sign on
     the free dofs.  multiplier_estimates: mu/u on the free dofs at the end
-    of the last positive-mu stage, if any."""
+    of the last positive-mu stage, if any; for a PDE driver that is
+    lambda_i/m_i, the multiplier of the constraint u_i >= 0 per unit of
+    the lumped mass m_i = int phi_i (see fem)."""
 
     method: str
     converged: bool = False
@@ -196,7 +198,9 @@ class _FemProblem:
 
     A Newton step solves B w = -f with B = J + mu M, assembled at mu
     only for that step, by truncated CG; the merit slope along w is
-    (B w).f, since grad phi = B f.
+    (B w).f, since grad phi = B f.  H and M are the nodal barrier's
+    vertex vectors (see fem), so the matrix reuses the residual's power
+    pass at any mu.
 
     f is assembled once per point.  At a point's state, f at another mu
     is f + (point.mu - mu) H, since f is affine in mu.  So a later stage
@@ -209,7 +213,7 @@ class _FemProblem:
 
     def __init__(self, spec, mesh):
         self.spec, self.mesh = spec, mesh
-        self.free = ~workspace_for(mesh).dirichlet_mask
+        self.free = workspace_for(mesh).free
 
     def evaluate(self, v, mu):
         """The Point at a vector v (which becomes its State), or the point v
@@ -373,9 +377,13 @@ def _continuation(problem, point, config, report, polish):
 
 def _finalize(report, problem, point, reason, t0):
     """Record a loop's end: converged iff `reason` is "", the last iterate, its
-    sign on the free dofs and ||evaluate(point, 0)||: ||G(u)|| (the last residual,
-    moved to mu = 0; <= eps when a FEM loop gives no reason), or ||grad f(x)||."""
+    sign on the free dofs and ||G(u)|| (<= eps when a FEM loop gives no
+    reason), or ||grad f(x)||.  G is the last residual if the loop ended at
+    mu = 0, else assembled afresh: the last residual moved to mu = 0,
+    f + mu H, can lose G to cancellation, as mu H has no bound."""
     report.converged, report.failure_reason = not reason, reason
+    if isinstance(point, Point) and point.mu > 0:
+        point = point.u
     final = problem.evaluate(point, 0.0)
     report.solution = np.array(final.u)
     report.sign = classify_sign(final.u[problem.free])
@@ -424,15 +432,17 @@ def newton_safeguarded(spec, mesh, u0, config=None):
 def barrier_solve(spec, mesh, u0, config=None):
     """Primal barrier energy method with mu-continuation.
 
-    Each stage seeks a stationary point of J_mu(u) = J(u) - mu int ln(u)
-    by safeguarded Newton on [G' + mu M] w = -[G - mu H], with Armijo on
+    Each stage seeks a stationary point of J_mu(u) = J(u) - mu sum_i m_i ln u_i,
+    the barrier lumped onto the free vertices (m_i = int phi_i), which is
+    infinite on each face u_i = 0 that step_to_boundary keeps the iterates
+    off, by safeguarded Newton on [G' + mu M] w = -[G - mu H], with Armijo on
     the residual merit 0.5 ||G - mu H||^2, not on J_mu, warm-started from
     the previous stage; whenever the stage tolerance is met, mu shrinks
     to min(GAMMA * mu, mu ** MU_POWER) (`_mu_schedule`).  Once mu drops
     below eps a final subproblem with mu = 0 always polishes to
     ||G|| <= eps (the reported, unbarriered convergence test).
-    Multiplier estimates are mu/u at the last positive stage; mu0 = 0 is
-    safeguarded Newton, with none.
+    Multiplier estimates are mu/u at the last positive stage, lambda_i/m_i;
+    mu0 = 0 is safeguarded Newton, with none.
     """
     return _solve_fem("barrier", spec, mesh, u0, config)
 

@@ -127,8 +127,8 @@ class TestJacobian:
                 assert np.linalg.norm(fd - bw) / np.linalg.norm(bw) < 1e-5
 
     def test_barrier_matrix_is_mass_matrix_at_one(self):
-        # u == 1 so u^-2 == 1: the rows of M = B(1) - B(0) sum to the
-        # vertex patch volume / (d+1)
+        # u == 1, so M = B(1) - B(0) is diag(m), whose rows sum to the
+        # lumped mass m_i, the vertex patch volume / (d+1)
         mesh = generate_annulus_mesh(1, 2, 2, 8)
         u = FeFunction.constant(mesh, 1.0)
         m = barrier_part(ProblemSpec(), mesh, u, 1.0)
@@ -208,16 +208,29 @@ def _reference_local(spec, mesh):
     return stiffness, np.einsum("fq,qij->fij", ws.fwq * robin_coeff, fphi)
 
 
+def _reference_lumped_mass(mesh):
+    """m_i = int phi_i as the row sums of the consistent mass matrix, from
+    full local matrices summed by scipy's COO -> CSR build, with the
+    Dirichlet entries zeroed."""
+    ws = workspace_for(mesh)
+    cells, n, k = mesh.cells, mesh.num_vertices, mesh.dim + 1
+    local = np.einsum("mq,qi,qj->mij", ws.wq, ws.lam, ws.lam)
+    rows = np.repeat(cells, k, axis=1).ravel()
+    cols = np.tile(cells, (1, k)).ravel()
+    mass = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return np.where(ws.dirichlet_mask, 0.0, np.asarray(mass.sum(axis=1)).ravel())
+
+
 def _reference_matrices(spec, mesh, u):
-    """J and M from full local matrices, summed by scipy's COO -> CSR build
-    and reduced as D J D + I_fixed, D M D (D zeroes the Dirichlet part)."""
+    """J from full local matrices, summed by scipy's COO -> CSR build and
+    reduced as D J D + I_fixed (D zeroes the Dirichlet part), and the
+    nodal barrier's M = diag(m / u^2)."""
     ws = workspace_for(mesh)
     cells, n, k = mesh.cells, mesh.num_vertices, mesh.dim + 1
     uq = u[cells] @ ws.lam.T
     phi = np.einsum("qi,qj->qij", ws.lam, ws.lam)
     jac, fjac = _reference_local(spec, mesh)
     jac += np.einsum("mq,qij->mij", ws.wq * (1.0 - 1.5 * uq**-4), phi)
-    bar = np.einsum("mq,qij->mij", ws.wq / uq**2, phi)
     rows = np.repeat(cells, k, axis=1).ravel()
     cols = np.tile(cells, (1, k)).ravel()
     facets = ws.robin_idx
@@ -225,10 +238,10 @@ def _reference_matrices(spec, mesh, u):
     jcols = np.concatenate([cols, np.tile(facets, (1, k - 1)).ravel()])
     jvals = np.concatenate([jac.ravel(), fjac.ravel()])
     a = sp.coo_matrix((jvals, (jrows, jcols)), shape=(n, n)).tocsr().toarray()
-    m = sp.coo_matrix((bar.ravel(), (rows, cols)), shape=(n, n)).tocsr().toarray()
     free = ~ws.dirichlet_mask
     keep = np.outer(free, free)
-    return np.where(keep, a, 0.0) + np.diag((~free).astype(float)), np.where(keep, m, 0.0)
+    m = np.diag(_reference_lumped_mass(mesh) / u**2)
+    return np.where(keep, a, 0.0) + np.diag((~free).astype(float)), m
 
 
 def _pattern_keys(ws, indptr, indices):
@@ -271,13 +284,14 @@ def _full_scatter(ws, local):
 
 def _reference_residual(spec, mesh, u, mu):
     """f from full local matrices times the local state, the power terms
-    u + 0.5 u^-3 - mu u^-1 and a source and a Robin load, each summed at
-    the vertices with np.add.at; the Dirichlet entries are zeroed."""
+    u + 0.5 u^-3 and a source and a Robin load, each summed at the
+    vertices with np.add.at, and the nodal barrier -mu m / u; the
+    Dirichlet entries are zeroed."""
     ws = workspace_for(mesh)
     stiffness, robin_mass = _reference_local(spec, mesh)
     uq = u[mesh.cells] @ ws.lam.T
     source = spec.source(ws.xq_flat).reshape(uq.shape)
-    power = ws.wq * (uq + 0.5 * uq**-3 - mu / uq - source)
+    power = ws.wq * (uq + 0.5 * uq**-3 - source)
     robin_data = spec.robin_data(ws.fxq_flat).reshape(ws.fwq.shape)
     residual = np.zeros(mesh.num_vertices)
     np.add.at(residual, mesh.cells, np.einsum("mij,mj->mi", stiffness, u[mesh.cells]))
@@ -285,6 +299,7 @@ def _reference_residual(spec, mesh, u, mu):
     facets = ws.robin_idx
     np.add.at(residual, facets, np.einsum("fij,fj->fi", robin_mass, u[facets]))
     np.add.at(residual, facets, -(ws.fwq * robin_data) @ ws.flam)
+    residual -= mu * _reference_lumped_mass(mesh) / u
     residual[ws.dirichlet_mask] = 0.0
     return residual
 
@@ -528,7 +543,7 @@ class TestEnergy:
         assert np.isclose(energy, 1.0, rtol=1e-14)
 
     def test_barrier_term_constant_e(self):
-        # -mu * int ln(e) = -|Omega| = -1; quadrature exact for constants
+        # -mu * sum m_i ln(e) = -|Omega| = -1: no vertex is Dirichlet
         mesh = generate_interval_mesh(0, 1, 5, left=Marker.ROBIN, right=Marker.ROBIN)
         u = FeFunction.constant(mesh, np.e)
         assert np.isclose(compute_energy(ProblemSpec(), mesh, u, mu=1.0), -1.0, rtol=1e-14)

@@ -462,6 +462,16 @@ class TestMeshIO:
         with pytest.raises(ParseError, match="not a text file"):
             load_mesh(path)
 
+    def test_byte_order_mark(self, tmp_path):
+        # a mesh file saved with a UTF-8 byte-order mark loads as the plain one
+        mesh = generate_annulus_mesh(1, 2, 1, 5, inner=Marker.DIRICHLET)
+        plain, marked = tmp_path / "plain.mesh", tmp_path / "bom.mesh"
+        save_mesh(mesh, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_mesh(plain), load_mesh(marked)
+        for name in ("vertices", "cells", "facets", "robin"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "bad.mesh"
         path.write_text("dim 1\nvertices 2\n0.0\n")

@@ -167,7 +167,7 @@ def test_derivative_nonnegative_for_nonnegative_curvature():
 class TestPowerSumAccuracy:
     """power_sum against a term-by-term u**p reference in extended precision."""
 
-    # example 2's power terms plus the barrier term (-1, -mu) at mu = 0.3
+    # example 2's power terms plus a u^-1 term
     TERMS = ((1, -125.0), (5, 6.0), (-7, -6.0), (-3, -2.0), (-1, -0.3))
     U = np.concatenate([np.geomspace(1e-3, 1e3, 2001), -np.geomspace(1e-3, 1e3, 2001)])
 
@@ -198,7 +198,7 @@ class TestPowerSumAccuracy:
             power_sum(list(self.TERMS), self.U, derivative=2)
 
 
-def whole_array_power_sums(coeffs, u, derivatives, mu=0.0):
+def whole_array_power_sums(coeffs, u, derivatives):
     """The power pass as one pass over the whole array, every temporary
     of u's size: what the blocked passes must give bit for bit."""
 
@@ -218,7 +218,7 @@ def whole_array_power_sums(coeffs, u, derivatives, mu=0.0):
     power = np.empty(shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u2 = u * u
-        inv_u2 = 1.0 / u2 if mu > 0 or any(p < 0 for p, _ in coeffs) else None
+        inv_u2 = 1.0 / u2 if any(p < 0 for p, _ in coeffs) else None
         for p, c in coeffs:
             if p == 1:
                 term = c
@@ -233,8 +233,6 @@ def whole_array_power_sums(coeffs, u, derivatives, mu=0.0):
                     term *= p
                 total += term
         for total, derivative in zip(totals, derivatives):
-            if derivative == 0 and mu > 0:
-                total += inv_u2 * -mu
             if derivative != 1:
                 total *= u2 if derivative == -1 else u
     return totals, inv_u2
@@ -248,31 +246,31 @@ def assert_same_bits(got, want):
         assert got.tobytes() == want.tobytes()  # unlike ==, tells -0.0 from 0.0 and NaN apart
 
 
-def kernel_pass(coeffs, u, derivatives, mu):
+def kernel_pass(coeffs, u, derivatives):
     """_power_kernel over fem's _row_blocks of an (M, Q) u, as fem's pass
     runs it: (totals, u^-2 or None)."""
     totals = [np.empty(u.shape) for _ in derivatives]
-    inv_u2 = np.empty(u.shape) if mu > 0 or any(p < 0 for p, _ in coeffs) else None
+    inv_u2 = np.empty(u.shape) if any(p < 0 for p, _ in coeffs) else None
     u2, power = np.empty((2, *u.shape))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for b in fem._row_blocks(*u.shape)[0]:
             problem._power_kernel([(p, c if np.ndim(c) == 0 else c[b]) for p, c in coeffs],
-                                  u[b], derivatives, mu, [total[b] for total in totals],
+                                  u[b], derivatives, [total[b] for total in totals],
                                   None if inv_u2 is None else inv_u2[b], u2[b], power[b])
     return totals, inv_u2
 
 
-def assert_pass_matches_whole_array(coeffs, u, derivatives, mu):
-    """The kernel in blocks of an (M, Q) u, and power_sum for one order at
-    mu = 0, give the whole-array pass bit for bit."""
-    want_sums, want_inv_u2 = whole_array_power_sums(coeffs, u, derivatives, mu)
+def assert_pass_matches_whole_array(coeffs, u, derivatives):
+    """The kernel in blocks of an (M, Q) u, and power_sum for one order,
+    give the whole-array pass bit for bit."""
+    want_sums, want_inv_u2 = whole_array_power_sums(coeffs, u, derivatives)
     if np.ndim(u) == 2 and all(np.shape(c) in ((), np.shape(u)) for _, c in coeffs):
-        sums, inv_u2 = kernel_pass(coeffs, u, derivatives, mu)
+        sums, inv_u2 = kernel_pass(coeffs, u, derivatives)
         assert len(sums) == len(want_sums)
         for got, want in zip(sums, want_sums):
             assert_same_bits(got, want)
         assert_same_bits(inv_u2, want_inv_u2)
-    if len(derivatives) == 1 and mu == 0:
+    if len(derivatives) == 1:
         assert_same_bits(power_sum(coeffs, u, derivatives[0]), want_sums[0])
 
 
@@ -287,7 +285,7 @@ COEFFICIENT = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0]))
 
 @st.composite
 def pass_inputs(draw):
-    """(coeffs, u, derivatives, mu): u of BLOCK_ROWS - 1 .. several blocks of
+    """(coeffs, u, derivatives): u of BLOCK_ROWS - 1 .. several blocks of
     rows, any order, any set of odd exponents with scalar or (M, Q) coefficients."""
     rows = draw(st.sampled_from([0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                                  3 * BLOCK_ROWS + 2]))
@@ -300,7 +298,7 @@ def pass_inputs(draw):
             coeffs.append((p, draw(COEFFICIENT)))
         else:
             coeffs.append((p, draw(arrays(float, (rows, POINTS), elements=COEFFICIENT))))
-    return coeffs, u, derivatives, draw(st.sampled_from([0.0, 0.3]))
+    return coeffs, u, derivatives
 
 
 class TestBlockedPass:
@@ -320,8 +318,7 @@ class TestBlockedPass:
         rows = 2**15 // 15 + extra_rows  # one block of a (M, 15) pass, and around it
         u = rng.uniform(0.05, 20.0, (rows, 15))
         terms = [(1, -125.0), (5, rng.uniform(0.5, 2.0, (rows, 15))), (-7, -6.0), (-3, -2.0)]
-        for mu in (0.0, 0.3):
-            assert_pass_matches_whole_array(terms, u, derivatives, mu)
+        assert_pass_matches_whole_array(terms, u, derivatives)
 
     @pytest.mark.parametrize("derivatives", ORDERS)
     def test_signed_zero_first_term(self, derivatives):
@@ -330,7 +327,7 @@ class TestBlockedPass:
         for c in (-0.0, np.full(u.shape, -0.0)):
             for p in (1, 3, -3):
                 with mock.patch.object(fem, "_BLOCK_ELEMENTS", BLOCK_ROWS * POINTS):
-                    assert_pass_matches_whole_array([(p, c)], u, derivatives, 0.0)
+                    assert_pass_matches_whole_array([(p, c)], u, derivatives)
 
     @pytest.mark.parametrize("derivatives", ORDERS)
     def test_one_block_shapes(self, derivatives):
@@ -340,8 +337,8 @@ class TestBlockedPass:
         for u in (np.float64(1.3), np.linspace(0.2, 4.0, 7), np.full((1, 3), 0.8)):
             coeffs = terms if np.ndim(u) == 2 else terms[::2]
             for derivative in derivatives:
-                assert_pass_matches_whole_array(coeffs, u, (derivative,), 0.0)
-                assert_pass_matches_whole_array([], u, (derivative,), 0.0)
+                assert_pass_matches_whole_array(coeffs, u, (derivative,))
+                assert_pass_matches_whole_array([], u, (derivative,))
 
 
 class TestPositivity:

@@ -100,8 +100,8 @@ def test_system_matrix_exactly_symmetric(case):
 def test_jacobian_after_residual_equals_a_cold_one(case):
     """A Jacobian at a State whose residual was assembled, at that
     residual's mu or another, equals bit for bit one at the plain vector,
-    which runs its own pass; it reuses the residual's pass unless it needs
-    u^-2 that the pass did not keep.  A State's coefficients are read-only."""
+    which runs its own pass; it always reuses the residual's pass, as the
+    barrier is no part of it.  A State's coefficients are read-only."""
     spec, mesh, u, w, mu = case
     for residual_mu in (0.0, mu):
         state = State(u.copy())
@@ -114,7 +114,7 @@ def test_jacobian_after_residual_equals_a_cold_one(case):
             with mock.patch.object(fem, "_power_pass", wraps=fem._power_pass) as passes:
                 warm = assemble_jacobian(spec, mesh, state, m).data
             assert np.array_equal(warm, cold)
-            assert passes.call_count == (0 if kept[2] is not None or m == 0 else 1)
+            assert passes.call_count == 0
             assert state.power_pass is kept
 
 
@@ -197,6 +197,25 @@ def test_energy_invariant_under_vertex_permutation(case, random):
         assert abs(compute_energy(spec, permuted, u[perm], m) - energy) <= 1e-12 * max(
             1.0, abs(energy)
         )
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.data())
+def test_energy_tends_to_infinity_as_a_free_value_tends_to_zero(case, data):
+    """The barrier is infinite on each face u_i = 0 of a free vertex: with
+    the other values fixed, the energy at mu > 0 rises by at least
+    0.99 mu m_i ln(t1 / t2) as u_i falls from t1 to t2, where m_i = int
+    phi_i is the volume of the vertex's cells over d + 1."""
+    spec, mesh, u, _, mu = case
+    free = np.setdiff1d(np.arange(mesh.num_vertices), mesh.dirichlet_vertices())
+    i = data.draw(st.sampled_from(free.tolist()))
+    mass = mesh.cell_volumes[np.any(mesh.cells == i, axis=1)].sum() / (mesh.dim + 1)
+    values = (1e-30, 1e-100, 1e-300)
+    energies = [compute_energy(spec, mesh, np.where(np.arange(len(u)) == i, t, u), mu)
+                for t in values]
+    for k in range(len(values) - 1):
+        rise = 0.99 * mu * mass * math.log(values[k] / values[k + 1])
+        assert energies[k + 1] - energies[k] >= rise
 
 
 @PROPERTY_SETTINGS
