@@ -3,7 +3,7 @@
 The equation -8 Lap u - u/8 + u^5/r^3 = 0 with u = 1 on both boundaries
 has no singular term guarding u = 0, and its Jacobian at u = 1 is
 indefinite.  Truncated CG then returns the zero step, so plain Newton
-stalls at its start vector, and safeguarded Newton finds no descent
+stops at its start vector, and safeguarded Newton finds no descent
 direction.  With the barrier's mu m_i/u_i^2 on the Jacobian's diagonal, CG
 converges at every step, and continuation in mu delivers a strictly
 positive solution.  The constraint u > 0 is inactive there: the

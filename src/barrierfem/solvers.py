@@ -229,11 +229,11 @@ class _FemProblem:
             return Point(f, 0.5 * float(np.dot(f, f)), state.coefficients, mu, state)
 
     def direction(self, point):
-        """(w, CG status, w -> merit slope) for B w = -f; a zero w keeps the pass."""
+        """(w, CG status, w -> merit slope) for B w = -f; drops the State's
+        pass, which only B reads."""
         matrix = assemble_jacobian(self.spec, self.mesh, point.state, point.mu)
+        point.state.power_pass = None
         result = cg_solve(matrix, -point.f)
-        if result.x.any():
-            point.state.power_pass = None
         return result.x, result.status.value, lambda w: float(np.dot(matrix @ w, point.f))
 
 
@@ -273,17 +273,19 @@ def _newton(problem, point, mu, config, report, safeguarded):
 
     The start is evaluated at mu; then a safeguarded step takes its point
     from its accepted line-search trial and a standard step evaluates the
-    new iterate, or keeps its point if its direction is zero (truncated CG
-    met indefinite curvature at once).  The
-    direction, and with it a matrix, is only computed for a step.
+    new iterate.  The direction, and with it a matrix, is only computed
+    for a step.
 
     Converged once ||f|| <= subproblem_tolerance(mu, ||f(u0)||, eps), or
     eps at mu = 0.  Both step policies stop on a nonfinite residual,
     after MAX_INNER steps and after five negligible steps in a row.  A
-    standard step is the full Newton step.  A safeguarded step falls
-    back to -f unless phi's slope along w is negative, stops unless the
-    slope along the step is then negative, is capped by step_to_boundary
-    and backtracked on phi, which is infinite at a nonpositive trial.
+    standard step is the full Newton step; a zero direction, which
+    truncated CG returns when it meets nonpositive curvature on its
+    first step, stops the loop at its point with no step taken.  A
+    safeguarded step falls back to -f unless phi's slope along w is
+    negative, stops unless the slope along the step is then negative, is
+    capped by step_to_boundary and backtracked on phi, which is infinite
+    at a nonpositive trial.
     Each step's merit before is the previous step's merit after, bit for
     bit.  Returns (point, stage, reason): the last point (the start itself
     if it is nonpositive), its StageRecord (None then) and "" on
@@ -322,8 +324,12 @@ def _newton(problem, point, mu, config, report, safeguarded):
                     )
                 except LineSearchFailure as exc:
                     return point, stage, f"line search failure at mu={mu:g}: {exc}"
+            elif not w.any():
+                return point, stage, (
+                    f"no step: truncated CG met nonpositive curvature at once at mu={mu:g}"
+                )
             else:
-                new = problem.evaluate(point.u + alpha * w, mu) if w.any() else point
+                new = problem.evaluate(point.u + alpha * w, mu)
             report.iterations.append(IterationRecord(
                 mu, fn, point.phi, new.phi if safeguarded else np.nan, alpha_bar, alpha, slope,
                 fallback, float(new.u[problem.free].min()), cg_status,
@@ -414,8 +420,9 @@ def _solve_fem(method, spec, mesh, u0, config):
 def newton_standard(spec, mesh, u0, config=None):
     """Plain Newton: full steps G'(u) w = -G(u), no positivity safeguard.
 
-    Stops when ||G|| <= eps, or unconverged after MAX_INNER steps or
-    five negligible steps in a row.
+    Stops when ||G|| <= eps, or unconverged after MAX_INNER steps, after
+    five negligible steps in a row, or at once when truncated CG returns
+    a zero direction (nonpositive curvature on its first step).
     """
     return _solve_fem("newton", spec, mesh, u0, config)
 

@@ -537,7 +537,7 @@ SUITE_ROWS = {
         (15, 15, 14), ("3.491908e-09", "5.547582e-09", "6.699248e-09"), "+", "true", 7
     ),
     (2, "newton"): (
-        (5, 5, 5), ("1.672850e+07", "2.583612e+07", "3.013931e+07"), "+", "false", 0
+        (0, 0, 0), ("1.672850e+07", "2.583612e+07", "3.013931e+07"), "+", "false", 0
     ),
     (2, "safeguarded"): (
         (0, 0, 0), ("1.672850e+07", "2.583612e+07", "3.013931e+07"), "+", "false", 0
@@ -555,7 +555,7 @@ SUITE_ROWS = {
         (12, 15, 15), ("8.343417e-11", "3.761292e-09", "1.550920e-08"), "+", "true", 7
     ),
     (4, "newton"): (
-        (5, 5, 5), ("1.458568e+04", "1.821253e+04", "1.722521e+04"), "+", "false", 0
+        (0, 0, 0), ("1.458568e+04", "1.821253e+04", "1.722521e+04"), "+", "false", 0
     ),
     (4, "safeguarded"): (
         (0, 0, 0), ("1.458568e+04", "1.821253e+04", "1.722521e+04"), "+", "false", 0
