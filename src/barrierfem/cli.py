@@ -11,6 +11,7 @@ import argparse
 import datetime
 import itertools
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -244,9 +245,16 @@ def load_experiment(path):
     if u0_file is not None:
         line = ent.line_of("u0.file")
         try:
-            u0 = np.loadtxt(u0_file, encoding="utf-8-sig").ravel()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # loadtxt's "no data" warning
+                u0 = np.loadtxt(u0_file, encoding="utf-8-sig", ndmin=1)
+        except UserWarning:
+            raise ConfigError(f"u0.file {u0_file}: no values", line=line) from None
         except (OSError, ValueError) as exc:
             raise ConfigError(f"u0.file {u0_file}: {_reason(exc)}", line=line) from None
+        if u0.ndim != 1:
+            raise ConfigError(f"u0.file {u0_file}: a {u0.shape[0]} x {u0.shape[1]} table, "
+                              "not one value per vertex", line=line)
         if not np.all(np.isfinite(u0)):
             raise ConfigError(f"u0.file {u0_file}: every value must be finite", line=line)
         for label, mesh in meshes:
@@ -283,9 +291,9 @@ def run_method(method, spec, mesh, u0, solver_config):
         solver_config = replace(solver_config, mu0=float(mu0))
     try:
         if method == "newton":
-            return newton_standard(spec, mesh, u0, solver_config)
+            return newton_standard(spec, mesh, u0)
         if method == "safeguarded":
-            return newton_safeguarded(spec, mesh, u0, solver_config)
+            return newton_safeguarded(spec, mesh, u0)
         if name == "barrier":
             return barrier_solve(spec, mesh, u0, solver_config)
     except BarrierFemError as exc:

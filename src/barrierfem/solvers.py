@@ -62,22 +62,22 @@ ARMIJO_ETA = 1.0e-4
 BACKTRACK = 0.5
 #: steps one Newton loop (one stage) may take before it stops unconverged
 MAX_INNER = 100
+#: the reported test ||G|| <= EPS of every PDE solve, the tolerance of a
+#: mu = 0 loop and the floor of the mu schedule
+EPS = 1.0e-7
 
 
 @dataclass
 class SolverConfig:
-    """The tolerance and the schedule's start shared by all drivers.
+    """The schedule's start mu0 of the barrier drivers; the tolerance is EPS.
 
     An invalid value raises ValueError; its message starts with the
     name of the field.
     """
 
-    eps: float = 1.0e-7
     mu0: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.eps < np.inf:
-            raise ValueError("eps must be > 0 and finite")
         if not 0 <= self.mu0 < np.inf:
             raise ValueError("mu0 must be >= 0 and finite")
 
@@ -114,7 +114,7 @@ class StageRecord:
 @dataclass
 class SolveReport:
     """What one solve did.  converged: no failure reason, which for a PDE
-    driver (each ends at mu = 0) means ||G|| <= eps, and for the classical
+    driver (each ends at mu = 0) means ||G|| <= EPS, and for the classical
     barrier that every stage of its schedule converged.  failure_reason:
     "" iff converged, else why the loop stopped.  final_residual: ||G(u)||
     (unbarriered), or ||grad f(x)||, at the last iterate; sign: its sign on
@@ -136,17 +136,16 @@ class SolveReport:
     solution: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def step_to_boundary(u, w, free=None):
+def step_to_boundary(u, w, free):
     """Largest safe step along w keeping u strictly positive.
 
     alpha_max = min over {i : w_i < 0} of -u_i / w_i restricted to the
-    unconstrained indices; the returned cap is min(0.99*alpha_max, 1)
-    (the 99% rule), and exactly 1 when no component of w is negative.
+    unconstrained indices, where the mask `free` is True; the returned cap
+    is min(0.99*alpha_max, 1) (the 99% rule), and exactly 1 when no
+    component of w is negative there.
     """
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if free is not None:
-        u, w = u[free], w[free]
+    u = np.asarray(u, dtype=float)[free]
+    w = np.asarray(w, dtype=float)[free]
     if np.any(u <= 0):
         raise NonpositiveState("step_to_boundary requires u > 0 componentwise")
     neg = w < 0
@@ -186,10 +185,10 @@ def armijo_backtrack(evaluate, phi0, grad_dot_dir, u, w, alpha_bar):
     )
 
 
-def subproblem_tolerance(mu, initial_residual_norm, eps):
+def subproblem_tolerance(mu, initial_residual_norm):
     """Residual target for one barrier stage:
-    max(eps_mu * ||f(u0)||, eps_mu) with eps_mu = max(min(0.1, mu), eps)."""
-    eps_mu = max(min(0.1, mu), eps)
+    max(eps_mu * ||f(u0)||, eps_mu) with eps_mu = max(min(0.1, mu), EPS)."""
+    eps_mu = max(min(0.1, mu), EPS)
     return max(eps_mu * initial_residual_norm, eps_mu)
 
 
@@ -268,7 +267,7 @@ class _DenseProblem:
         return p, "dense", lambda w: float(np.dot(point.f, w))
 
 
-def _newton(problem, point, mu, config, report, safeguarded):
+def _newton(problem, point, mu, report, safeguarded):
     """Newton iteration on f = 0 at fixed mu, from a vector or a point.
 
     The start is evaluated at mu; then a safeguarded step takes its point
@@ -276,8 +275,8 @@ def _newton(problem, point, mu, config, report, safeguarded):
     new iterate.  The direction, and with it a matrix, is only computed
     for a step.
 
-    Converged once ||f|| <= subproblem_tolerance(mu, ||f(u0)||, eps), or
-    eps at mu = 0.  Both step policies stop on a nonfinite residual,
+    Converged once ||f|| <= subproblem_tolerance(mu, ||f(u0)||), or EPS
+    at mu = 0.  Both step policies stop on a nonfinite residual,
     after MAX_INNER steps and after five negligible steps in a row.  A
     standard step is the full Newton step; a zero direction, which
     truncated CG returns when it meets nonpositive curvature on its
@@ -299,7 +298,7 @@ def _newton(problem, point, mu, config, report, safeguarded):
             with np.errstate(over="ignore"):  # a huge f has an infinite norm
                 fn = float(np.linalg.norm(point.f))
             if stage is None:
-                tol = subproblem_tolerance(mu, fn, config.eps) if mu > 0 else config.eps
+                tol = subproblem_tolerance(mu, fn) if mu > 0 else EPS
                 stage = StageRecord(mu, tol, fn, 0)
             if not np.isfinite(fn):
                 return point, stage, "nonfinite residual"
@@ -345,33 +344,33 @@ def _newton(problem, point, mu, config, report, safeguarded):
         return point, stage, f"nonpositive state: {exc}"
 
 
-def _mu_schedule(mu0, eps):
-    """The positive stages mu0 > mu_1 > ... >= eps of a barrier continuation.
+def _mu_schedule(mu0):
+    """The positive stages mu0 > mu_1 > ... >= EPS of a barrier continuation.
 
     mu_{k+1} = min(GAMMA * mu_k, mu_k ** MU_POWER): linear while mu > GAMMA^2,
-    then superlinear, so the stages near eps are fewer than in the geometric
+    then superlinear, so the stages near EPS are fewer than in the geometric
     schedule mu0, GAMMA*mu0, ... and never more.  mu ** 1.5 is taken as
     mu * sqrt(mu) on Python floats: for a huge finite mu it is inf, which
     min drops, where ** would raise OverflowError.  The schedule is finite,
-    since mu0 is finite and eps > 0: at most about log10(mu0/eps) + 1 stages.
+    since mu0 is finite and EPS > 0: at most about log10(mu0/EPS) + 1 stages.
     """
     mu, schedule = float(mu0), []
-    while mu >= eps:
+    while mu >= EPS:
         schedule.append(mu)
         mu = min(GAMMA * mu, mu * math.sqrt(mu))
     return schedule
 
 
-def _continuation(problem, point, config, report, polish):
-    """Safeguarded Newton on the stages of _mu_schedule(mu0, eps), each
-    warm-started, then with `polish` on mu = 0.
+def _continuation(problem, point, mu0, report, polish):
+    """Safeguarded Newton on the stages mu0 > ... >= EPS of
+    _mu_schedule(mu0), each warm-started, then with `polish` on mu = 0.
 
     Multiplier estimates are mu/u on the free dofs at the end of the last
     positive stage; the polish keeps them.  Returns (point, reason); reason is
     "" when every stage converged, else why the stage that failed stopped.
     """
-    for stage_mu in _mu_schedule(config.mu0, config.eps) + ([0.0] if polish else []):
-        point, stage, reason = _newton(problem, point, stage_mu, config, report, safeguarded=True)
+    for stage_mu in _mu_schedule(mu0) + ([0.0] if polish else []):
+        point, stage, reason = _newton(problem, point, stage_mu, report, safeguarded=True)
         if stage is not None:
             report.stages.append(stage)
         if reason:
@@ -383,7 +382,7 @@ def _continuation(problem, point, config, report, polish):
 
 def _finalize(report, problem, point, reason, t0):
     """Record a loop's end: converged iff `reason` is "", the last iterate, its
-    sign on the free dofs and ||G(u)|| (<= eps when a FEM loop gives no
+    sign on the free dofs and ||G(u)|| (<= EPS when a FEM loop gives no
     reason), or ||grad f(x)||.  G is the last residual if the loop ended at
     mu = 0, else assembled afresh: the last residual moved to mu = 0,
     f + mu H, can lose G to cancellation, as mu H has no bound."""
@@ -400,10 +399,10 @@ def _finalize(report, problem, point, reason, t0):
     return report
 
 
-def _solve_fem(method, spec, mesh, u0, config):
-    """Run the PDE driver `method`: "newton", "safeguarded" or "barrier";
-    each ends in a Newton loop at mu = 0 and then in `_finalize`."""
-    config = config or SolverConfig()
+def _solve_fem(method, spec, mesh, u0, mu0=None):
+    """Run the PDE driver `method`: "newton", "safeguarded" or "barrier"
+    (which starts its schedule at mu0); each ends in a Newton loop at
+    mu = 0 and then in `_finalize`."""
     t0 = time.perf_counter()
     u = apply_dirichlet(u0, mesh, spec).coefficients
     problem = _FemProblem(spec, mesh)
@@ -411,29 +410,29 @@ def _solve_fem(method, spec, mesh, u0, config):
         raise NonpositiveState(f"{method} requires a strictly positive start")
     report = SolveReport(method=method)
     if method == "barrier":
-        point, reason = _continuation(problem, u, config, report, polish=True)
+        point, reason = _continuation(problem, u, mu0, report, polish=True)
     else:
-        point, _, reason = _newton(problem, u, 0.0, config, report, method == "safeguarded")
+        point, _, reason = _newton(problem, u, 0.0, report, method == "safeguarded")
     return _finalize(report, problem, point, reason, t0)
 
 
-def newton_standard(spec, mesh, u0, config=None):
+def newton_standard(spec, mesh, u0):
     """Plain Newton: full steps G'(u) w = -G(u), no positivity safeguard.
 
-    Stops when ||G|| <= eps, or unconverged after MAX_INNER steps, after
+    Stops when ||G|| <= EPS, or unconverged after MAX_INNER steps, after
     five negligible steps in a row, or at once when truncated CG returns
     a zero direction (nonpositive curvature on its first step).
     """
-    return _solve_fem("newton", spec, mesh, u0, config)
+    return _solve_fem("newton", spec, mesh, u0)
 
 
-def newton_safeguarded(spec, mesh, u0, config=None):
+def newton_safeguarded(spec, mesh, u0):
     """Newton with the 99% positivity cap and Armijo backtracking.
 
     Solves G' w = -G; the step is capped by step_to_boundary and then
-    backtracked on phi = 0.5||G||^2.  Converged means ||G|| <= eps.
+    backtracked on phi = 0.5||G||^2.  Converged means ||G|| <= EPS.
     """
-    return _solve_fem("safeguarded", spec, mesh, u0, config)
+    return _solve_fem("safeguarded", spec, mesh, u0)
 
 
 def barrier_solve(spec, mesh, u0, config=None):
@@ -446,12 +445,13 @@ def barrier_solve(spec, mesh, u0, config=None):
     the residual merit 0.5 ||G - mu H||^2, not on J_mu, warm-started from
     the previous stage; whenever the stage tolerance is met, mu shrinks
     to min(GAMMA * mu, mu ** MU_POWER) (`_mu_schedule`).  Once mu drops
-    below eps a final subproblem with mu = 0 always polishes to
-    ||G|| <= eps (the reported, unbarriered convergence test).
+    below EPS a final subproblem with mu = 0 always polishes to
+    ||G|| <= EPS (the reported, unbarriered convergence test).
     Multiplier estimates are mu/u at the last positive stage, lambda_i/m_i;
-    mu0 = 0 is safeguarded Newton, with none.
+    mu0 = 0 is safeguarded Newton, with none.  `config` is a SolverConfig
+    (default SolverConfig()), read for its mu0 alone.
     """
-    return _solve_fem("barrier", spec, mesh, u0, config)
+    return _solve_fem("barrier", spec, mesh, u0, (config or SolverConfig()).mu0)
 
 
 def classical_barrier_minimize(f, grad, hess, x0, config=None):
@@ -461,18 +461,19 @@ def classical_barrier_minimize(f, grad, hess, x0, config=None):
     `_mu_schedule`, solving (hess + mu diag(x^-2)) p = -(grad - mu x^-1) by a
     dense factorization at each inner step, with the 99% rule and Armijo
     backtracking on B_mu itself.  Converged means every stage of the
-    schedule mu0 > ... >= eps met its tolerance.
+    schedule mu0 > ... >= EPS met its tolerance.  `config` is read for its
+    mu0 alone, as in barrier_solve.
     Returns (x, report); the report's multiplier estimates are mu/x_i at
     the last solved positive mu.
     """
-    config = config or SolverConfig()
+    mu0 = (config or SolverConfig()).mu0
     t0 = time.perf_counter()
     x = np.asarray(x0, dtype=float).copy()
     if np.any(x <= 0):
         raise NonpositiveState("classical barrier requires x0 > 0")
-    if config.mu0 <= 0:
+    if mu0 <= 0:
         raise ValueError("classical barrier requires mu0 > 0")
     problem = _DenseProblem(f, grad, hess, x.size)
     report = SolveReport(method="classical_barrier")
-    point, reason = _continuation(problem, x, config, report, polish=False)
+    point, reason = _continuation(problem, x, mu0, report, polish=False)
     return _finalize(report, problem, point, reason, t0).solution.copy(), report

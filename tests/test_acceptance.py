@@ -270,7 +270,6 @@ def test_criterion_06b_example4_standard_newton_stalls(ex4_shell_reports):
 def test_criterion_07_feasibility_and_certificates(ex1_shell_reports, ex4_shell_reports):
     """Replay feasibility, Armijo and descent certificates; check mu
     schedules and the exact subproblem tolerances."""
-    config = SolverConfig()
     all_reports = []
     for reports in ex1_shell_reports.values():
         all_reports += [reports["safeguarded"], reports["barrier"]]
@@ -292,10 +291,10 @@ def test_criterion_07_feasibility_and_certificates(ex1_shell_reports, ex4_shell_
         for stage in report.stages:
             if stage.mu > 0:
                 assert stage.tolerance == subproblem_tolerance(
-                    stage.mu, stage.initial_residual_norm, config.eps
+                    stage.mu, stage.initial_residual_norm
                 )
             else:
-                assert stage.tolerance == config.eps
+                assert stage.tolerance == EPS
     assert checked_steps > 0
     print(f"\ncriterion 7 PASS: certificates replayed over {checked_steps} accepted steps")
 
@@ -345,7 +344,7 @@ def test_criterion_10_step_rule_properties():
         n = int(rng.integers(1, 10))
         u = rng.uniform(0.01, 5.0, n)
         w = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
-        alpha = step_to_boundary(u, w)
+        alpha = step_to_boundary(u, w, np.ones(n, dtype=bool))
         assert 0 < alpha <= 1.0
         assert np.all(u + alpha * w > 0)
         if np.all(u + w / 0.99 > 0):

@@ -21,9 +21,10 @@ from barrierfem.mesh import Marker, generate_interval_mesh, load_mesh, save_mesh
 from barrierfem.problem import FeFunction, builtin_example
 from barrierfem.solvers import SolverConfig
 
-#: solver.<name> keys that name no SolverConfig field: the schedule factor, the
-#: Armijo constants and the step cap are constants of solvers, and no stage cap exists
-NON_FIELD_SOLVER_KEYS = ("gamma", "eta", "backtrack", "max_outer", "max_inner")
+#: solver.<name> keys that name no SolverConfig field: the tolerance, the schedule
+#: factor, the Armijo constants and the step cap are constants of solvers, and no
+#: stage cap exists
+NON_FIELD_SOLVER_KEYS = ("eps", "gamma", "eta", "backtrack", "max_outer", "max_inner")
 
 INTERVAL_CFG = """\
 # quick 1D benchmark
@@ -352,7 +353,10 @@ class TestMainEntry:
                 "line 3: key 'solver.max_inner' is unknown or does not apply",
             ),
             ("mesh.kind = interval\nsolver.mu0 = -1\n", "line 3: mu0 must be >= 0"),
-            ("mesh.kind = interval\nsolver.eps = inf\n", "line 3: eps must be > 0 and finite"),
+            (
+                "mesh.kind = interval\nsolver.eps = inf\n",
+                "line 3: key 'solver.eps' is unknown or does not apply",
+            ),
             (
                 "mesh.kind = interval\nsolver.final_polish = false\n",
                 "line 3: key 'solver.final_polish' is unknown or does not apply",
@@ -396,6 +400,14 @@ class TestMainEntry:
             ),
             ("mesh.kind = interval\nu0.file = {tmp}/words.txt\n", "line 3: u0.file"),
             (
+                "mesh.kind = interval\nu0.file = {tmp}/comments.txt\n",
+                "line 3: u0.file {tmp}/comments.txt: no values",
+            ),
+            (
+                "mesh.kind = interval\nmesh.n_cells = 3\nu0.file = {tmp}/table.txt\n",
+                "line 4: u0.file {tmp}/table.txt: a 2 x 2 table, not one value per vertex",
+            ),
+            (
                 "mesh.kind = interval\nmesh.n_cells = 2\nu0.file = {tmp}/short_inf.txt\n",
                 "short_inf.txt: every value must be finite",
             ),
@@ -418,13 +430,16 @@ class TestMainEntry:
         ids=["gamma", "max_inner", "mu0", "eps_inf", "final_polish", "config_file",
              "config_not_text", "mesh_path", "mesh_path_directory", "mesh_without_cells",
              "mesh_file_bad_row", "mesh_file_not_text", "shell_overflow",
-             "u0_file", "u0_file_directory", "u0_file_short", "u0_file_not_numeric", "u0_file_inf", "u0_constant_nan",
+             "u0_file", "u0_file_directory", "u0_file_short", "u0_file_not_numeric", "u0_file_empty",
+             "u0_file_table", "u0_file_inf", "u0_constant_nan",
              "u0_constant_inf", "u0_file_and_constant", "shells_outer_marker",
              "file_inner_marker"],
     )
     def test_bad_input_is_an_error_line(self, tmp_path, capsys, text, message):
         (tmp_path / "short.txt").write_text("1.0\n1.0\n1.0\n")
         (tmp_path / "words.txt").write_text("one\ntwo\n")
+        (tmp_path / "comments.txt").write_text("# no values\n\n")
+        (tmp_path / "table.txt").write_text("1.0 1.0\n1.0 1.0\n")
         (tmp_path / "short_inf.txt").write_text("1.0\ninf\n1.0\n")
         save_mesh(generate_interval_mesh(0.1, 10, 4), tmp_path / "iv.mesh")
         (tmp_path / "empty.mesh").write_text(

@@ -24,6 +24,7 @@ from barrierfem.cli import (
 from barrierfem.mesh import Marker, generate_interval_mesh, generate_shell_mesh, load_mesh
 from barrierfem.problem import builtin_example
 from barrierfem.solvers import (
+    EPS,
     GAMMA,
     MU_POWER,
     SolverConfig,
@@ -59,10 +60,10 @@ def _sentence(pattern):
     return match.groups()
 
 
-def _geometric_stages(mu0, eps):
-    """How many stages the purely geometric schedule mu0, GAMMA mu0, ... >= eps has."""
+def _geometric_stages(mu0):
+    """How many stages the purely geometric schedule mu0, GAMMA mu0, ... >= EPS has."""
     mu, count = mu0, 0
-    while mu >= eps:
+    while mu >= EPS:
         mu, count = mu * GAMMA, count + 1
     return count
 
@@ -99,7 +100,7 @@ def test_example_config_loads(tmp_path):
     config = load_experiment(path)
     assert config.methods == ["newton", "safeguarded", "barrier"]
     assert [label for label, _ in config.meshes] == ["shell_r50", "shell_r10", "shell_r1"]
-    assert config.u0 == 1.0 and config.solver == SolverConfig(eps=1.0e-7, mu0=1.0)
+    assert config.u0 == 1.0 and config.solver == SolverConfig(mu0=1.0)
 
 
 def test_cli_examples_parse():
@@ -168,13 +169,14 @@ def test_example3_equation():
 
 def test_schedule_numbers():
     gamma, mu0, eps, stages, geometric = _sentence(
-        r"`GAMMA = ([\d.]+)`: for `mu0 = ([\d.]+)` and `eps = ([\de.-]+)` it runs (\d+)\s+"
+        r"`GAMMA = ([\d.]+)`: for `mu0 = ([\d.]+)` and `EPS = ([\de.-]+)` it runs (\d+)\s+"
         r"positive stages, where the purely geometric schedule would run (\d+)"
     )
     assert float(gamma) == GAMMA and "mu^1.5" in PROSE and MU_POWER == 1.5
-    schedule = _mu_schedule(float(mu0), float(eps))
+    assert float(eps) == EPS
+    schedule = _mu_schedule(float(mu0))
     assert len(schedule) == int(stages)
-    assert _geometric_stages(float(mu0), float(eps)) == int(geometric)
+    assert _geometric_stages(float(mu0)) == int(geometric)
 
 
 def test_three_strategies():
@@ -184,7 +186,7 @@ def test_three_strategies():
 
 def test_ninety_nine_percent_rule():
     assert '"99% rule"' in PROSE
-    assert step_to_boundary(np.ones(1), -np.ones(1)) == 0.99
+    assert step_to_boundary(np.ones(1), -np.ones(1), np.ones(1, dtype=bool)) == 0.99
 
 
 def test_merits_are_half_squared_residuals():
@@ -202,7 +204,7 @@ def test_exit_codes(tmp_path, capsys):
     base = "problem.example = 1\nmesh.kind = interval\nmesh.a = 0.1\nmesh.b = 10\n"
     codes = []
     for name, extra in [("converged", ""), ("unconverged", "methods = barrier\nsolver.mu0 = 1e300\n"),
-                        ("bad", "solver.eps = -1\n")]:
+                        ("bad", "solver.mu0 = -1\n")]:
         (tmp_path / f"{name}.cfg").write_text(base + extra)
         codes.append(main(["solve", "--config", str(tmp_path / f"{name}.cfg"),
                            "--out", str(tmp_path / name)]))
@@ -225,7 +227,7 @@ def test_every_number_is_derived():
     derived |= {default for _, _, params in MESH_KINDS.values() for _, default, _ in params}
     derived |= {*BUILTIN_SHELL_RADII, len(BUILTIN_SHELL_RADII), *_SUITE, len(_SUITE)}
     derived |= {len(markers) * len(BUILTIN_SHELL_RADII), -builtin_example(3).diffusion.value}
-    derived |= {GAMMA, 1e-7, len(_mu_schedule(1.0, 1e-7)), _geometric_stages(1.0, 1e-7)}
+    derived |= {GAMMA, EPS, len(_mu_schedule(1.0)), _geometric_stages(1.0)}
     derived |= {len(METHODS), 99, 0.5, 0, 1, 2}  # strategies, 99% rule, merit factor, exits
     words = re.findall(r"\w+", PROSE.lower())
     stated = _numbers(PROSE) + [WORDS[word] for word in words if word in WORDS]

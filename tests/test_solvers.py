@@ -3,6 +3,7 @@ variants, barrier continuation and the classical finite-dimensional loop."""
 
 import math
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from barrierfem.problem import FeFunction, ProblemSpec, builtin_example, lichner
 from barrierfem import solvers
 from barrierfem.solvers import (
     ARMIJO_ETA,
+    EPS,
     GAMMA,
     Sign,
     SolverConfig,
@@ -65,7 +67,7 @@ class TestClassifySign:
 
 class TestStepToBoundary:
     def test_no_negative_components(self):
-        assert step_to_boundary([1.0, 1.0], [1.0, 1.0]) == 1.0
+        assert step_to_boundary([1.0, 1.0], [1.0, 1.0], np.ones(2, dtype=bool)) == 1.0
 
     def test_binding_ratio(self):
         # oracle: brute-force scan of feasible alphas
@@ -75,11 +77,11 @@ class TestStepToBoundary:
         feasible = alphas[np.all(u[None, :] + alphas[:, None] * w[None, :] > 0, axis=1)]
         alpha_max = feasible.max()
         assert abs(alpha_max - 0.5) < 1e-4
-        assert step_to_boundary(u, w) == 0.99 * 0.5
+        assert step_to_boundary(u, w, np.ones(2, dtype=bool)) == 0.99 * 0.5
 
     def test_cap_at_one(self):
         # alpha_max = 2, so 0.99 * 2 caps at the full step
-        assert step_to_boundary([1.0], [-0.5]) == 1.0
+        assert step_to_boundary([1.0], [-0.5], np.ones(1, dtype=bool)) == 1.0
 
     def test_free_mask(self):
         u = np.array([-5.0, 1.0])
@@ -89,7 +91,7 @@ class TestStepToBoundary:
 
     def test_nonpositive_raises(self):
         with pytest.raises(NonpositiveState):
-            step_to_boundary([0.0, 1.0], [1.0, 1.0])
+            step_to_boundary([0.0, 1.0], [1.0, 1.0], np.ones(2, dtype=bool))
 
     def test_randomized_feasibility(self):
         rng = np.random.default_rng(123)
@@ -97,7 +99,7 @@ class TestStepToBoundary:
             n = int(rng.integers(1, 8))
             u = rng.uniform(0.05, 3.0, n)
             w = rng.standard_normal(n) * rng.uniform(0.1, 5.0)
-            alpha = step_to_boundary(u, w)
+            alpha = step_to_boundary(u, w, np.ones(n, dtype=bool))
             assert 0 < alpha <= 1.0
             assert np.all(u + alpha * w > 0)
             if np.all(u + w / 0.99 > 0):  # full step feasible with margin
@@ -222,7 +224,7 @@ def _one_safeguarded_step(monkeypatch, problem, u):
     monkeypatch.setattr(solvers, "MAX_INNER", 1)
     report = solvers.SolveReport(method="stub")
     u = np.asarray(u, dtype=float)
-    _, _, reason = solvers._newton(problem, u, 0.0, SolverConfig(), report, True)
+    _, _, reason = solvers._newton(problem, u, 0.0, report, True)
     return report, reason
 
 
@@ -336,14 +338,13 @@ class TestBarrier:
         assert np.allclose(positive, 10.0 ** np.array([0, -1, -2, -3, -4.5, -6.75]), rtol=1e-12)
 
     def test_subproblem_tolerances_exact(self, ex1_interval_reports):
-        config = SolverConfig(mu0=1.0)
         for stage in ex1_interval_reports["barrier"].stages:
             if stage.mu > 0:
                 assert stage.tolerance == subproblem_tolerance(
-                    stage.mu, stage.initial_residual_norm, config.eps
+                    stage.mu, stage.initial_residual_norm
                 )
             else:
-                assert stage.tolerance == config.eps
+                assert stage.tolerance == EPS
 
     def test_multipliers_kept_after_polish(self, ex1_interval_reports):
         # the mu = 0 polish leaves the last positive stage's estimates
@@ -402,7 +403,7 @@ class TestBarrier:
         report = barrier_solve(builtin_example(4), mesh, FeFunction.constant(mesh, 1.0), config)
         assert not report.converged
         assert report.failure_reason.endswith(" at mu=0")
-        schedule = solvers._mu_schedule(config.mu0, config.eps)
+        schedule = solvers._mu_schedule(config.mu0)
         assert [stage.mu for stage in report.stages] == schedule + [0.0]
 
 
@@ -706,7 +707,9 @@ class TestRegularization:
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
+    # the tolerance is the constant EPS: mu0 is the one field
+    assert [f.name for f in fields(SolverConfig)] == ["mu0"]
+    with pytest.raises(TypeError):
         SolverConfig(eps=0.0)
 
 
@@ -717,7 +720,7 @@ def test_solver_config_rejects_negative_counts_and_mu0(field):
     assert getattr(SolverConfig(**{field: 0}), field) == 0
 
 
-@pytest.mark.parametrize("field", ["eps", "mu0"])
+@pytest.mark.parametrize("field", ["mu0"])
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_solver_config_rejects_nonfinite_eps_and_mu0(field, value):
     # nan fails every comparison: it must not slip past the checks
