@@ -176,8 +176,8 @@ def load_experiment(path):
     """Parse and validate a config file into an ExperimentConfig.
 
     Every solve starts from one value: `u0.constant` (default 1.0) at each
-    vertex, or the `u0.file` vector of one value per vertex of every mesh;
-    a config may not set both."""
+    vertex, or the `u0.file` vector, one value per line and a line per
+    vertex of every mesh; a config may not set both."""
     ent = _Entries(path)
 
     example = ent.take("problem.example", convert=int)
@@ -247,14 +247,15 @@ def load_experiment(path):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", UserWarning)  # loadtxt's "no data" warning
-                u0 = np.loadtxt(u0_file, encoding="utf-8-sig", ndmin=1)
+                u0 = np.loadtxt(u0_file, encoding="utf-8-sig", ndmin=2)
         except UserWarning:
             raise ConfigError(f"u0.file {u0_file}: no values", line=line) from None
         except (OSError, ValueError) as exc:
             raise ConfigError(f"u0.file {u0_file}: {_reason(exc)}", line=line) from None
-        if u0.ndim != 1:
+        if u0.shape[1] != 1:  # a line of several values, even the only line
             raise ConfigError(f"u0.file {u0_file}: a {u0.shape[0]} x {u0.shape[1]} table, "
                               "not one value per vertex", line=line)
+        u0 = u0.ravel()
         if not np.all(np.isfinite(u0)):
             raise ConfigError(f"u0.file {u0_file}: every value must be finite", line=line)
         for label, mesh in meshes:

@@ -23,10 +23,16 @@ vertex vectors.  Where each mechanism is documented:
   reduction, the lumped mass) and, through `fields_for`, per spec (A, b,
   coefficients);
 * `_at_points`: the one walker that hands a pass its blocks;
+* `_add_at`: the one cell scatter, a block at a time;
 * `_power_pass` and `State`: the one power pass per state, which the
   residual and the Jacobian share;
 * `assemble_residual`, `assemble_jacobian`, `assemble_barrier_gradient`,
   `compute_energy` and `l2_error`: the assembled objects.
+
+Only what is kept is full-size: the workspace's arrays, a spec's fields
+and a State's k'.  Every other array of a pass or a scatter, the local
+vectors and matrices included, is one block's, so the peak of a pass is
+what is kept plus one block.
 """
 
 from weakref import WeakKeyDictionary
@@ -76,20 +82,34 @@ class _Workspace:
     P1 pattern (`full_indptr`, `full_indices`) carries the linear
     operator A, the Dirichlet-reduced one (`indptr`, `indices`:
     free-free pairs and every diagonal) the Jacobian.  `_build_patterns`
-    sorts the canonical (row <= col) pairs once, which numbers them
-    0..num_pairs-1, and builds the full pattern from them and their
-    mirrors.  Local matrices are kept on their upper triangle.  Every
-    sum is per pair: `upper_slots` sends each upper entry, cells then
-    Robin facets, to its pair; `full_mirror` and `mirror` send each full
-    and each reduced slot to its pair, and the reduced pattern's fixed
-    diagonal to num_pairs, one past the last.  So a symmetric operator
-    is one bincount of num_pairs + 1 bins and one gather, and A == A.T
-    and B == B.T bit for bit.
+    writes the canonical key min(i, j) * n + max(i, j) of each upper
+    entry (i, j), per row block, into one key array, and the n diagonals
+    after them, so that every diagonal is a pair.  One argsort ranks the
+    keys; a key unlike the one ranked before it starts a pair, and the
+    running count (cumsum) of these first occurrences numbers the pairs
+    0..num_pairs-1 in key order, as np.unique's inverse would.  The full
+    pattern is the pairs and the mirrors of the off-diagonal ones.
+    Local matrices are kept on their upper triangle.  Every sum is per
+    pair: `upper_slots` sends each upper entry, cells then Robin facets,
+    to its pair; `full_mirror` and `mirror` send each full and each
+    reduced slot to its pair, and the reduced pattern's fixed diagonal
+    to num_pairs, one past the last.  So a symmetric operator is one sum
+    over num_pairs + 1 bins and one gather, and A == A.T and B == B.T
+    bit for bit.
+
+    Every cell scatter adds a block's local vectors (`add_to_vertices`)
+    or upper-triangle matrices (`add_to_pairs`) as the block forms them,
+    with np.add.at in entry order (`_add_at`); the Robin facets' follow
+    the cells'.  np.bincount adds its weights in that order too, from
+    0.0, so each sum has the bits of one bincount over full-size local
+    arrays, which no pass makes.  Full-size are only the arrays kept
+    here (grad_gram, wq, the quadrature points, the patterns and their
+    maps, mass), a spec's fields (`fields_for`) and a State's k'.
 
     Dirichlet constraints are imposed by row/column reduction: the
     Jacobian's Dirichlet rows and columns are those of the identity and
-    the residual's Dirichlet entries are zeroed (`vertex_sum`), which
-    keeps B symmetric.  The barrier's vertex vectors come from `mass`,
+    the residual's Dirichlet entries are zeroed, which keeps B
+    symmetric.  The barrier's vertex vectors come from `mass`,
     the lumped mass m_i = int phi_i with Dirichlet entries 0, through
     `lumped`; `diagonal` holds each row's diagonal slot in the reduced
     pattern, where B takes mu m_i / u_i^2.
@@ -127,57 +147,83 @@ class _Workspace:
         self.dirichlet_mask = np.zeros(n, dtype=bool)
         self.dirichlet_mask[mesh.dirichlet_vertices()] = True
         self.free = ~self.dirichlet_mask
-        self.mass = self.vertex_sum(self.wq @ self.lam)
-        rows = np.concatenate([cells[:, iu].ravel(), self.robin_idx[:, fiu].ravel()])
-        cols = np.concatenate([cells[:, ju].ravel(), self.robin_idx[:, fju].ravel()])
-        self._build_patterns(rows, cols)
+        self.mass = np.zeros(n)
+        for b in _row_blocks(len(cells), len(self.qw))[0]:
+            self.add_to_vertices(self.mass, b, self.wq[b] @ self.lam)
+        self.mass[self.dirichlet_mask] = 0.0
+        self._build_patterns()
         self.spec_fields = WeakKeyDictionary()
 
-    def _build_patterns(self, rows, cols):
-        """The two patterns and the pair maps of the upper-triangle entries
-        (rows[i], cols[i]); the inverse of one np.unique over their
-        canonical keys is each entry's pair."""
-        n, m = self.num_vertices, len(rows)
-        # one sort numbers the canonical (row <= col) pairs, every
-        # diagonal among them (even one of a vertex in no cell); the full
-        # pattern adds the mirror of each off-diagonal pair
+    def _build_patterns(self):
+        """The two patterns and the pair maps of the upper-triangle entries,
+        cells then Robin facets.  The key array and the numbering's index
+        arrays are the only full-size temporaries; each is freed once
+        used."""
+        n = self.num_vertices
+        simplices = [(s, np.triu_indices(s.shape[1])) for s in (self.cells, self.robin_idx)]
+        m = sum(len(s) * len(iu) for s, (iu, _) in simplices)
+        # each entry's canonical key min * n + max, written per row block,
+        # then the n diagonals, so that every diagonal is a pair (even one
+        # of a vertex in no cell)
+        key = np.empty(m + n, dtype=np.int64)
+        at = 0
+        for s, (iu, ju) in simplices:
+            for b in _row_blocks(len(s), len(iu))[0]:
+                i, j = s[b][:, iu], s[b][:, ju]
+                block = key[at : at + i.size].reshape(i.shape)
+                np.minimum(i, j, out=block)
+                block *= n
+                block += np.maximum(i, j)
+                at += i.size
         diagonal = np.arange(n) * (n + 1)
-        upper = np.concatenate([np.minimum(rows, cols) * n + np.maximum(rows, cols), diagonal])
-        canonical, pair = np.unique(upper, return_inverse=True)
+        key[m:] = diagonal
+        # a key unlike the one ranked before it opens a pair: the running
+        # count of these first occurrences numbers the pairs in key order,
+        # as np.unique's inverse does
+        order = np.argsort(key)
+        first = np.ones(len(key), dtype=bool)
+        for b in _row_blocks(len(key) - 1, 1)[0]:
+            ranked = key[order[b.start : b.stop + 1]]
+            np.not_equal(ranked[1:], ranked[:-1], out=first[b.start + 1 : b.stop + 1])
+        canonical = key[order[first]]
+        del key
+        pair = np.cumsum(first, dtype=np.int32)
+        pair -= 1
+        del first
+        slots = np.empty(len(order), dtype=np.int32)
+        slots[order] = pair
+        del order, pair
         self.num_pairs = len(canonical)
+        self.upper_slots = slots[:m]
+        # the full pattern adds the mirror of each off-diagonal pair
         ci, cj = np.divmod(canonical, n)
         off = np.flatnonzero(ci != cj)
         keys = np.concatenate([canonical, cj[off] * n + ci[off]])
+        del canonical, ci, cj
         order = np.argsort(keys)  # the keys are distinct
         unique = keys[order]
+        del keys
         urows, ucols = np.divmod(unique, n)
         self.full_indptr = np.searchsorted(unique, np.arange(n + 1) * n).astype(np.int32)
         self.full_indices = ucols.astype(np.int32)
-        self.upper_slots = pair[:m].astype(np.int32)
         self.full_mirror = np.concatenate([np.arange(self.num_pairs), off])[order].astype(np.int32)
         free_pair = self.free[urows] & self.free[ucols]
         reduced = free_pair | (urows == ucols)
         self.indptr = np.searchsorted(unique[reduced], np.arange(n + 1) * n).astype(np.int32)
         self.indices = self.full_indices[reduced]
-        self.mirror = np.where(free_pair, self.full_mirror, self.num_pairs)[reduced]
+        self.mirror = np.where(free_pair, self.full_mirror, np.int32(self.num_pairs))[reduced]
         self.diagonal = np.searchsorted(unique[reduced], diagonal)
 
-    def scatter(self, local, sums):
-        """Reduced-pattern data: `sums` (A's "operator_sums", or 0.0) plus
-        one bincount, per pair, of the (M, K) upper-triangle local cell
-        matrices, whose pairs lead `upper_slots`, gathered by `mirror`."""
-        power = np.bincount(self.upper_slots[: local.size], weights=local.ravel(),
-                            minlength=self.num_pairs + 1)
-        return (sums + power)[self.mirror]
+    def add_to_pairs(self, sums, rows, local):
+        """Adds the (rows, K) upper-triangle local matrices of the cells
+        `rows` to their pairs' `sums`, whose entries lead `upper_slots`."""
+        k = local.shape[1]
+        _add_at(sums, self.upper_slots[rows.start * k : rows.stop * k], local)
 
-    def vertex_sum(self, local, offset=0.0):
-        """offset plus the (M, d+1) local cell vectors summed at their
-        vertices, with the Dirichlet entries zeroed."""
-        total = offset + np.bincount(
-            self.cells.ravel(), weights=local.ravel(), minlength=self.num_vertices
-        )
-        total[self.dirichlet_mask] = 0.0
-        return total
+    def add_to_vertices(self, sums, rows, local):
+        """Adds the (rows, d+1) local vectors of the cells `rows` to their
+        vertices' `sums`."""
+        _add_at(sums, self.cells[rows].ravel(), local)
 
     def lumped(self, u, power):
         """[m_i / u_i^power]_i, 0 at the Dirichlet vertices, where u_i
@@ -199,7 +245,8 @@ class _Workspace:
         and any other field's (M, Q) values at the quadrature points;
         "operator", the linear operator A (stiffness plus Robin mass) on
         the full pattern; "operator_sums", A's sums per pair and a
-        trailing 1.0 for the fixed diagonal, which `scatter` takes; and
+        trailing 1.0 for the fixed diagonal, to which the Jacobian adds
+        its power terms' pair sums; and
         "load", the vector b (source plus Robin data).  Fields are
         evaluated per row block (`at`), so the only (M, Q) arrays a spec
         keeps are its coefficients that are not constant.
@@ -208,12 +255,10 @@ class _Workspace:
         if cached is not None:
             return cached
         (m, q), k = self.wq.shape, self.grad_gram.shape[1]
-        # the cells' upper-triangle stiffness and load vectors lead, the
-        # Robin facets' follow
-        local = np.empty(m * k + self.fphi2.shape[1] * len(self.fwq))
-        stiffness = local[: m * k].reshape(m, k)
-        load = np.empty(self.cells.size + self.robin_idx.size)
-        cell_load = load[: self.cells.size].reshape(self.cells.shape)
+        # the cells' upper-triangle stiffness and load vectors are added
+        # first, the Robin facets' after them
+        sums = np.zeros(self.num_pairs + 1)
+        load = np.zeros(self.num_vertices)
         # a constant is kept as its scalar, which the power kernel
         # broadcasts; any other field fills its (M, Q) values per block
         coeffs = [(p, field.value if hasattr(field, "value") else np.empty((m, q)))
@@ -222,9 +267,9 @@ class _Workspace:
             diff = self.at(spec.diffusion, b)
             if not np.all((diff > 0) & (diff < np.inf)):
                 raise CoefficientViolation("diffusion must be > 0 and finite at quadrature points")
-            np.multiply((self.scale[b] * (diff @ self.qw))[:, None], self.grad_gram[b],
-                        out=stiffness[b])
-            np.matmul(self.wq[b] * self.at(spec.source, b), self.lam, out=cell_load[b])
+            self.add_to_pairs(sums, b, (self.scale[b] * (diff @ self.qw))[:, None]
+                              * self.grad_gram[b])
+            self.add_to_vertices(load, b, (self.wq[b] * self.at(spec.source, b)) @ self.lam)
             for (_, c), (_, field) in zip(coeffs, spec.power_terms):
                 if np.ndim(c):
                     c[b] = self.at(field, b)
@@ -233,21 +278,29 @@ class _Workspace:
             """A field, weighted, at the Robin facet quadrature points."""
             return self.fwq * np.asarray(field(self.fxq_flat), dtype=float).reshape(self.fwq.shape)
 
-        local[m * k :] = (on_facets(spec.robin_coeff) @ self.fphi2).ravel()
-        load[self.cells.size :] = (on_facets(spec.robin_data) @ self.flam).ravel()
-        sums = np.bincount(self.upper_slots, local, minlength=self.num_pairs + 1)
+        _add_at(sums, self.upper_slots[m * k :], on_facets(spec.robin_coeff) @ self.fphi2)
+        _add_at(load, self.robin_idx.ravel(), on_facets(spec.robin_data) @ self.flam)
         sums[-1] = 1.0
-        vertices = np.concatenate([self.cells.ravel(), self.robin_idx.ravel()])
         fields = {
             "coeffs": coeffs,
             "operator": SparseMatrix.from_pattern(
                 self.full_indptr, self.full_indices, sums[self.full_mirror]
             ),
             "operator_sums": sums,
-            "load": np.bincount(vertices, load, minlength=self.num_vertices),
+            "load": load,
         }
         self.spec_fields[spec] = fields
         return fields
+
+
+def _add_at(sums, index, values):
+    """sums[index[i]] += values.flat[i] for each i in turn, the order in
+    which np.bincount adds its weights: sums that start at 0.0 and take
+    their entries block by block, in entry order, have the bits of one
+    bincount over all of them.  inf - inf gives nan, as in bincount,
+    without a warning."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.add.at(sums, index, values.ravel())
 
 
 def _rule_points(lam, vertices, simplices):
@@ -336,20 +389,20 @@ def _at_points(ws, x, scratch=0):
 
 
 def _power_pass(ws, fields, x):
-    """The (M, d+1) local vectors int k phi_i of x, and the (fields, k') a
-    State keeps: only k' and the locals are full-size; u^-2, which only
-    p < 0 needs, is block scratch."""
+    """The vertex sums of the local vectors int k phi_i of x, and the
+    (fields, k') a State keeps: only k' is full-size; the local vectors
+    and u^-2, which only p < 0 needs, are block scratch."""
     coeffs = fields["coeffs"]
     negative = any(p < 0 for p, _ in coeffs)
     slope = np.empty(ws.wq.shape)
-    local = np.empty(ws.cells.shape)
+    sums = np.zeros(ws.num_vertices)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for b, uq, k, u2, power, inv in _at_points(ws, x, 4):
+        for b, uq, k, u2, power, *inv in _at_points(ws, x, 3 + negative):
             _power_kernel([(p, c if np.ndim(c) == 0 else c[b]) for p, c in coeffs], uq,
-                          (0, 1), (k, slope[b]), inv if negative else None, u2, power)
+                          (0, 1), (k, slope[b]), inv[0] if inv else None, u2, power)
             k *= ws.wq[b]
-            np.matmul(k, ws.lam, out=local[b])
-    return local, (fields, slope)
+            ws.add_to_vertices(sums, b, k @ ws.lam)
+    return sums, (fields, slope)
 
 
 def assemble_residual(spec, mesh, u, mu=0.0):
@@ -357,12 +410,13 @@ def assemble_residual(spec, mesh, u, mu=0.0):
     Dirichlet entries zeroed; at a State, keeps the pass on it."""
     x, ws, fields = _state_fields(spec, mesh, u, mu)
     linear = fields["operator"] @ x - fields["load"]
-    local, kept = _power_pass(ws, fields, x)
+    f, kept = _power_pass(ws, fields, x)
     if isinstance(u, State):
         u.power_pass = kept
-    # local is +-inf at an overflowed u, mu H at a huge mu: f is nonfinite
+    # the sums are +-inf at an overflowed u, mu H at a huge mu: f is nonfinite
     with np.errstate(invalid="ignore", over="ignore"):
-        f = ws.vertex_sum(local, linear)
+        f += linear
+        f[ws.dirichlet_mask] = 0.0
         if mu > 0:
             f -= mu * ws.lumped(x, 1)
     return f
@@ -385,10 +439,11 @@ def assemble_jacobian(spec, mesh, u, mu=0.0):
     if kept is None or kept[0] is not fields:
         _, kept = _power_pass(ws, fields, x)
     slope = kept[1]
-    local = np.empty(ws.grad_gram.shape)
+    sums = np.zeros(ws.num_pairs + 1)
     for b, weighted in _at_points(ws, None):
-        np.matmul(np.multiply(slope[b], ws.wq[b], out=weighted), ws.phi2, out=local[b])
-    data = ws.scatter(local, fields["operator_sums"])
+        ws.add_to_pairs(sums, b, np.multiply(slope[b], ws.wq[b], out=weighted) @ ws.phi2)
+    # A's sums and the fixed diagonal's 1.0, plus the power terms', per pair
+    data = (fields["operator_sums"] + sums)[ws.mirror]
     if mu > 0:
         with np.errstate(invalid="ignore", over="ignore"):
             data[ws.diagonal] += mu * ws.lumped(x, 2)

@@ -313,6 +313,8 @@ def _newton(problem, point, mu, report, safeguarded):
                 if not slope < 0:
                     w, fallback = -point.f, True
                     slope = slope_along(w)
+            del slope_along  # and with it B, before the step's trial residuals
+            if safeguarded:
                 if not slope < 0:
                     return point, stage, f"no descent direction at mu={mu:g}"
                 alpha_bar = step_to_boundary(point.u, w, free=problem.free)

@@ -408,6 +408,10 @@ class TestMainEntry:
                 "line 4: u0.file {tmp}/table.txt: a 2 x 2 table, not one value per vertex",
             ),
             (
+                "mesh.kind = interval\nmesh.n_cells = 3\nu0.file = {tmp}/row.txt\n",
+                "line 4: u0.file {tmp}/row.txt: a 1 x 4 table, not one value per vertex",
+            ),
+            (
                 "mesh.kind = interval\nmesh.n_cells = 2\nu0.file = {tmp}/short_inf.txt\n",
                 "short_inf.txt: every value must be finite",
             ),
@@ -431,7 +435,7 @@ class TestMainEntry:
              "config_not_text", "mesh_path", "mesh_path_directory", "mesh_without_cells",
              "mesh_file_bad_row", "mesh_file_not_text", "shell_overflow",
              "u0_file", "u0_file_directory", "u0_file_short", "u0_file_not_numeric", "u0_file_empty",
-             "u0_file_table", "u0_file_inf", "u0_constant_nan",
+             "u0_file_table", "u0_file_row", "u0_file_inf", "u0_constant_nan",
              "u0_constant_inf", "u0_file_and_constant", "shells_outer_marker",
              "file_inner_marker"],
     )
@@ -440,6 +444,7 @@ class TestMainEntry:
         (tmp_path / "words.txt").write_text("one\ntwo\n")
         (tmp_path / "comments.txt").write_text("# no values\n\n")
         (tmp_path / "table.txt").write_text("1.0 1.0\n1.0 1.0\n")
+        (tmp_path / "row.txt").write_text("1.0 1.0 1.0 1.0\n")
         (tmp_path / "short_inf.txt").write_text("1.0\ninf\n1.0\n")
         save_mesh(generate_interval_mesh(0.1, 10, 4), tmp_path / "iv.mesh")
         (tmp_path / "empty.mesh").write_text(

@@ -2,6 +2,8 @@
 
 import functools
 import gc
+import itertools
+import tracemalloc
 import weakref
 from dataclasses import replace
 from unittest import mock
@@ -9,13 +11,17 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barrierfem import fem, problem
+from barrierfem.cli import BUILTIN_SHELL_LAYERS, BUILTIN_SHELL_RADII, BUILTIN_SHELL_REFINEMENT
 from barrierfem.errors import (
     CoefficientViolation, DimensionMismatch, NonpositiveState, ValidationError,
 )
 from barrierfem.fem import (
     State,
+    _Workspace,
     apply_dirichlet,
     assemble_barrier_gradient,
     assemble_jacobian,
@@ -24,6 +30,7 @@ from barrierfem.fem import (
     l2_error,
     workspace_for,
 )
+from barrierfem.linalg import SparseMatrix
 from barrierfem.mesh import (
     Marker,
     SimplicialMesh,
@@ -353,7 +360,9 @@ class TestAssemblyPattern:
         ws = workspace_for(mesh)
         k = mesh.dim + 1
         local = np.random.default_rng(3).standard_normal((len(mesh.cells), k * (k + 1) // 2))
-        assert np.array_equal(ws.scatter(local, 0.0), _full_scatter(ws, local))
+        sums = np.zeros(ws.num_pairs + 1)
+        ws.add_to_pairs(sums, slice(0, len(local)), local)
+        assert np.array_equal(sums[ws.mirror], _full_scatter(ws, local))
 
     def test_operator_matches_full_bincount(self, case):
         mesh, _, _ = case
@@ -438,10 +447,51 @@ def _blocked_values(name, block_elements):
             values[f"kept-pass jacobian at {mu}"] = assemble_jacobian(spec, mesh, state, mu).data
             values[f"jacobian at {mu}"] = assemble_jacobian(spec, mesh, u, mu).data
             values[f"energy at {mu}"] = np.array(compute_energy(spec, mesh, u, mu))
+            (values[f"bincount residual at {mu}"], values[f"bincount jacobian at {mu}"],
+             values["bincount load"], values["bincount operator"]) = _bincount_reference(
+                ws, spec, u, mu)
         values["barrier gradient"] = assemble_barrier_gradient(mesh, u)
         values["l2 error"] = np.array(
             l2_error(mesh, u, lambda x: 2.0 + np.sin(3.0 * np.atleast_2d(x)[:, 0])))
     return values
+
+
+def _bincount_reference(ws, spec, u, mu):
+    """The residual, the Jacobian data, the load and A's data as they were
+    summed before the per-block scatters: the local vectors and matrices of
+    every cell at once, then the Robin facets', each sum one np.bincount;
+    the power pass runs on the (M, Q) points of all cells at once."""
+    (m, q), n = ws.wq.shape, ws.num_vertices
+    cells = slice(0, m)
+
+    def on_facets(field):
+        return ws.fwq * np.asarray(field(ws.fxq_flat), dtype=float).reshape(ws.fwq.shape)
+
+    stiffness = (ws.scale * (ws.at(spec.diffusion, cells) @ ws.qw))[:, None] * ws.grad_gram
+    local = np.concatenate([stiffness.ravel(), (on_facets(spec.robin_coeff) @ ws.fphi2).ravel()])
+    operator_sums = np.bincount(ws.upper_slots, local, minlength=ws.num_pairs + 1)
+    operator_sums[-1] = 1.0
+    load = np.bincount(
+        np.concatenate([ws.cells.ravel(), ws.robin_idx.ravel()]),
+        np.concatenate([((ws.wq * ws.at(spec.source, cells)) @ ws.lam).ravel(),
+                        (on_facets(spec.robin_data) @ ws.flam).ravel()]),
+        minlength=n,
+    )
+    operator = SparseMatrix.from_pattern(ws.full_indptr, ws.full_indices,
+                                         operator_sums[ws.full_mirror])
+    uq = u[ws.cells] @ ws.lam.T
+    k, slope, u2, power, inv = (np.empty(uq.shape) for _ in range(5))
+    problem._power_kernel(ws.fields_for(spec)["coeffs"], uq, (0, 1), (k, slope), inv, u2, power)
+    residual = (operator @ u - load) + np.bincount(
+        ws.cells.ravel(), ((k * ws.wq) @ ws.lam).ravel(), minlength=n)
+    residual[ws.dirichlet_mask] = 0.0
+    jacobian = (operator_sums + np.bincount(
+        ws.upper_slots[: stiffness.size], ((slope * ws.wq) @ ws.phi2).ravel(),
+        minlength=ws.num_pairs + 1))[ws.mirror]
+    if mu > 0:
+        residual -= mu * ws.lumped(u, 1)
+        jacobian[ws.diagonal] += mu * ws.lumped(u, 2)
+    return residual, jacobian, load, operator.data
 
 
 def _assert_same_bits(got, want):
@@ -479,12 +529,140 @@ class TestBlocks:
             f"{kind}jacobian at {mu}" for kind in ("", "kept-pass ") for mu in (0.0, 0.7)
         ))
 
+    def test_fields_match_full_bincount(self, name, block_elements):
+        """A's data and the load, added per block, have the bits of one
+        np.bincount over the full-size local arrays."""
+        values = _blocked_values(name, block_elements)
+        _assert_same_bits(values["operator"], values["bincount operator"])
+        _assert_same_bits(values["load"], values["bincount load"])
+
+    def test_residual_matches_full_bincount(self, name, block_elements):
+        values = _blocked_values(name, block_elements)
+        for mu in (0.0, 0.7):
+            _assert_same_bits(values[f"residual at {mu}"], values[f"bincount residual at {mu}"])
+
+    def test_jacobian_matches_full_bincount(self, name, block_elements):
+        values = _blocked_values(name, block_elements)
+        for mu in (0.0, 0.7):
+            for kind in ("", "kept-pass "):
+                _assert_same_bits(values[f"{kind}jacobian at {mu}"],
+                                  values[f"bincount jacobian at {mu}"])
+
     def test_barrier_gradient(self, name, block_elements):
         self.assert_blocked_matches(name, block_elements, "barrier gradient")
 
     def test_energy_and_l2_error(self, name, block_elements):
         self.assert_blocked_matches(name, block_elements, "energy at 0.0", "energy at 0.7",
                                     "l2 error")
+
+
+def _kuhn_cells(shape):
+    """The cells of the Kuhn triangulation of a grid of `shape` unit
+    cubes (d! simplices per cube), over the grid's row-major vertices."""
+    dim = len(shape)
+    strides = np.cumprod((1,) + tuple(s + 1 for s in shape[:0:-1]))[::-1]
+    cells = []
+    for corner in itertools.product(*(range(s) for s in shape)):
+        for axes in itertools.permutations(range(dim)):
+            walk = np.zeros(dim, dtype=int)
+            cell = [int(np.dot(corner, strides))]
+            for axis in axes:
+                walk[axis] += 1
+                cell.append(int(np.dot(np.add(corner, walk), strides)))
+            cells.append(cell)
+    return np.array(cells)
+
+
+@st.composite
+def pattern_meshes(draw):
+    """A small Kuhn mesh in 1, 2 or 3 dimensions with its vertices and each
+    cell's vertices shuffled, one more vertex in no cell, and a drawn set
+    of boundary facets, each Dirichlet or Robin."""
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 3 if dim < 3 else 2)) for _ in range(dim))
+    grid = np.stack(np.meshgrid(*(np.arange(s + 1.0) for s in shape), indexing="ij"), axis=-1)
+    vertices = np.concatenate([grid.reshape(-1, dim), np.full((1, dim), -1.0)])
+    cells = _kuhn_cells(shape)
+    faces = np.sort(np.concatenate([np.delete(cells, i, axis=1) for i in range(dim + 1)]), axis=1)
+    faces, counts = np.unique(faces, axis=0, return_counts=True)
+    boundary = faces[counts == 1]
+    listed = draw(st.lists(st.booleans(), min_size=len(boundary), max_size=len(boundary)))
+    facets = boundary[np.array(listed, dtype=bool)]
+    markers = draw(st.lists(st.sampled_from([Marker.DIRICHLET, Marker.ROBIN]),
+                            min_size=len(facets), max_size=len(facets)))
+    numbering = np.array(draw(st.permutations(range(len(vertices)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    cells = rng.permuted(cells, axis=1)
+    moved = np.empty_like(numbering)
+    moved[numbering] = np.arange(len(numbering))  # vertex v becomes vertex numbering[v]
+    return SimplicialMesh(dim, vertices[moved], numbering[cells],
+                          numbering[facets].reshape(-1, dim), markers)
+
+
+def _unique_patterns(ws):
+    """Every array `_build_patterns` sets, from one np.unique with
+    return_inverse over the canonical keys of the upper-triangle entries
+    (cells, then Robin facets) and the diagonals."""
+    n = ws.num_vertices
+    iu, ju = np.triu_indices(ws.cells.shape[1])
+    fiu, fju = np.triu_indices(ws.robin_idx.shape[1])
+    rows = np.concatenate([ws.cells[:, iu].ravel(), ws.robin_idx[:, fiu].ravel()])
+    cols = np.concatenate([ws.cells[:, ju].ravel(), ws.robin_idx[:, fju].ravel()])
+    diagonal = np.arange(n) * (n + 1)
+    upper = np.concatenate([np.minimum(rows, cols) * n + np.maximum(rows, cols), diagonal])
+    canonical, pair = np.unique(upper, return_inverse=True)
+    ci, cj = np.divmod(canonical, n)
+    off = np.flatnonzero(ci != cj)
+    keys = np.concatenate([canonical, cj[off] * n + ci[off]])
+    order = np.argsort(keys)
+    unique = keys[order]
+    urows, ucols = np.divmod(unique, n)
+    full_mirror = np.concatenate([np.arange(len(canonical)), off])[order].astype(np.int32)
+    free = ~ws.dirichlet_mask
+    free_pair = free[urows] & free[ucols]
+    reduced = free_pair | (urows == ucols)
+    return {
+        "num_pairs": len(canonical),
+        "upper_slots": pair[: len(rows)].astype(np.int32),
+        "full_indptr": np.searchsorted(unique, np.arange(n + 1) * n).astype(np.int32),
+        "full_indices": ucols.astype(np.int32),
+        "full_mirror": full_mirror,
+        "indptr": np.searchsorted(unique[reduced], np.arange(n + 1) * n).astype(np.int32),
+        "indices": ucols[reduced].astype(np.int32),
+        "mirror": np.where(free_pair, full_mirror, len(canonical))[reduced].astype(np.int32),
+        "diagonal": np.searchsorted(unique[reduced], diagonal),
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pattern_meshes(), st.sampled_from([1, 150, None]))
+def test_patterns_match_np_unique(mesh, block_elements):
+    """The pair numbering, written in row blocks of any size and numbered
+    by one argsort, sets every pattern array as np.unique's inverse does,
+    dtypes included, on meshes with a vertex in no cell."""
+    with mock.patch.object(fem, "_BLOCK_ELEMENTS", block_elements or fem._BLOCK_ELEMENTS):
+        ws = _Workspace(mesh)
+    assert np.bincount(ws.cells.ravel(), minlength=ws.num_vertices).min() == 0
+    for name, want in _unique_patterns(ws).items():
+        _assert_same_bits(np.asarray(getattr(ws, name)), np.asarray(want))
+
+
+def test_workspace_build_peaks_near_what_it_keeps():
+    """Building the workspace of the suite's refinement-2 shell allocates
+    at its peak at most 1.6 times the bytes the workspace keeps: the pair
+    numbering and the cell scatters hold one key array and block-sized
+    temporaries, not full-size row, column and np.unique copies (which
+    took the peak to 1.94 times)."""
+    mesh = generate_shell_mesh(BUILTIN_SHELL_RADII[0], 100.0, BUILTIN_SHELL_REFINEMENT,
+                               n_layers=BUILTIN_SHELL_LAYERS)
+    _Workspace(mesh)  # first-call caches (quadrature rules) are not the workspace's
+    tracemalloc.start()
+    try:
+        workspace = _Workspace(mesh)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept > workspace.grad_gram.nbytes and peak <= 1.6 * kept
 
 
 def test_workspace_freed_with_mesh():
